@@ -160,13 +160,16 @@ let () =
     | Some n -> n
     | None -> die "%s lacks the chaos_sessions field" file
   in
-  (match Option.bind (Json.member "chaos_sessions_ok" json) Json.to_float with
-  | Some ok when ok = 1.0 -> ()
-  | Some ok ->
-    die
-      "chaos_sessions_ok %g < 1.0: a chaos-proxied session diverged from the        undisturbed run after the mid-run restart"
-      ok
-  | None -> die "%s lacks the chaos_sessions_ok field" file);
+  let chaos_ok =
+    match Option.bind (Json.member "chaos_sessions_ok" json) Json.to_float with
+    | Some ok when ok = 1.0 -> ok
+    | Some ok ->
+      die
+        "chaos_sessions_ok %g < 1.0: a chaos-proxied session diverged from \
+         the undisturbed run after the mid-run restart"
+        ok
+    | None -> die "%s lacks the chaos_sessions_ok field" file
+  in
   if (not fast) && chaos_sessions < 8 then
     die "chaos_sessions %d < 8 on a full run: the recovery bench shrank"
       chaos_sessions;
@@ -189,4 +192,6 @@ let () =
      chaos_sessions=%d/%d ok\n"
     incremental parallel jobs domains domains_jobs cores des_overhead pool
     adapt_advantage gen_rate fuzz teamsimd_sessions teamsimd_ops teamsimd_p99
-    recovery_ms chaos_sessions chaos_sessions
+    recovery_ms
+    (Float.to_int (Float.round (chaos_ok *. float_of_int chaos_sessions)))
+    chaos_sessions

@@ -59,7 +59,8 @@ type t = {
   mutable hist : history_entry list; (* reversed *)
   mutable d_tracer : Tracer.t;
   mutable d_revision_work : int; (* HC4 revisions done by DPM propagations *)
-  d_heur_cache : Heuristic_data.Cache.t;
+  (* constraint id -> spans subsystems; valid until a problem is added *)
+  d_cross : (int, bool) Hashtbl.t;
   (* relaxed-feasibility memo, valid for one network revision *)
   mutable d_relaxed_rev : int;
   d_relaxed : (string, Domain.t) Hashtbl.t;
@@ -69,6 +70,7 @@ let register_problem_internal t parent_id p =
   if Hashtbl.mem t.probs p.Problem.pr_id then
     invalid_arg
       (Printf.sprintf "Dpm: duplicate problem id %d" p.Problem.pr_id);
+  Hashtbl.reset t.d_cross;
   Hashtbl.replace t.probs p.Problem.pr_id p;
   t.prob_order <- p.Problem.pr_id :: t.prob_order;
   if p.Problem.pr_id >= t.next_pid then t.next_pid <- p.Problem.pr_id + 1;
@@ -100,7 +102,7 @@ let create ~mode ?(engine = Incremental) ?(max_revisions = 10_000) net ~objects
       hist = [];
       d_tracer = Tracer.null;
       d_revision_work = 0;
-      d_heur_cache = Heuristic_data.Cache.create ();
+      d_cross = Hashtbl.create 64;
       d_relaxed_rev = -1;
       d_relaxed = Hashtbl.create 32;
     }
@@ -194,11 +196,18 @@ let known_status t cid =
   | Conventional ->
     if is_fresh t c then Network.status t.net cid else Constr.Consistent
 
+(* [known_status t cid = Violated], checking the recorded status before
+   the conventional freshness test *)
+let known_violated t cid =
+  Network.status t.net cid = Constr.Violated
+  &&
+  match t.d_mode with
+  | Adpm -> true
+  | Conventional -> is_fresh t (Network.find_constraint t.net cid)
+
 let known_violations t =
   List.filter_map
-    (fun c ->
-      if known_status t c.Constr.id = Constr.Violated then Some c.Constr.id
-      else None)
+    (fun c -> if known_violated t c.Constr.id then Some c.Constr.id else None)
     (Network.constraints t.net)
 
 let known_statuses t =
@@ -211,7 +220,7 @@ let heuristic_info t prop =
   | Conventional -> None
   | Adpm ->
     if Network.mem_prop t.net prop then
-      Some (Heuristic_data.Cache.mine_prop t.d_heur_cache t.net prop)
+      Some (Heuristic_data.mine_prop t.net prop)
     else None
 
 let relaxed_feasible_group t ~target ~unpin =
@@ -270,13 +279,22 @@ let subsystem_of_prop t prop =
   | None -> None
   | Some p -> top_ancestor t p.Problem.pr_id
 
+(* Static between problem registrations, and asked for every stale bound
+   constraint on every conventional verification decision: memoised. *)
 let is_cross_subsystem t c =
-  let subs =
-    List.filter_map (fun arg -> subsystem_of_prop t arg) (Constr.args c)
-  in
-  match List.sort_uniq compare subs with
-  | [] | [ _ ] -> false
-  | _ :: _ :: _ -> true
+  match Hashtbl.find_opt t.d_cross c.Constr.id with
+  | Some cross -> cross
+  | None ->
+    let subs =
+      List.filter_map (fun arg -> subsystem_of_prop t arg) (Constr.args c)
+    in
+    let cross =
+      match List.sort_uniq compare subs with
+      | [] | [ _ ] -> false
+      | _ :: _ :: _ -> true
+    in
+    Hashtbl.replace t.d_cross c.Constr.id cross;
+    cross
 
 (* {2 Problem status update} *)
 

@@ -147,6 +147,10 @@ val known_status : t -> int -> Constr.status
     result. In conventional mode, the last verified status — unless an
     argument was reassigned since, in which case [Consistent] (unknown). *)
 
+val known_violated : t -> int -> bool
+(** [known_status t cid = Violated], without the freshness test when the
+    recorded status is not [Violated]. *)
+
 val known_violations : t -> int list
 (** Constraint ids with [known_status = Violated]. *)
 
@@ -156,8 +160,9 @@ val known_statuses : t -> (int * Constr.status) list
     seed each designer's believed statuses (the kickoff meeting). *)
 
 val heuristic_info : t -> string -> Heuristic_data.prop_info option
-(** Mined heuristic-support data for a property; [None] in conventional
-    mode (the information does not exist without propagation). *)
+(** Mined heuristic-support data for a property ({!Heuristic_data.mine_prop}
+    over the current network); [None] in conventional mode (the
+    information does not exist without propagation). *)
 
 val relaxed_feasible : t -> string -> Adpm_interval.Domain.t
 (** ADPM only: feasible subspace of a property ignoring its own assignment

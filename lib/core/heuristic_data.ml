@@ -69,34 +69,6 @@ let mine net =
   |> List.filter (fun n -> Domain.is_numeric (Network.initial_domain net n))
   |> List.map (mine_prop net)
 
-module Cache = struct
-  type cache = {
-    mutable c_rev : int;  (* network revision the entries were mined at *)
-    c_table : (string, prop_info) Hashtbl.t;
-  }
-
-  type t = cache
-
-  let create () = { c_rev = -1; c_table = Hashtbl.create 32 }
-
-  let reset c =
-    c.c_rev <- -1;
-    Hashtbl.reset c.c_table
-
-  let mine_prop c net name =
-    let rev = Network.revision net in
-    if rev <> c.c_rev then begin
-      Hashtbl.reset c.c_table;
-      c.c_rev <- rev
-    end;
-    match Hashtbl.find_opt c.c_table name with
-    | Some info -> info
-    | None ->
-      let info = mine_prop net name in
-      Hashtbl.replace c.c_table name info;
-      info
-end
-
 let preferred_direction info =
   if info.hi_up_votes > info.hi_down_votes then `Up
   else if info.hi_down_votes > info.hi_up_votes then `Down

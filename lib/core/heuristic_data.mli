@@ -51,21 +51,6 @@ val indirect_alpha : Network.t -> string -> int
 val mine : Network.t -> prop_info list
 (** All numeric properties, in network insertion order. *)
 
-(** Memoised mining keyed on {!Network.revision}: entries stay valid while
-    the network is unchanged and are dropped wholesale on the first query
-    after any mutation. Designer decision loops query the same properties
-    repeatedly between operations, so this turns repeated mining into a
-    table lookup. *)
-module Cache : sig
-  type t
-
-  val create : unit -> t
-  val reset : t -> unit
-
-  val mine_prop : t -> Network.t -> string -> prop_info
-  (** As {!val:mine_prop}, cached. *)
-end
-
 val preferred_direction : prop_info -> [ `Up | `Down | `None ]
 (** Majority repair vote; [`None] on a tie or when no violated constraint
     is monotone in the property. *)

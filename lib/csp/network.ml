@@ -25,14 +25,17 @@ type t = {
   mutable constr_order : int list; (* reversed *)
   adjacency : (string, int list) Hashtbl.t; (* reversed per prop *)
   statuses : (int, Constr.status) Hashtbl.t;
-  declared_mono : (string, Monotone.direction) Hashtbl.t;
-  (* key: "<cid>/<prop>" *)
+  declared_mono : (int * int, Monotone.direction) Hashtbl.t;
+  (* key: (constraint id, prop id) *)
   mutable next_cid : int;
   mutable n_rev : int;
   mutable n_struct : int;
-  (* Structural revision: bumped only by add_prop/add_constraint. The
-     derived views below are keyed on it rather than on [n_rev], which
-     also moves on every assignment and status update. *)
+  (* Structural revision: bumped only by add_prop/add_constraint/
+     declare_monotone. The derived views below are keyed on it rather
+     than on [n_rev], which also moves on every assignment and status
+     update. *)
+  mutable n_digest : int;
+  (* hash chain over the same structural calls and their arguments *)
   mutable c_list_cache : (int * Constr.t list) option;
   mutable c_arr_cache : (int * Constr.t array) option;
   mutable adj_cache : (int * int array array) option;
@@ -58,6 +61,7 @@ let create () =
     next_cid = 0;
     n_rev = 0;
     n_struct = 0;
+    n_digest = 0;
     c_list_cache = None;
     c_arr_cache = None;
     adj_cache = None;
@@ -68,9 +72,12 @@ let create () =
 
 let bump t = t.n_rev <- t.n_rev + 1
 
-let bump_struct t =
+let bump_struct t step =
   t.n_struct <- t.n_struct + 1;
+  t.n_digest <- Hashtbl.hash_param 64 256 (t.n_digest, step);
   bump t
+
+let structure_digest t = t.n_digest
 
 let revision t = t.n_rev
 let mark_dirty t name = Hashtbl.replace t.dirty name ()
@@ -108,6 +115,7 @@ let copy t =
   fresh.next_cid <- t.next_cid;
   fresh.n_rev <- t.n_rev;
   fresh.n_struct <- t.n_struct;
+  fresh.n_digest <- t.n_digest;
   (* compiled kernels are immutable programs + scratch: safe to share
      between sequentially-used copies, so only the table is copied *)
   Hashtbl.iter (fun id k -> Hashtbl.replace fresh.kernels id k) t.kernels;
@@ -129,7 +137,7 @@ let add_prop t ?(meta = []) name domain =
   t.by_id <- Array.append t.by_id [| p |];
   (* structural change: any persisted propagation state is stale *)
   invalidate_prop_state t;
-  bump_struct t
+  bump_struct t (`Prop (name, domain))
 
 let prop_names t = List.rev t.prop_order
 
@@ -228,7 +236,7 @@ let add_constraint t ~name lhs rel rhs =
   t.constr_order <- c.Constr.id :: t.constr_order;
   t.next_cid <- t.next_cid + 1;
   invalidate_prop_state t;
-  bump_struct t;
+  bump_struct t (`Constraint (name, lhs, rel, rhs));
   c
 
 let find_constraint t id =
@@ -325,14 +333,17 @@ let alpha t name =
        (fun c -> status t c.Constr.id = Constr.Violated)
        (constraints_of_prop t name))
 
-let mono_key cid prop = Printf.sprintf "%d/%s" cid prop
-
 let declare_monotone t cid prop dir =
-  Hashtbl.replace t.declared_mono (mono_key cid prop) dir;
-  bump t
+  Hashtbl.replace t.declared_mono (cid, prop_id t prop) dir;
+  bump_struct t (`Monotone (cid, prop, dir))
 
 let diff_direction t c prop =
-  match Hashtbl.find_opt t.declared_mono (mono_key c.Constr.id prop) with
+  let declared =
+    match Hashtbl.find_opt t.props prop with
+    | Some p -> Hashtbl.find_opt t.declared_mono (c.Constr.id, p.p_id)
+    | None -> None
+  in
+  match declared with
   | Some dir -> dir
   | None ->
     let env name =

@@ -49,6 +49,15 @@ val copy : t -> t
 
 val revision : t -> int
 
+val structure_digest : t -> int
+(** A hash chained over every structural call ({!add_prop},
+    {!add_constraint}, {!declare_monotone}) and its arguments. Two
+    networks built by the same sequence of those calls have equal
+    digests, so analyses of one network's structure can be shared with
+    another and recognised as stale once a structural call follows.
+    Assignments, statuses and feasible updates never move it; {!copy}
+    keeps it. *)
+
 val dirty_props : t -> string list
 (** Properties assigned or unassigned since the last {!clear_dirty}
     (unspecified order). *)
@@ -126,8 +135,8 @@ val add_constraint : t -> name:string -> Expr.t -> Constr.rel -> Expr.t -> Const
 
 val constraints : t -> Constr.t list
 (** Insertion order. Cached on the structural revision (the counter bumped
-    only by {!add_prop}/{!add_constraint}): repeated calls return the same
-    list physically until a constraint or property is added. *)
+    only by {!add_prop}/{!add_constraint}/{!declare_monotone}): repeated
+    calls return the same list physically until the next such call. *)
 
 val find_constraint : t -> int -> Constr.t
 (** @raise Invalid_argument for unknown ids, naming the id. *)
@@ -142,7 +151,7 @@ val constraints_of_prop : t -> string -> Constr.t list
 
     Derived dense-id views used by the propagation hot path; all cached on
     the structural revision and rebuilt only after {!add_prop} /
-    {!add_constraint}. *)
+    {!add_constraint} / {!declare_monotone}. *)
 
 val constraint_array : t -> Constr.t array
 (** All constraints, indexed by their (dense) constraint id. *)
@@ -176,7 +185,8 @@ val alpha : t -> string -> int
 val declare_monotone : t -> int -> string -> Monotone.direction -> unit
 (** DDDL-style declaration overriding the structural analysis: the recorded
     direction is that of the constraint's [diff] expression in the
-    property. *)
+    property. A structural call: it moves {!structure_digest}.
+    @raise Invalid_argument for unknown properties. *)
 
 val helps_direction : t -> Constr.t -> string -> [ `Up | `Down | `None ]
 (** Which way to move the property's value to help satisfy the constraint

@@ -15,6 +15,9 @@ type t = {
   cfg : Config.t;
   rng : Rng.t;
   models : (string * Expr.t) list;
+  (* the scenario's static influence table, re-analysed only if the
+     network changes structurally under the designer *)
+  mutable influence : Influence.t;
   tabu : (string, unit) Hashtbl.t;
   (* last repair direction and step per property, for adaptive delta *)
   repair_memory : (string, [ `Up | `Down ] * float) Hashtbl.t;
@@ -37,12 +40,13 @@ type t = {
   inbox : delivery Mailbox.t;
 }
 
-let create cfg ~rng ~models name =
+let create cfg ~rng ~influence name =
   {
     d_name = name;
     cfg;
     rng;
-    models;
+    models = Influence.models influence;
+    influence;
     tabu = Hashtbl.create 64;
     repair_memory = Hashtbl.create 16;
     pending_reverify = Hashtbl.create 16;
@@ -99,119 +103,84 @@ let addressable_problems d dpm =
     (fun p -> p.Problem.pr_status <> Problem.Waiting)
     (Dpm.problems_owned_by dpm d.d_name)
 
-let numeric_outputs dpm p =
-  let net = Dpm.network dpm in
+let numeric_outputs net p =
   List.filter
     (fun o ->
       Network.mem_prop net o
       && Domain.is_numeric (Network.initial_domain net o))
     p.Problem.pr_outputs
 
-let my_outputs dpm probs =
-  List.sort_uniq compare (List.concat_map (numeric_outputs dpm) probs)
+(* The influence table for the network as it stands. *)
+let influence d dpm =
+  let tbl = Influence.refresh d.influence (Dpm.network dpm) in
+  d.influence <- tbl;
+  tbl
 
-(* Design parameters: outputs the designer assigns directly (not computed
-   by a tool model). *)
-let free_outputs d dpm probs =
-  List.filter (fun o -> not (is_derived d o)) (my_outputs dpm probs)
+(* What one decision reads, taken once at its start and passed down:
+   nothing the designer does while choosing changes any of it. *)
+type view = {
+  net : Network.t;
+  probs : Problem.t list;  (* f_p: the addressable problems *)
+  free : string list;
+      (* design parameters: numeric outputs the designer assigns directly *)
+  derived : string list;  (* numeric outputs a tool model computes *)
+  infl : Influence.t;
+  violated : bool array;  (* known violations, by constraint id *)
+}
 
-let derived_outputs d dpm probs =
-  List.filter (fun o -> is_derived d o) (my_outputs dpm probs)
-
-let initial_hull_env net prop =
-  match Domain.hull (Network.initial_domain net prop) with
-  | Some iv -> iv
-  | None -> raise Not_found
-
-(* Direction (as seen from parameter [x]) in which moving [x] helps satisfy
-   constraint [c], routing through the model of a derived argument when
-   needed. *)
-let helps_through_models d dpm c x =
+let view d dpm probs =
   let net = Dpm.network dpm in
-  let compose outer inner =
-    match (outer, inner) with
-    | `None, _ -> `None
-    | _, (Monotone.Constant | Monotone.Unknown) -> `None
-    | `Up, Monotone.Increasing | `Down, Monotone.Decreasing -> `Up
-    | `Up, Monotone.Decreasing | `Down, Monotone.Increasing -> `Down
+  let outputs =
+    List.sort_uniq compare (List.concat_map (numeric_outputs net) probs)
   in
-  List.filter_map
-    (fun arg ->
-      if String.equal arg x then
-        match Network.helps_direction net c arg with
-        | `None -> None
-        | (`Up | `Down) as dir -> Some dir
-      else
-        match List.assoc_opt arg d.models with
-        | Some model when Expr.mentions model x -> (
-          let inner =
-            try Monotone.direction ~env:(initial_hull_env net) model x
-            with Not_found -> Monotone.Unknown
-          in
-          match compose (Network.helps_direction net c arg) inner with
-          | `None -> None
-          | (`Up | `Down) as dir -> Some dir)
-        | Some _ | None -> None)
-    (Constr.args c)
-
-(* Does constraint [c] reach parameter [x] directly or through a model? *)
-let touches_through_models d c x =
-  List.exists
-    (fun arg ->
-      String.equal arg x
-      ||
-      match List.assoc_opt arg d.models with
-      | Some model -> Expr.mentions model x
-      | None -> false)
-    (Constr.args c)
-
-let known_violated_constraints d dpm =
-  let violated =
+  let derived, free = List.partition (is_derived d) outputs in
+  let known =
     if delayed_view d then fun c -> believed_status d c.Constr.id = Constr.Violated
-    else fun c -> Dpm.known_status dpm c.Constr.id = Constr.Violated
+    else fun c -> Dpm.known_violated dpm c.Constr.id
   in
-  List.filter violated (Network.constraints (Dpm.network dpm))
+  {
+    net;
+    probs;
+    free;
+    derived;
+    infl = influence d dpm;
+    violated = Array.map known (Network.constraint_array net);
+  }
 
-(* Repair votes for parameter [x]: how many known violations a move up
-   (resp. down) would help fix, counting model-mediated influence. *)
-let repair_votes d dpm x =
-  List.fold_left
-    (fun (up, down, alpha) c ->
-      if touches_through_models d c x then begin
-        let dirs = helps_through_models d dpm c x in
-        let up' = List.length (List.filter (fun dir -> dir = `Up) dirs) in
-        let down' = List.length (List.filter (fun dir -> dir = `Down) dirs) in
-        (up + min 1 up', down + min 1 down', alpha + 1)
-      end
-      else (up, down, alpha))
-    (0, 0, 0)
-    (known_violated_constraints d dpm)
+(* Known violations reaching parameter [x] directly or through a model:
+   the [motivated_by] list of an operation that moves it. *)
+let motivated_for ctx x =
+  Influence.motivated ctx.infl (Network.prop_id ctx.net x) ~violated:ctx.violated
 
 (* {2 Tool emulation}
 
    Recompute every derived output whose model inputs are available, to a
    fixpoint (models may reference other derived properties). [extra]
-   overrides the network's current assignments. *)
-let recompute_derived d dpm probs extra =
-  let net = Dpm.network dpm in
-  let values : (string, float) Hashtbl.t = Hashtbl.create 16 in
-  List.iter
-    (fun prop ->
-      match Network.assigned_num net prop with
-      | Some v -> Hashtbl.replace values prop v
-      | None -> ())
-    (Network.prop_names net);
-  List.iter (fun (prop, v) -> Hashtbl.replace values prop v) extra;
-  let targets = derived_outputs d dpm probs in
-  let computed : (string, float) Hashtbl.t = Hashtbl.create 16 in
+   overrides the network's current assignment of one property; values
+   are looked up lazily: computed, then the override, then the network. *)
+let recompute_derived d ctx extra =
+  let net = ctx.net in
+  let targets = ctx.derived in
+  (* a handful of outputs per designer: an association list *)
+  let computed = ref [] in
+  let lookup name =
+    match List.assoc_opt name !computed with
+    | Some x -> Some x
+    | None -> (
+      match extra with
+      | Some (prop, x) when String.equal prop name -> Some x
+      | Some _ | None -> (
+        match Network.assigned_num net name with
+        | x -> x
+        | exception Invalid_argument _ -> None))
+  in
   let progress = ref true in
   while !progress do
     progress := false;
     List.iter
       (fun prop ->
-        if not (Hashtbl.mem computed prop) then begin
+        if not (List.mem_assoc prop !computed) then begin
           let model = List.assoc prop d.models in
-          let lookup v = Hashtbl.find_opt values v in
           match Expr.eval_opt lookup model with
           | Some raw when Float.is_finite raw ->
             (* the tool's output is clamped to the property's legal range *)
@@ -221,8 +190,7 @@ let recompute_derived d dpm probs extra =
                 Float.min (Interval.hi hull) (Float.max (Interval.lo hull) raw)
               | None -> raw
             in
-            Hashtbl.replace computed prop value;
-            Hashtbl.replace values prop value;
+            computed := (prop, value) :: !computed;
             progress := true
           | Some _ | None -> ()
         end)
@@ -230,20 +198,20 @@ let recompute_derived d dpm probs extra =
   done;
   List.filter_map
     (fun prop ->
-      match Hashtbl.find_opt computed prop with
+      match List.assoc_opt prop !computed with
       | Some v when Network.assigned_num net prop <> Some v ->
         Some (prop, Value.Num v)
       | Some _ | None -> None)
     targets
 
-let problem_of_output dpm probs prop =
-  List.find_opt (fun p -> List.mem prop (numeric_outputs dpm p)) probs
+let problem_of_output ctx prop =
+  List.find_opt (fun p -> List.mem prop (numeric_outputs ctx.net p)) ctx.probs
 
-let synthesis_op d dpm probs ?(motivated_by = []) prop v =
-  match problem_of_output dpm probs prop with
+let synthesis_op d ctx ?(motivated_by = []) prop v =
+  match problem_of_output ctx prop with
   | None -> None
   | Some p ->
-    let derived = recompute_derived d dpm probs [ (prop, v) ] in
+    let derived = recompute_derived d ctx (Some (prop, v)) in
     Some
       (Operator.synthesis ~motivated_by ~designer:d.d_name
          ~problem:p.Problem.pr_id
@@ -295,18 +263,10 @@ let pick_from_domain d prop dom direction =
 (* The feasible-endpoint choice of f_v for forward synthesis: the top or
    bottom value according to which direction helps satisfy the most
    connected constraints (counting model-mediated connections). *)
-let endpoint_from_votes d dpm prop dom =
-  let net = Dpm.network dpm in
+let endpoint_from_votes d ctx prop dom =
   let up, down =
     if not d.cfg.Config.use_monotone_hints then (0, 0)
-    else
-      List.fold_left
-        (fun (u, w) c ->
-          let dirs = helps_through_models d dpm c prop in
-          ( u + List.length (List.filter (fun dir -> dir = `Up) dirs),
-            w + List.length (List.filter (fun dir -> dir = `Down) dirs) ))
-        (0, 0)
-        (Network.constraints net)
+    else Influence.endpoint_votes ctx.infl (Network.prop_id ctx.net prop)
   in
   (* top or bottom of the feasible window per the votes, pulled slightly
      inside (with a little designer-to-designer jitter) so a boundary
@@ -330,13 +290,10 @@ let endpoint_from_votes d dpm prop dom =
    requirement shift has margin to land in. Unbound teammate parameters
    are assumed at the middle of their feasible windows; each constraint
    check is charged as one tool evaluation. *)
-let headroom_from_votes d dpm probs prop dom =
-  let net = Dpm.network dpm in
-  let connected =
-    List.filter (fun c -> touches_through_models d c prop)
-      (Network.constraints net)
-  in
-  if connected = [] then None
+let headroom_from_votes d dpm ctx prop dom =
+  let net = ctx.net in
+  let connected = Influence.touching ctx.infl (Network.prop_id net prop) in
+  if connected = [||] then None
   else begin
     let candidates =
       List.filter
@@ -354,21 +311,35 @@ let headroom_from_votes d dpm probs prop dom =
         | Some iv when Interval.is_bounded iv -> Some (Interval.midpoint iv)
         | _ -> None)
     in
-    let score v =
-      let derived = recompute_derived d dpm probs [ (prop, v) ] in
+    (* a property the candidate does not set reads the same value for
+       every candidate: its assignment, else the middle of its window *)
+    let settled : (string, float option) Hashtbl.t = Hashtbl.create 16 in
+    let settled_value name =
+      match Hashtbl.find_opt settled name with
+      | Some v -> v
+      | None ->
+        let v =
+          match Network.assigned_num net name with
+          | Some x -> Some x
+          | None -> midpoint name
+        in
+        Hashtbl.add settled name v;
+        v
+    in
+    let all = Network.constraint_array net in
+    let score x =
+      let derived = recompute_derived d ctx (Some (prop, x)) in
       let lookup name =
-        if String.equal name prop then Some v
+        if String.equal name prop then Some x
         else
           match List.assoc_opt name derived with
           | Some (Value.Num x) -> Some x
-          | Some (Value.Sym _) | None -> (
-            match Network.assigned_num net name with
-            | Some x -> Some x
-            | None -> midpoint name)
+          | Some (Value.Sym _) | None -> settled_value name
       in
       let worst =
-        List.fold_left
-          (fun acc c ->
+        Array.fold_left
+          (fun acc cid ->
+            let c = all.(cid) in
             incr evals;
             match
               ( Expr.eval_opt lookup c.Constr.lhs,
@@ -395,13 +366,13 @@ let headroom_from_votes d dpm probs prop dom =
     in
     let best =
       List.fold_left
-        (fun acc v ->
-          match score v with
+        (fun acc x ->
+          match score x with
           | None -> acc
           | Some s -> (
             match acc with
             | Some (_, best_s) when best_s >= s -> acc
-            | _ -> Some (v, s)))
+            | _ -> Some (x, s)))
         None candidates
     in
     Dpm.charge_evaluations dpm !evals;
@@ -500,9 +471,15 @@ let verification_op d dpm probs =
 
 (* Repair: f_a picks the parameter whose single directed move is likely to
    fix the most known violations; f_v picks its new value. *)
-let repair_op d dpm probs =
-  let params = free_outputs d dpm probs in
-  let votes = List.map (fun x -> (x, repair_votes d dpm x)) params in
+let repair_op d dpm ctx =
+  let votes =
+    List.map
+      (fun x ->
+        ( x,
+          Influence.repair_votes ctx.infl (Network.prop_id ctx.net x)
+            ~violated:ctx.violated ))
+      ctx.free
+  in
   let candidates = List.filter (fun (_, (_, _, a)) -> a > 0) votes in
   match candidates with
   | [] -> None
@@ -537,12 +514,6 @@ let repair_op d dpm probs =
       else if Rng.bool d.rng then `Up
       else `Down
     in
-    let motivated_for x =
-      List.filter_map
-        (fun c ->
-          if touches_through_models d c x then Some c.Constr.id else None)
-        (known_violated_constraints d dpm)
-    in
     let repair_value prop direction =
       let net = Dpm.network dpm in
       let current = Network.assigned_num net prop in
@@ -556,11 +527,8 @@ let repair_op d dpm probs =
            dependent performance properties move with it *)
         let unpin =
           List.filter
-            (fun p ->
-              match List.assoc_opt p d.models with
-              | Some model -> Expr.mentions model prop
-              | None -> false)
-            (my_outputs dpm probs)
+            (fun p -> Expr.mentions (List.assoc p d.models) prop)
+            ctx.derived
         in
         let dom = Dpm.relaxed_feasible_group dpm ~target:prop ~unpin in
         match differs (pick_from_domain d prop dom direction) with
@@ -597,29 +565,27 @@ let repair_op d dpm probs =
         match random_restart () with
         | None -> None
         | Some (prop, v) ->
-          synthesis_op d dpm probs ~motivated_by:(motivated_for prop) prop v)
+          synthesis_op d ctx ~motivated_by:(motivated_for ctx prop) prop v)
       | (prop, (up, down, _)) :: rest -> (
         let direction = direction_for (up, down) in
         match repair_value prop direction with
         | None -> try_candidates rest
         | Some v ->
-          synthesis_op d dpm probs ~motivated_by:(motivated_for prop) prop v)
+          synthesis_op d ctx ~motivated_by:(motivated_for ctx prop) prop v)
     in
     try_candidates ranked
 
 (* Forward progress: f_a picks the unbound parameter with the smallest
    feasible subspace (ADPM) or a random one (conventional); f_v picks the
    value. *)
-let forward_op d dpm probs =
-  let net = Dpm.network dpm in
-  let unbound =
-    List.filter (fun p -> not (Network.is_bound net p)) (free_outputs d dpm probs)
-  in
+let forward_op d dpm ctx =
+  let net = ctx.net in
+  let unbound = List.filter (fun p -> not (Network.is_bound net p)) ctx.free in
   match unbound with
   | [] -> (
     (* all parameters placed: run the tool once more if some performance
        property is still uncomputed *)
-    let stale = recompute_derived d dpm probs [] in
+    let stale = recompute_derived d ctx None in
     let pending =
       List.filter
         (fun (prop, _) -> not (Network.is_bound net prop))
@@ -628,7 +594,7 @@ let forward_op d dpm probs =
     match pending with
     | [] -> None
     | (prop, _) :: _ -> (
-      match problem_of_output dpm probs prop with
+      match problem_of_output ctx prop with
       | None -> None
       | Some p ->
         Some
@@ -646,18 +612,15 @@ let forward_op d dpm probs =
       match (d.cfg.Config.forward_ordering, Dpm.mode dpm) with
       | Config.Smallest_subspace, Dpm.Adpm ->
         pick_by (fun prop ->
-            match Dpm.heuristic_info dpm prop with
-            | Some info -> info.Heuristic_data.hi_relative_size
-            | None -> 1.)
+            let p = Network.find_prop net prop in
+            Domain.relative_measure ~initial:p.Network.p_initial
+              p.Network.p_feasible)
       | Config.Most_constrained, (Dpm.Adpm | Dpm.Conventional) ->
         (* constraint membership is static knowledge, available either way;
            count model-mediated membership too (the 2.3.2 extension) *)
         pick_by (fun prop ->
             -.float_of_int
-                (List.length
-                   (List.filter
-                      (fun c -> touches_through_models d c prop)
-                      (Network.constraints net))))
+                (Influence.reach_count ctx.infl (Network.prop_id net prop)))
       | (Config.Smallest_subspace | Config.Random_target), _ ->
         Some (Rng.pick d.rng unbound)
     in
@@ -674,11 +637,11 @@ let forward_op d dpm probs =
           else
             let vote =
               match d.cfg.Config.value_policy with
-              | Config.Endpoint -> endpoint_from_votes d dpm prop feasible
+              | Config.Endpoint -> endpoint_from_votes d ctx prop feasible
               | Config.Headroom -> (
-                match headroom_from_votes d dpm probs prop feasible with
+                match headroom_from_votes d dpm ctx prop feasible with
                 | Some v -> Some v
-                | None -> endpoint_from_votes d dpm prop feasible)
+                | None -> endpoint_from_votes d ctx prop feasible)
             in
             match vote with
             | Some v -> Some v
@@ -692,7 +655,7 @@ let forward_op d dpm probs =
       in
       (match value with
       | None -> None
-      | Some v -> synthesis_op d dpm probs prop v))
+      | Some v -> synthesis_op d ctx prop v))
 
 (* Which of f_a's orderings actually drives forward target selection for
    this configuration and mode (the fallbacks in [forward_op]). *)
@@ -730,10 +693,10 @@ let choose_operation d dpm =
   match probs with
   | [] -> None
   | _ -> (
-    let violations_known = known_violated_constraints d dpm <> [] in
+    let ctx = view d dpm probs in
     let chosen =
-      if violations_known then
-        match repair_op d dpm probs with
+      if Array.exists Fun.id ctx.violated then
+        match repair_op d dpm ctx with
         | Some op -> Some (Event.Conflict_resolution, op)
         | None -> (
           match verification_op d dpm probs with
@@ -741,9 +704,9 @@ let choose_operation d dpm =
           | None ->
             Option.map
               (fun op -> (forward_heuristic d dpm, op))
-              (forward_op d dpm probs))
+              (forward_op d dpm ctx))
       else
-        match forward_op d dpm probs with
+        match forward_op d dpm ctx with
         | Some op -> Some (forward_heuristic d dpm, op)
         | None ->
           Option.map
@@ -757,14 +720,11 @@ let choose_operation d dpm =
       Some op)
 
 let synthesis_with_tools d dpm prop v =
-  let probs = addressable_problems d dpm in
+  let ctx = view d dpm (addressable_problems d dpm) in
   let motivated_by =
-    List.filter_map
-      (fun c ->
-        if touches_through_models d c prop then Some c.Constr.id else None)
-      (known_violated_constraints d dpm)
+    if Network.mem_prop ctx.net prop then motivated_for ctx prop else []
   in
-  synthesis_op d dpm probs ~motivated_by prop v
+  synthesis_op d ctx ~motivated_by prop v
 
 let request_verification d dpm =
   verification_op d dpm (addressable_problems d dpm)
@@ -810,11 +770,12 @@ let observe d dpm ~own op result =
        Attribute fresh violations touching my last assignment to it (the
        design-history consultation, Section 3.1.1 footnote). *)
     let touches_last prop =
+      result.Dpm.r_newly_violated <> []
+      &&
+      let infl = influence d dpm in
+      let pid = Network.prop_id (Dpm.network dpm) prop in
       List.exists
-        (fun cid ->
-          touches_through_models d
-            (Network.find_constraint (Dpm.network dpm) cid)
-            prop)
+        (fun cid -> Influence.touches infl ~cid pid)
         result.Dpm.r_newly_violated
     in
     (if d.cfg.Config.use_history_tabu then

@@ -31,7 +31,6 @@
     problems have bound-but-unverified constraints. *)
 
 open Adpm_util
-open Adpm_expr
 open Adpm_core
 
 type t
@@ -40,8 +39,11 @@ type delivery = { dv_own : bool; dv_op : Operator.t; dv_result : Dpm.result }
 (** One queued NM delivery: the outcome of an executed operation, tagged
     with whether it was this designer's own. *)
 
-val create :
-  Config.t -> rng:Rng.t -> models:(string * Expr.t) list -> string -> t
+val create : Config.t -> rng:Rng.t -> influence:Influence.t -> string -> t
+(** A designer deciding with the scenario's shared influence table (which
+    also carries the tool models, {!Influence.models}). Should the network
+    change structurally under it, the designer re-analyses privately
+    ({!Influence.refresh}). *)
 
 val name : t -> string
 

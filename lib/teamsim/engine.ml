@@ -37,11 +37,10 @@ let prepare ~tracer cfg scenario ~record =
            engine = Dpm.engine_to_string cfg.Config.engine;
          });
   let rng = Rng.create cfg.Config.seed in
+  let influence = Scenario.influence scenario (Dpm.network dpm) in
   let designers =
     List.map
-      (fun name ->
-        Designer.create cfg ~rng:(Rng.split rng)
-          ~models:scenario.Scenario.sc_models name)
+      (fun name -> Designer.create cfg ~rng:(Rng.split rng) ~influence name)
       (Dpm.designers dpm)
   in
   let setup_evals =

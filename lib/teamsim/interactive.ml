@@ -34,7 +34,8 @@ let create ?(tracer = Tracer.null) ~mode ~seed scenario ~designer =
          });
   let rng = Rng.create seed in
   let cfg = Config.default ~mode ~seed in
-  let mk name = Designer.create cfg ~rng:(Rng.split rng) ~models:scenario.Scenario.sc_models name in
+  let influence = Scenario.influence scenario (Dpm.network dpm) in
+  let mk name = Designer.create cfg ~rng:(Rng.split rng) ~influence name in
   let player_model = mk designer in
   let teammates =
     List.filter_map

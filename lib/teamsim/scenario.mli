@@ -18,6 +18,9 @@
 open Adpm_expr
 open Adpm_core
 
+type analysis
+(** The scenario's shared {!Influence} table, analysed on first use. *)
+
 type t = {
   sc_name : string;
   sc_description : string;
@@ -26,6 +29,8 @@ type t = {
           evaluates; may reference other derived properties (resolved to a
           fixpoint) *)
   sc_build : mode:Dpm.mode -> Dpm.t;
+  sc_analysis : analysis;
+      (** filled by {!influence}; shared by records copied with [with] *)
 }
 
 val make :
@@ -34,6 +39,15 @@ val make :
   ?models:(string * Expr.t) list ->
   (mode:Dpm.mode -> Dpm.t) ->
   t
+
+val influence : t -> Adpm_csp.Network.t -> Influence.t
+(** The scenario's influence table for a network its [sc_build] just
+    built. Analysed once per scenario value — [sc_build] must give every
+    run a network of the same structure, initial ranges and declared
+    monotonicity — and then shared by every run, in any domain: the cell
+    is filled under a mutex and the table is immutable. A network the
+    cached table does not {!Influence.fits} gets a fresh, uncached
+    analysis. *)
 
 val find : t list -> string -> t option
 (** Lookup by [sc_name]. *)

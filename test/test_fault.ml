@@ -298,12 +298,11 @@ let test_restart_loses_believed_statuses () =
   let dpm = scenario.Scenario.sc_build ~mode:Dpm.Adpm in
   ignore (Dpm.run_propagation dpm);
   let c = Config.default ~mode:Dpm.Adpm ~seed:5 in
+  let influence = Scenario.influence scenario (Dpm.network dpm) in
   let designers =
     List.map
       (fun name ->
-        Designer.create c
-          ~rng:(Adpm_util.Rng.create 5)
-          ~models:scenario.Scenario.sc_models name)
+        Designer.create c ~rng:(Adpm_util.Rng.create 5) ~influence name)
       (Dpm.designers dpm)
   in
   List.iter

@@ -16,6 +16,7 @@ let () =
          PR 7 fork latch) *)
       ("serve-wire", Test_serve.wire_suite);
       ("domains", Test_domains.suite);
+      ("influence", Test_influence.suite);
       ("fault", Test_fault.suite);
       ("check", Test_check.suite);
       ("trace", Test_trace.suite);
