@@ -1,7 +1,8 @@
 (* Bechamel micro-benchmarks of the engines underneath the experiments:
-   interval arithmetic, HC4 revision, full propagation fixpoints on the
-   paper's two design cases, a complete ADPM simulation, and the CSP
-   backtracking search with the two informed orderings. *)
+   interval arithmetic, HC4 revision (boxed and compiled), full
+   propagation fixpoints on the paper's two design cases, a complete ADPM
+   simulation, and the CSP backtracking search with the two informed
+   orderings. *)
 
 open Bechamel
 open Toolkit
@@ -17,23 +18,34 @@ let interval_mul_test =
   let a = Interval.make 1.5 3.5 and b = Interval.make (-2.) 7. in
   Test.make ~name:"interval mul" (Staged.stage (fun () -> Interval.mul a b))
 
+(* One 9-node expression revised through the boxed interpreter and
+   through the compiled kernel the propagation loop runs, on the same
+   boxes. *)
+let hc4_expr =
+  Expr.(
+    Sub (Add (Mul (Var "x", Var "y"), Sqrt (Var "z")), Mul (Const 2., Var "w")))
+
+let hc4_vars = [| "x"; "y"; "z"; "w" |]
+let hc4_boxes = [| (1., 4.); (0.5, 2.); (0., 9.); (1., 3.) |]
+let hc4_target = Interval.make neg_infinity 0.
+
+let hc4_slot name =
+  let rec find i = if hc4_vars.(i) = name then i else find (i + 1) in
+  find 0
+
 let hc4_revise_test =
-  let e =
-    Expr.(
-      Sub
-        ( Add (Mul (Var "x", Var "y"), Sqrt (Var "z")),
-          Mul (Const 2., Var "w") ))
+  let env name =
+    let lo, hi = hc4_boxes.(hc4_slot name) in
+    Interval.make lo hi
   in
-  let env = function
-    | "x" -> Interval.make 1. 4.
-    | "y" -> Interval.make 0.5 2.
-    | "z" -> Interval.make 0. 9.
-    | "w" -> Interval.make 1. 3.
-    | _ -> raise Not_found
-  in
-  let target = Interval.make neg_infinity 0. in
   Test.make ~name:"HC4 revise (9-node expr)"
-    (Staged.stage (fun () -> Hc4.revise ~env e target))
+    (Staged.stage (fun () -> Hc4.revise ~env hc4_expr hc4_target))
+
+let hc4_revise_kernel_test =
+  let k = Hc4.compile ~var_id:hc4_slot hc4_expr ~target:hc4_target in
+  let lo = Array.map fst hc4_boxes and hi = Array.map snd hc4_boxes in
+  Test.make ~name:"HC4 revise_kernel (9-node expr)"
+    (Staged.stage (fun () -> Hc4.revise_kernel k ~lo ~hi))
 
 let propagate_test name build =
   let dpm = build () ~mode:Dpm.Adpm in
@@ -72,6 +84,7 @@ let tests =
     [
       interval_mul_test;
       hc4_revise_test;
+      hc4_revise_kernel_test;
       propagate_test "propagate fixpoint (sensor, 21 constraints)"
         (fun () -> Sensor.build ());
       propagate_test "propagate fixpoint (receiver, 30 constraints)"

@@ -46,19 +46,25 @@ let check_point ?(eps = default_eps) env c =
     | Ge -> d >= -.eps
     | Eq -> abs_float d <= eps
 
+(* The status of a constraint whose [diff] ranges over [[lo, hi]]. *)
+let[@inline] range_status ~eps rel lo hi =
+  match rel with
+  | Le -> if hi <= eps then Satisfied else if lo > eps then Violated else Consistent
+  | Ge ->
+    if lo >= -.eps then Satisfied else if hi < -.eps then Violated else Consistent
+  | Eq ->
+    if lo >= -.eps && hi <= eps then Satisfied
+    else if lo > eps || hi < -.eps then Violated
+    else Consistent
+
 let status_on_box ?(eps = default_eps) env c =
   match Expr.eval_interval env (diff c) with
   | None -> Violated
-  | Some d -> (
-    let lo = Interval.lo d and hi = Interval.hi d in
-    match c.rel with
-    | Le -> if hi <= eps then Satisfied else if lo > eps then Violated else Consistent
-    | Ge ->
-      if lo >= -.eps then Satisfied else if hi < -.eps then Violated else Consistent
-    | Eq ->
-      if lo >= -.eps && hi <= eps then Satisfied
-      else if lo > eps || hi < -.eps then Violated
-      else Consistent)
+  | Some d -> range_status ~eps c.rel (Interval.lo d) (Interval.hi d)
+
+let kernel_status c k =
+  let root = Array.length k.Hc4.k_op - 1 in
+  range_status ~eps:default_eps c.rel k.Hc4.k_flo.(root) k.Hc4.k_fhi.(root)
 
 let pp_rel ppf rel =
   Format.pp_print_string ppf (match rel with Le -> "<=" | Ge -> ">=" | Eq -> "=")

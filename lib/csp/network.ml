@@ -39,11 +39,10 @@ type t = {
   mutable c_list_cache : (int * Constr.t list) option;
   mutable c_arr_cache : (int * Constr.t array) option;
   mutable adj_cache : (int * int array array) option;
-  kernels : (int, Hc4.kernel) Hashtbl.t;
-  (* Compiled HC4 kernels per constraint id, built lazily. Kernels carry
-     mutable scratch, so a network (and its copies, which share compiled
-     kernels) must stay within one domain — which holds: every simulation
-     run builds its own network. *)
+  mutable k_arr_cache : (int * Hc4.kernel array) option;
+  (* Compiled HC4 kernels by constraint id. Kernels carry mutable scratch,
+     so a network must stay within one domain — which holds: every
+     simulation run builds its own network. *)
   dirty : (string, unit) Hashtbl.t;
   mutable n_pstate : pstate option;
 }
@@ -65,7 +64,7 @@ let create () =
     c_list_cache = None;
     c_arr_cache = None;
     adj_cache = None;
-    kernels = Hashtbl.create 64;
+    k_arr_cache = None;
     dirty = Hashtbl.create 16;
     n_pstate = None;
   }
@@ -90,38 +89,6 @@ let store_prop_state t ps =
   bump t
 
 let invalidate_prop_state t = t.n_pstate <- None
-
-let copy_pstate ps =
-  {
-    ps_lo = Array.copy ps.ps_lo;
-    ps_hi = Array.copy ps.ps_hi;
-    ps_mask = Array.copy ps.ps_mask;
-    ps_empties = Hashtbl.copy ps.ps_empties;
-  }
-
-let copy t =
-  let fresh = create () in
-  Hashtbl.iter
-    (fun name p -> Hashtbl.replace fresh.props name { p with p_name = p.p_name })
-    t.props;
-  fresh.prop_order <- t.prop_order;
-  fresh.by_id <-
-    Array.map (fun p -> Hashtbl.find fresh.props p.p_name) t.by_id;
-  Hashtbl.iter (fun id c -> Hashtbl.replace fresh.constrs id c) t.constrs;
-  fresh.constr_order <- t.constr_order;
-  Hashtbl.iter (fun name ids -> Hashtbl.replace fresh.adjacency name ids) t.adjacency;
-  Hashtbl.iter (fun id s -> Hashtbl.replace fresh.statuses id s) t.statuses;
-  Hashtbl.iter (fun k d -> Hashtbl.replace fresh.declared_mono k d) t.declared_mono;
-  fresh.next_cid <- t.next_cid;
-  fresh.n_rev <- t.n_rev;
-  fresh.n_struct <- t.n_struct;
-  fresh.n_digest <- t.n_digest;
-  (* compiled kernels are immutable programs + scratch: safe to share
-     between sequentially-used copies, so only the table is copied *)
-  Hashtbl.iter (fun id k -> Hashtbl.replace fresh.kernels id k) t.kernels;
-  Hashtbl.iter (fun name () -> Hashtbl.replace fresh.dirty name ()) t.dirty;
-  fresh.n_pstate <- Option.map copy_pstate t.n_pstate;
-  fresh
 
 let add_prop t ?(meta = []) name domain =
   if Hashtbl.mem t.props name then
@@ -296,18 +263,26 @@ let adjacency_by_id t =
     t.adj_cache <- Some (t.n_struct, arr);
     arr
 
-let kernel t c =
-  let id = c.Constr.id in
-  match Hashtbl.find_opt t.kernels id with
-  | Some k -> k
-  | None ->
-    let k =
-      Hc4.compile
-        ~var_id:(fun x -> (find_prop t x).p_id)
-        (Constr.diff c) ~target:(Constr.target c)
+let kernel_array t =
+  match t.k_arr_cache with
+  | Some (r, ks) when r = t.n_struct -> ks
+  | prev ->
+    (* constraints are only ever appended and a kernel depends on its own
+       constraint and the (stable) prop ids alone, so the kernels of an
+       earlier structure carry over *)
+    let old = match prev with Some (_, ks) -> ks | None -> [||] in
+    let ks =
+      Array.mapi
+        (fun i c ->
+          if i < Array.length old then old.(i)
+          else
+            Hc4.compile
+              ~var_id:(fun x -> (find_prop t x).p_id)
+              (Constr.diff c) ~target:(Constr.target c))
+        (constraint_array t)
     in
-    Hashtbl.replace t.kernels id k;
-    k
+    t.k_arr_cache <- Some (t.n_struct, ks);
+    ks
 
 let status t id =
   match Hashtbl.find_opt t.statuses id with

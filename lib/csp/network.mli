@@ -5,9 +5,8 @@
     every design constraint, plus the property-to-constraint adjacency used
     by the heuristic-support computations (alpha_i, beta_i) of Section 2.3.
 
-    The network is a mutable store updated by the design process manager;
-    {!copy} produces an independent snapshot so many simulations can share
-    one scenario definition. *)
+    The network is a mutable store updated by the design process manager.
+    Every simulation builds its own network from the scenario definition. *)
 
 open Adpm_interval
 open Adpm_expr
@@ -37,7 +36,6 @@ type pstate = {
 type t
 
 val create : unit -> t
-val copy : t -> t
 
 (** {1 Revision tracking}
 
@@ -55,8 +53,7 @@ val structure_digest : t -> int
     networks built by the same sequence of those calls have equal
     digests, so analyses of one network's structure can be shared with
     another and recognised as stale once a structural call follows.
-    Assignments, statuses and feasible updates never move it; {!copy}
-    keeps it. *)
+    Assignments, statuses and feasible updates never move it. *)
 
 val dirty_props : t -> string list
 (** Properties assigned or unassigned since the last {!clear_dirty}
@@ -160,11 +157,10 @@ val adjacency_by_id : t -> int array array
 (** For each dense prop id, the ids of the constraints mentioning it, in
     constraint insertion order. *)
 
-val kernel : t -> Constr.t -> Adpm_expr.Hc4.kernel
-(** The compiled HC4 kernel of a constraint ([diff] against the default
-    [target]), built on first use and cached. Kernels hold mutable
-    scratch: they are shared with {!copy}s and must only be used from one
-    domain at a time. *)
+val kernel_array : t -> Adpm_expr.Hc4.kernel array
+(** The compiled HC4 kernel of every constraint ([diff] against the
+    default [target]), indexed by constraint id. Kernels hold mutable
+    scratch: use them from one domain at a time. *)
 
 val status : t -> int -> Constr.status
 (** Last recorded status; [Consistent] before any evaluation. *)

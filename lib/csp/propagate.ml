@@ -18,38 +18,43 @@ type store = { lo : float array; hi : float array; mask : bool array }
 
 let store_box st pid = Interval.make st.lo.(pid) st.hi.(pid)
 
+(* A numeric property's feasible subspace on the store. *)
+let feasible_on st p =
+  let pid = p.Network.p_id and initial = p.Network.p_initial in
+  if st.mask.(pid) then Domain.refine initial (store_box st pid) else initial
+
 (* [narrowed] is always a sub-interval of [old_iv] (HC4 intersects with the
    input box); requeue only when the shrink is significant. When both widths
    are infinite their difference says nothing ([inf < inf] is false even
    when a bound genuinely moved, e.g. [-inf,+inf] -> [0,+inf]), so compare
    the bounds directly. *)
-let significantly_narrower_f ~eps ~olo ~ohi ~nlo ~nhi =
+let[@inline] significantly_narrower_f ~eps ~olo ~ohi ~nlo ~nhi =
   let old_w = ohi -. olo and new_w = nhi -. nlo in
   if Float.is_finite old_w then
     new_w < old_w && old_w -. new_w > eps *. Float.max 1. old_w
   else if Float.is_finite new_w then true
   else nlo > olo || nhi < ohi
 
-let numeric_props net =
-  List.filter
-    (fun name -> Domain.is_numeric (Network.initial_domain net name))
-    (Network.prop_names net)
+let set_box st pid iv =
+  st.lo.(pid) <- Interval.lo iv;
+  st.hi.(pid) <- Interval.hi iv;
+  st.mask.(pid) <- true
 
+(* The store of the network's current boxes ({!Network.box}), filled in
+   dense id order: the assigned point for bound properties, the hull of
+   the initial range otherwise, no box for symbolic ones. *)
 let initial_store net =
   let n = Network.prop_count net in
   let st =
     { lo = Array.make n 0.; hi = Array.make n 0.; mask = Array.make n false }
   in
-  List.iter
-    (fun name ->
-      match Network.box net name with
-      | Some iv ->
-        let pid = Network.prop_id net name in
-        st.lo.(pid) <- Interval.lo iv;
-        st.hi.(pid) <- Interval.hi iv;
-        st.mask.(pid) <- true
-      | None -> ())
-    (numeric_props net);
+  for pid = 0 to n - 1 do
+    let p = Network.prop_by_id net pid in
+    match p.Network.p_assigned with
+    | Some (Value.Num x) -> set_box st pid (Interval.of_point x)
+    | Some (Value.Sym _) -> ()
+    | None -> Option.iter (set_box st pid) (Domain.hull p.Network.p_initial)
+  done;
   st
 
 let copy_store st =
@@ -70,9 +75,9 @@ let copy_store st =
    is one [Hc4.revise_kernel] call against the float store followed by an
    in-place gate over the kernel's accumulator slots. *)
 let fixpoint ?(eps = 0.) ~max_revisions ?empty_marks ?waves ?seed net st =
-  let carr = Network.constraint_array net in
+  let kernels = Network.kernel_array net in
   let adj = Network.adjacency_by_id net in
-  let n_con = Array.length carr in
+  let n_con = Array.length kernels in
   let queue = Queue.create () in
   let queued = Array.make (max 1 n_con) false in
   let enqueue cid =
@@ -112,7 +117,7 @@ let fixpoint ?(eps = 0.) ~max_revisions ?empty_marks ?waves ?seed net st =
     decr wave_boundary;
     incr this_wave;
     incr evaluations;
-    let k = Network.kernel net carr.(cid) in
+    let k = kernels.(cid) in
     if not (Hc4.revise_kernel k ~lo:st.lo ~hi:st.hi) then begin
       any_empty := true;
       match empty_marks with
@@ -199,10 +204,10 @@ let shave_bounds ~eps ~max_revisions ~slices net st evaluations =
     !changed
   in
   let unbound =
-    List.filter_map
-      (fun x ->
-        if Network.is_bound net x then None else Some (Network.prop_id net x))
-      (numeric_props net)
+    List.filter
+      (fun pid ->
+        st.mask.(pid) && (Network.prop_by_id net pid).Network.p_assigned = None)
+      (List.init (Network.prop_count net) Fun.id)
   in
   (* one shaving sweep per variable, repeated while it makes progress and
      the budget allows; bounded to avoid slow convergence *)
@@ -227,38 +232,30 @@ let shave_bounds ~eps ~max_revisions ~slices net st evaluations =
   sweeps 3
 
 (* The final classification sweep shared by both engines: status of every
-   constraint on the contracted box (one evaluation each) plus the feasible
-   subspace of every numeric property. *)
+   constraint on the contracted box (one evaluation each, a forward sweep
+   of its kernel) plus the feasible subspace of every numeric property,
+   both in dense id order — [Network.constraints] and [prop_names] order. *)
 let classify net st empty_marks revisions =
-  let env name =
-    let pid = Network.prop_id net name in
-    if st.mask.(pid) then store_box st pid else raise (Expr.Unbound_variable name)
-  in
-  let evaluations = ref revisions in
-  let statuses =
-    List.map
-      (fun c ->
-        incr evaluations;
-        let s =
-          if Hashtbl.mem empty_marks c.Constr.id then Constr.Violated
-          else Constr.status_on_box env c
-        in
-        (c.Constr.id, s))
-      (Network.constraints net)
-  in
-  let feasible =
-    List.map
-      (fun name ->
-        let initial = Network.initial_domain net name in
-        let pid = Network.prop_id net name in
-        let d =
-          if st.mask.(pid) then Domain.refine initial (store_box st pid)
-          else initial
-        in
-        (name, d))
-      (numeric_props net)
-  in
-  (statuses, feasible, !evaluations)
+  let carr = Network.constraint_array net in
+  let kernels = Network.kernel_array net in
+  let statuses = ref [] in
+  for cid = Array.length carr - 1 downto 0 do
+    let k = kernels.(cid) in
+    let s =
+      if Hashtbl.mem empty_marks cid then Constr.Violated
+      else if Hc4.eval_kernel k ~lo:st.lo ~hi:st.hi then
+        Constr.kernel_status carr.(cid) k
+      else Constr.Violated
+    in
+    statuses := (cid, s) :: !statuses
+  done;
+  let feasible = ref [] in
+  for pid = Network.prop_count net - 1 downto 0 do
+    let p = Network.prop_by_id net pid in
+    if Domain.is_numeric p.Network.p_initial then
+      feasible := (p.Network.p_name, feasible_on st p) :: !feasible
+  done;
+  (!statuses, !feasible, revisions + Array.length carr)
 
 (* [base_revisions] charges work done before this run to its counters: a
    full restart that replaces an aborted incremental attempt inherits the
@@ -434,16 +431,21 @@ let run_incremental_and_apply ?eps ?max_revisions ?tracer net =
   apply net outcome;
   outcome
 
-let relaxed_feasible_group ?eps ?max_revisions ?consistency net ~target ~unpin =
-  let snapshot = Network.copy net in
-  Network.unassign snapshot target;
-  List.iter (fun p -> Network.unassign snapshot p) unpin;
-  let outcome = run ?eps ?max_revisions ?consistency snapshot in
-  let d =
-    try List.assoc target outcome.feasible
-    with Not_found -> Network.initial_domain net target
+(* Answers what [run] would on a copy of [net] with [target] and [unpin]
+   unassigned, without making the copy: the same store, fixpoint and
+   evaluation charge (revisions plus one status sweep), reading only the
+   target's box. [net] itself is not written. *)
+let relaxed_feasible_group ?(eps = 0.) ?(max_revisions = 10_000) net ~target
+    ~unpin =
+  let st = initial_store net in
+  let release p =
+    Option.iter (set_box st p.Network.p_id) (Domain.hull p.Network.p_initial)
   in
-  (d, outcome.evaluations)
+  let tp = Network.find_prop net target in
+  release tp;
+  List.iter (fun name -> release (Network.find_prop net name)) unpin;
+  let evals, _, _ = fixpoint ~eps ~max_revisions net st in
+  (feasible_on st tp, evals + Network.constraint_count net)
 
 let relaxed_feasible ?eps ?max_revisions net name =
   relaxed_feasible_group ?eps ?max_revisions net ~target:name ~unpin:[]

@@ -131,7 +131,6 @@ val relaxed_feasible :
 val relaxed_feasible_group :
   ?eps:float ->
   ?max_revisions:int ->
-  ?consistency:[ `Hull | `Shave of int ] ->
   Network.t ->
   target:string ->
   unpin:string list ->
@@ -139,4 +138,11 @@ val relaxed_feasible_group :
 (** As {!relaxed_feasible} for [target], but additionally ignoring the
     assignments of the [unpin] properties — used when [target] is a design
     parameter whose dependent performance properties must be free to move
-    with it. *)
+    with it.
+
+    Both queries run on a scratch box store filled from the network, so
+    they write nothing to it: its {!Network.revision}, dirty set and
+    persisted {!Network.prop_state} are unchanged, and a memo keyed on the
+    revision stays valid across them. The answer and the evaluation
+    charge are those of {!run} on a copy of the network with [target] and
+    [unpin] unassigned. *)

@@ -74,8 +74,14 @@ let annotate env e =
    isotone — a projection with one infinite bound gets a smaller slack than
    a tighter all-finite one — and propagation relies on isotonicity for its
    fixpoint to be independent of revision order (the incremental engine's
-   restarts must converge to bit-identical boxes). *)
-let bound_slack t = 1e-11 *. Float.max 1.0 (Float.abs t)
+   restarts must converge to bit-identical boxes).
+
+   [fmin]/[fmax] are [Interval.fmin]/[fmax], copied because dune's default
+   profile compiles with [-opaque], which stops cross-module inlining.
+   [fmax 1.0 x] is [Float.max 1.0 x] for every [x]. *)
+let[@inline] fmin (a : float) b = if a <= b then a else b
+let[@inline] fmax (a : float) b = if a >= b then a else b
+let[@inline] bound_slack t = 1e-11 *. fmax 1.0 (Float.abs t)
 
 let widen iv =
   let lo = Interval.lo iv and hi = Interval.hi iv in
@@ -173,8 +179,13 @@ let revise ~env e target =
    a binding list on every call — and it is called millions of times per
    simulation sweep. The kernel below compiles an expression once into a
    postorder opcode array plus preallocated scratch, so a revision is two
-   array sweeps over floats with no per-call allocation on the common
-   (+,-,neg,min,max,var,const) operators.
+   array sweeps over floats that allocate nothing, on every operator.
+   Without flambda that takes care: floats passed to or returned from a
+   function that is not inlined are boxed, as are polymorphic [min]/[max]
+   arguments. So the float helpers are monomorphic and [@inline], the
+   sweeps are top-level functions (no closure per call), and floats cross
+   calls only through the scratch arrays and [fpair]. A test checks that
+   [Gc.minor_words] does not move across either sweep.
 
    Bit-identity with [revise] is load-bearing: the incremental engine's
    equivalence argument and the parallel-agreement fingerprints both assume
@@ -292,23 +303,23 @@ let compile ~var_id e ~target =
    are copied verbatim so results (including NaN flows and signed zeros)
    are bitwise those of the boxed path. *)
 
-let prod_f x y =
+let[@inline] prod_f x y =
   if (x = 0. && not (Float.is_finite y)) || (y = 0. && not (Float.is_finite x))
   then 0.
   else x *. y
 
-let mul_into buf alo ahi blo bhi =
+let[@inline] mul_into buf alo ahi blo bhi =
   let p1 = prod_f alo blo and p2 = prod_f alo bhi in
   let p3 = prod_f ahi blo and p4 = prod_f ahi bhi in
-  buf.rlo <- min (min p1 p2) (min p3 p4);
-  buf.rhi <- max (max p1 p2) (max p3 p4)
+  buf.rlo <- fmin (fmin p1 p2) (fmin p3 p4);
+  buf.rhi <- fmax (fmax p1 p2) (fmax p3 p4)
 
-let div_into buf alo ahi blo bhi =
+let[@inline] div_into buf alo ahi blo bhi =
   if blo > 0. || bhi < 0. then begin
     let p1 = alo /. blo and p2 = alo /. bhi in
     let p3 = ahi /. blo and p4 = ahi /. bhi in
-    buf.rlo <- min (min p1 p2) (min p3 p4);
-    buf.rhi <- max (max p1 p2) (max p3 p4)
+    buf.rlo <- fmin (fmin p1 p2) (fmin p3 p4);
+    buf.rhi <- fmax (fmax p1 p2) (fmax p3 p4)
   end
   else if blo = 0. && bhi = 0. then begin
     buf.rlo <- neg_infinity;
@@ -345,277 +356,295 @@ let div_into buf alo ahi blo bhi =
     buf.rhi <- infinity
   end
 
-let rec pow_into buf alo ahi n =
+(* [Interval.pow_int] in place: [buf] holds the base on entry and the
+   power on exit, so the recursion passes no floats. *)
+let rec pow_in_place buf n =
   if n = 0 then begin
     buf.rlo <- 1.;
     buf.rhi <- 1.
   end
-  else if n = 1 then begin
-    buf.rlo <- alo;
-    buf.rhi <- ahi
-  end
+  else if n = 1 then ()
   else if n mod 2 = 0 then begin
-    let xlo, xhi =
-      if alo > 0. then (alo, ahi)
-      else if ahi < 0. then (-.ahi, -.alo)
-      else (0., max (abs_float alo) (abs_float ahi))
-    in
-    pow_into buf xlo xhi (n / 2);
+    let alo = buf.rlo and ahi = buf.rhi in
+    if alo > 0. then ()
+    else if ahi < 0. then begin
+      buf.rlo <- -.ahi;
+      buf.rhi <- -.alo
+    end
+    else begin
+      buf.rlo <- 0.;
+      buf.rhi <- fmax (abs_float alo) (abs_float ahi)
+    end;
+    pow_in_place buf (n / 2);
     let blo = buf.rlo and bhi = buf.rhi in
     mul_into buf blo bhi blo bhi
   end
   else begin
-    buf.rlo <- alo ** float_of_int n;
-    buf.rhi <- ahi ** float_of_int n
+    buf.rlo <- buf.rlo ** float_of_int n;
+    buf.rhi <- buf.rhi ** float_of_int n
   end
 
-let wlo_f t = if Float.is_finite t then t -. bound_slack t else t
-let whi_f t = if Float.is_finite t then t +. bound_slack t else t
+let[@inline] wlo_f t = if Float.is_finite t then t -. bound_slack t else t
+let[@inline] whi_f t = if Float.is_finite t then t +. bound_slack t else t
 
-let revise_kernel k ~lo ~hi =
+(* The odd-exponent preimage bound of [Interval.inv_pow_int]. *)
+let[@inline] odd_root ex x =
+  if Float.is_finite x then begin
+    let r = abs_float x ** (1. /. float_of_int ex) in
+    if x < 0. then -.r else r
+  end
+  else x
+
+(* Forward sweep: load the variables' boxes from the store into the
+   accumulators, then evaluate every node bottom-up into [k_flo]/[k_fhi]
+   (the boxed [annotate]). Raises [Empty_projection] where [annotate]
+   does: [sqrt] or [ln] of a box with no point in their domain. *)
+let forward k ~lo ~hi =
   let vars = k.k_vars in
-  let n_vars = Array.length vars in
   let acc_lo = k.k_acc_lo and acc_hi = k.k_acc_hi in
-  for j = 0 to n_vars - 1 do
+  for j = 0 to Array.length vars - 1 do
     let v = vars.(j) in
     acc_lo.(j) <- lo.(v);
     acc_hi.(j) <- hi.(v)
   done;
   let op = k.k_op and pa = k.k_a and pb = k.k_b in
   let flo = k.k_flo and fhi = k.k_fhi in
-  let blo = k.k_blo and bhi = k.k_bhi in
   let tmp = k.k_tmp in
-  let n = Array.length op in
-  (* [meet i plo phi]: widen the projected target and intersect it with
-     node [i]'s forward interval, exactly as the boxed [meet]. *)
-  let meet i plo phi =
-    let wl = wlo_f plo and wh = whi_f phi in
-    let nl = max flo.(i) wl and nh = min fhi.(i) wh in
-    if nl > nh then raise Empty_projection;
-    blo.(i) <- nl;
-    bhi.(i) <- nh
-  in
-  let rec back i =
+  for i = 0 to Array.length op - 1 do
     let o = op.(i) in
-    if o = op_const then ()
+    if o = op_const then begin
+      let c = k.k_cval.(pa.(i)) in
+      flo.(i) <- c;
+      fhi.(i) <- c
+    end
     else if o = op_var then begin
-      (* boxed [record]: widen, then intersect with the accumulator *)
       let j = pa.(i) in
-      let wl = wlo_f blo.(i) and wh = whi_f bhi.(i) in
-      let nl = max acc_lo.(j) wl and nh = min acc_hi.(j) wh in
-      if nl > nh then raise Empty_projection;
-      acc_lo.(j) <- nl;
-      acc_hi.(j) <- nh
+      flo.(i) <- acc_lo.(j);
+      fhi.(i) <- acc_hi.(j)
     end
     else if o = op_neg then begin
       let ia = pa.(i) in
-      meet ia (-.bhi.(i)) (-.blo.(i));
-      back ia
+      flo.(i) <- -.fhi.(ia);
+      fhi.(i) <- -.flo.(ia)
     end
     else if o = op_add then begin
       let ia = pa.(i) and ib = pb.(i) in
-      meet ia (blo.(i) -. fhi.(ib)) (bhi.(i) -. flo.(ib));
-      back ia;
-      meet ib (blo.(i) -. fhi.(ia)) (bhi.(i) -. flo.(ia));
-      back ib
+      flo.(i) <- flo.(ia) +. flo.(ib);
+      fhi.(i) <- fhi.(ia) +. fhi.(ib)
     end
     else if o = op_sub then begin
       let ia = pa.(i) and ib = pb.(i) in
-      meet ia (blo.(i) +. flo.(ib)) (bhi.(i) +. fhi.(ib));
-      back ia;
-      meet ib (flo.(ia) -. bhi.(i)) (fhi.(ia) -. blo.(i));
-      back ib
+      flo.(i) <- flo.(ia) -. fhi.(ib);
+      fhi.(i) <- fhi.(ia) -. flo.(ib)
     end
     else if o = op_mul then begin
       let ia = pa.(i) and ib = pb.(i) in
-      div_into tmp blo.(i) bhi.(i) flo.(ib) fhi.(ib);
-      meet ia tmp.rlo tmp.rhi;
-      back ia;
-      div_into tmp blo.(i) bhi.(i) flo.(ia) fhi.(ia);
-      meet ib tmp.rlo tmp.rhi;
-      back ib
+      mul_into tmp flo.(ia) fhi.(ia) flo.(ib) fhi.(ib);
+      flo.(i) <- tmp.rlo;
+      fhi.(i) <- tmp.rhi
     end
     else if o = op_div then begin
       let ia = pa.(i) and ib = pb.(i) in
-      mul_into tmp blo.(i) bhi.(i) flo.(ib) fhi.(ib);
-      meet ia tmp.rlo tmp.rhi;
-      back ia;
-      div_into tmp flo.(ia) fhi.(ia) blo.(i) bhi.(i);
-      meet ib tmp.rlo tmp.rhi;
-      back ib
+      div_into tmp flo.(ia) fhi.(ia) flo.(ib) fhi.(ib);
+      flo.(i) <- tmp.rlo;
+      fhi.(i) <- tmp.rhi
     end
     else if o = op_pow then begin
-      let ia = pa.(i) and ex = pb.(i) in
-      let zlo = blo.(i) and zhi = bhi.(i) in
-      if ex = 0 then begin
-        meet ia neg_infinity infinity;
-        back ia
-      end
-      else if ex mod 2 = 1 then begin
-        let root x =
-          if Float.is_finite x then begin
-            let r = abs_float x ** (1. /. float_of_int ex) in
-            if x < 0. then -.r else r
-          end
-          else x
-        in
-        meet ia (root zlo) (root zhi);
-        back ia
-      end
-      else if zhi < 0. then raise Empty_projection
-      else begin
-        let r =
-          if Float.is_finite zhi then zhi ** (1. /. float_of_int ex)
-          else infinity
-        in
-        meet ia (-.r) r;
-        back ia
-      end
+      let ia = pa.(i) in
+      tmp.rlo <- flo.(ia);
+      tmp.rhi <- fhi.(ia);
+      pow_in_place tmp pb.(i);
+      flo.(i) <- tmp.rlo;
+      fhi.(i) <- tmp.rhi
     end
     else if o = op_sqrt then begin
       let ia = pa.(i) in
-      if bhi.(i) < 0. then raise Empty_projection;
-      let l = max 0. blo.(i) in
-      meet ia (l *. l)
-        (if Float.is_finite bhi.(i) then bhi.(i) *. bhi.(i) else infinity);
-      back ia
+      if fhi.(ia) < 0. then raise_notrace Empty_projection;
+      flo.(i) <- sqrt (fmax 0. flo.(ia));
+      fhi.(i) <- sqrt fhi.(ia)
     end
     else if o = op_exp then begin
       let ia = pa.(i) in
-      if bhi.(i) <= 0. then raise Empty_projection;
-      meet ia
-        (if blo.(i) <= 0. then neg_infinity else log blo.(i))
-        (if Float.is_finite bhi.(i) then log bhi.(i) else infinity);
-      back ia
+      flo.(i) <- exp flo.(ia);
+      fhi.(i) <- exp fhi.(ia)
     end
     else if o = op_ln then begin
       let ia = pa.(i) in
-      meet ia
-        (if Float.is_finite blo.(i) then exp blo.(i) else 0.)
-        (if Float.is_finite bhi.(i) then exp bhi.(i) else infinity);
-      back ia
+      if fhi.(ia) <= 0. then raise_notrace Empty_projection;
+      flo.(i) <- (if flo.(ia) <= 0. then neg_infinity else log flo.(ia));
+      fhi.(i) <- log fhi.(ia)
     end
     else if o = op_abs then begin
       let ia = pa.(i) in
-      let h = max 0. bhi.(i) in
-      meet ia (-.h) h;
-      back ia
+      if flo.(ia) >= 0. then begin
+        flo.(i) <- flo.(ia);
+        fhi.(i) <- fhi.(ia)
+      end
+      else if fhi.(ia) <= 0. then begin
+        flo.(i) <- -.fhi.(ia);
+        fhi.(i) <- -.flo.(ia)
+      end
+      else begin
+        flo.(i) <- 0.;
+        fhi.(i) <- fmax (-.flo.(ia)) fhi.(ia)
+      end
     end
     else if o = op_min then begin
       let ia = pa.(i) and ib = pb.(i) in
-      (* an argument is bounded above only when the other certainly
-         exceeds the target (boxed A_min case) *)
-      if flo.(ib) > bhi.(i) then meet ia blo.(i) bhi.(i)
-      else meet ia blo.(i) infinity;
-      back ia;
-      if flo.(ia) > bhi.(i) then meet ib blo.(i) bhi.(i)
-      else meet ib blo.(i) infinity;
-      back ib
+      flo.(i) <- fmin flo.(ia) flo.(ib);
+      fhi.(i) <- fmin fhi.(ia) fhi.(ib)
     end
     else begin
       (* op_max *)
       let ia = pa.(i) and ib = pb.(i) in
-      if fhi.(ib) < blo.(i) then meet ia blo.(i) bhi.(i)
-      else meet ia neg_infinity bhi.(i);
-      back ia;
-      if fhi.(ia) < blo.(i) then meet ib blo.(i) bhi.(i)
-      else meet ib neg_infinity bhi.(i);
-      back ib
+      flo.(i) <- fmax flo.(ia) flo.(ib);
+      fhi.(i) <- fmax fhi.(ia) fhi.(ib)
     end
-  in
+  done
+
+(* [meet k i plo phi]: widen the projected target and intersect it with
+   node [i]'s forward interval into the backward scratch, exactly as the
+   boxed [meet]. *)
+let[@inline] meet k i plo phi =
+  let wl = wlo_f plo and wh = whi_f phi in
+  let nl = fmax k.k_flo.(i) wl and nh = fmin k.k_fhi.(i) wh in
+  if nl > nh then raise_notrace Empty_projection;
+  k.k_blo.(i) <- nl;
+  k.k_bhi.(i) <- nh
+
+(* Backward sweep from node [i], whose target is already in
+   [k_blo]/[k_bhi]: project onto the children (a before b, as the boxed
+   [back]) down to the variables' accumulators. *)
+let rec back k i =
+  let op = k.k_op and pa = k.k_a and pb = k.k_b in
+  let flo = k.k_flo and fhi = k.k_fhi in
+  let blo = k.k_blo and bhi = k.k_bhi in
+  let tmp = k.k_tmp in
+  let o = op.(i) in
+  if o = op_const then ()
+  else if o = op_var then begin
+    (* boxed [record]: widen, then intersect with the accumulator *)
+    let j = pa.(i) in
+    let wl = wlo_f blo.(i) and wh = whi_f bhi.(i) in
+    let nl = fmax k.k_acc_lo.(j) wl and nh = fmin k.k_acc_hi.(j) wh in
+    if nl > nh then raise_notrace Empty_projection;
+    k.k_acc_lo.(j) <- nl;
+    k.k_acc_hi.(j) <- nh
+  end
+  else if o = op_neg then begin
+    let ia = pa.(i) in
+    meet k ia (-.bhi.(i)) (-.blo.(i));
+    back k ia
+  end
+  else if o = op_add then begin
+    let ia = pa.(i) and ib = pb.(i) in
+    meet k ia (blo.(i) -. fhi.(ib)) (bhi.(i) -. flo.(ib));
+    back k ia;
+    meet k ib (blo.(i) -. fhi.(ia)) (bhi.(i) -. flo.(ia));
+    back k ib
+  end
+  else if o = op_sub then begin
+    let ia = pa.(i) and ib = pb.(i) in
+    meet k ia (blo.(i) +. flo.(ib)) (bhi.(i) +. fhi.(ib));
+    back k ia;
+    meet k ib (flo.(ia) -. bhi.(i)) (fhi.(ia) -. blo.(i));
+    back k ib
+  end
+  else if o = op_mul then begin
+    let ia = pa.(i) and ib = pb.(i) in
+    div_into tmp blo.(i) bhi.(i) flo.(ib) fhi.(ib);
+    meet k ia tmp.rlo tmp.rhi;
+    back k ia;
+    div_into tmp blo.(i) bhi.(i) flo.(ia) fhi.(ia);
+    meet k ib tmp.rlo tmp.rhi;
+    back k ib
+  end
+  else if o = op_div then begin
+    let ia = pa.(i) and ib = pb.(i) in
+    mul_into tmp blo.(i) bhi.(i) flo.(ib) fhi.(ib);
+    meet k ia tmp.rlo tmp.rhi;
+    back k ia;
+    div_into tmp flo.(ia) fhi.(ia) blo.(i) bhi.(i);
+    meet k ib tmp.rlo tmp.rhi;
+    back k ib
+  end
+  else if o = op_pow then begin
+    let ia = pa.(i) and ex = pb.(i) in
+    let zlo = blo.(i) and zhi = bhi.(i) in
+    if ex = 0 then meet k ia neg_infinity infinity
+    else if ex mod 2 = 1 then meet k ia (odd_root ex zlo) (odd_root ex zhi)
+    else if zhi < 0. then raise_notrace Empty_projection
+    else begin
+      let r =
+        if Float.is_finite zhi then zhi ** (1. /. float_of_int ex)
+        else infinity
+      in
+      meet k ia (-.r) r
+    end;
+    back k ia
+  end
+  else if o = op_sqrt then begin
+    let ia = pa.(i) in
+    if bhi.(i) < 0. then raise_notrace Empty_projection;
+    let l = fmax 0. blo.(i) in
+    let phi = if Float.is_finite bhi.(i) then bhi.(i) *. bhi.(i) else infinity in
+    meet k ia (l *. l) phi;
+    back k ia
+  end
+  else if o = op_exp then begin
+    let ia = pa.(i) in
+    if bhi.(i) <= 0. then raise_notrace Empty_projection;
+    let plo = if blo.(i) <= 0. then neg_infinity else log blo.(i) in
+    let phi = if Float.is_finite bhi.(i) then log bhi.(i) else infinity in
+    meet k ia plo phi;
+    back k ia
+  end
+  else if o = op_ln then begin
+    let ia = pa.(i) in
+    let plo = if Float.is_finite blo.(i) then exp blo.(i) else 0. in
+    let phi = if Float.is_finite bhi.(i) then exp bhi.(i) else infinity in
+    meet k ia plo phi;
+    back k ia
+  end
+  else if o = op_abs then begin
+    let ia = pa.(i) in
+    let h = fmax 0. bhi.(i) in
+    meet k ia (-.h) h;
+    back k ia
+  end
+  else if o = op_min then begin
+    let ia = pa.(i) and ib = pb.(i) in
+    (* an argument is bounded above only when the other certainly
+       exceeds the target (boxed A_min case) *)
+    if flo.(ib) > bhi.(i) then meet k ia blo.(i) bhi.(i)
+    else meet k ia blo.(i) infinity;
+    back k ia;
+    if flo.(ia) > bhi.(i) then meet k ib blo.(i) bhi.(i)
+    else meet k ib blo.(i) infinity;
+    back k ib
+  end
+  else begin
+    (* op_max *)
+    let ia = pa.(i) and ib = pb.(i) in
+    if fhi.(ib) < blo.(i) then meet k ia blo.(i) bhi.(i)
+    else meet k ia neg_infinity bhi.(i);
+    back k ia;
+    if fhi.(ia) < blo.(i) then meet k ib blo.(i) bhi.(i)
+    else meet k ib neg_infinity bhi.(i);
+    back k ib
+  end
+
+let revise_kernel k ~lo ~hi =
   match
-    for i = 0 to n - 1 do
-      let o = op.(i) in
-      if o = op_const then begin
-        let c = k.k_cval.(pa.(i)) in
-        flo.(i) <- c;
-        fhi.(i) <- c
-      end
-      else if o = op_var then begin
-        let j = pa.(i) in
-        flo.(i) <- acc_lo.(j);
-        fhi.(i) <- acc_hi.(j)
-      end
-      else if o = op_neg then begin
-        let ia = pa.(i) in
-        flo.(i) <- -.fhi.(ia);
-        fhi.(i) <- -.flo.(ia)
-      end
-      else if o = op_add then begin
-        let ia = pa.(i) and ib = pb.(i) in
-        flo.(i) <- flo.(ia) +. flo.(ib);
-        fhi.(i) <- fhi.(ia) +. fhi.(ib)
-      end
-      else if o = op_sub then begin
-        let ia = pa.(i) and ib = pb.(i) in
-        flo.(i) <- flo.(ia) -. fhi.(ib);
-        fhi.(i) <- fhi.(ia) -. flo.(ib)
-      end
-      else if o = op_mul then begin
-        let ia = pa.(i) and ib = pb.(i) in
-        mul_into tmp flo.(ia) fhi.(ia) flo.(ib) fhi.(ib);
-        flo.(i) <- tmp.rlo;
-        fhi.(i) <- tmp.rhi
-      end
-      else if o = op_div then begin
-        let ia = pa.(i) and ib = pb.(i) in
-        div_into tmp flo.(ia) fhi.(ia) flo.(ib) fhi.(ib);
-        flo.(i) <- tmp.rlo;
-        fhi.(i) <- tmp.rhi
-      end
-      else if o = op_pow then begin
-        let ia = pa.(i) in
-        pow_into tmp flo.(ia) fhi.(ia) pb.(i);
-        flo.(i) <- tmp.rlo;
-        fhi.(i) <- tmp.rhi
-      end
-      else if o = op_sqrt then begin
-        let ia = pa.(i) in
-        if fhi.(ia) < 0. then raise Empty_projection;
-        flo.(i) <- sqrt (max 0. flo.(ia));
-        fhi.(i) <- sqrt fhi.(ia)
-      end
-      else if o = op_exp then begin
-        let ia = pa.(i) in
-        flo.(i) <- exp flo.(ia);
-        fhi.(i) <- exp fhi.(ia)
-      end
-      else if o = op_ln then begin
-        let ia = pa.(i) in
-        if fhi.(ia) <= 0. then raise Empty_projection;
-        flo.(i) <- (if flo.(ia) <= 0. then neg_infinity else log flo.(ia));
-        fhi.(i) <- log fhi.(ia)
-      end
-      else if o = op_abs then begin
-        let ia = pa.(i) in
-        if flo.(ia) >= 0. then begin
-          flo.(i) <- flo.(ia);
-          fhi.(i) <- fhi.(ia)
-        end
-        else if fhi.(ia) <= 0. then begin
-          flo.(i) <- -.fhi.(ia);
-          fhi.(i) <- -.flo.(ia)
-        end
-        else begin
-          flo.(i) <- 0.;
-          fhi.(i) <- max (-.flo.(ia)) fhi.(ia)
-        end
-      end
-      else if o = op_min then begin
-        let ia = pa.(i) and ib = pb.(i) in
-        flo.(i) <- min flo.(ia) flo.(ib);
-        fhi.(i) <- min fhi.(ia) fhi.(ib)
-      end
-      else begin
-        (* op_max *)
-        let ia = pa.(i) and ib = pb.(i) in
-        flo.(i) <- max flo.(ia) flo.(ib);
-        fhi.(i) <- max fhi.(ia) fhi.(ib)
-      end
-    done;
-    let r = n - 1 in
-    meet r k.k_tlo k.k_thi;
-    back r
+    forward k ~lo ~hi;
+    let r = Array.length k.k_op - 1 in
+    meet k r k.k_tlo k.k_thi;
+    back k r
   with
+  | () -> true
+  | exception Empty_projection -> false
+
+let eval_kernel k ~lo ~hi =
+  match forward k ~lo ~hi with
   | () -> true
   | exception Empty_projection -> false

@@ -36,7 +36,9 @@ val revise :
     against a struct-of-arrays box store ([lo]/[hi] float arrays indexed
     by a dense property id). Results are bit-identical to {!revise} —
     every float formula mirrors the boxed [Interval] operations branch
-    for branch, and the backward sweep recurses in the same order. *)
+    for branch, and the backward sweep recurses in the same order.
+    In native code neither {!revise_kernel} nor {!eval_kernel} allocates
+    on the OCaml heap. *)
 
 type fpair = { mutable rlo : float; mutable rhi : float }
 
@@ -60,8 +62,9 @@ type kernel = {
   k_tlo : float;
   k_thi : float;
 }
-(** Treat as read-only outside {!revise_kernel}; the scratch arrays make a
-    kernel single-threaded — share it only within one domain. *)
+(** Treat as read-only outside {!revise_kernel} and {!eval_kernel}; the
+    scratch arrays make a kernel single-threaded — share it only within
+    one domain. *)
 
 val compile : var_id:(string -> int) -> Expr.t -> target:Interval.t -> kernel
 (** [compile ~var_id e ~target] builds the kernel enforcing
@@ -73,4 +76,12 @@ val revise_kernel : kernel -> lo:float array -> hi:float array -> bool
     constraint is certainly unsatisfiable on the box (the boxed [Empty]);
     on [true] the narrowed per-variable intervals are left in
     [k_acc_lo]/[k_acc_hi] (slot order [k_vars]). The store itself is not
+    written. *)
+
+val eval_kernel : kernel -> lo:float array -> hi:float array -> bool
+(** The forward half of {!revise_kernel} alone: evaluate the expression
+    over the store's box, as {!Expr.eval_interval} does. Returns [false]
+    where {!Expr.eval_interval} returns [None] ([sqrt] or [ln] of a box
+    outside their domain); on [true] the root's interval is left in
+    [k_flo]/[k_fhi] at index [Array.length k_op - 1]. The store is not
     written. *)

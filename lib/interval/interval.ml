@@ -1,5 +1,10 @@
 type t = { lo : float; hi : float }
 
+(* Without flambda, Stdlib's polymorphic [min]/[max] box float arguments
+   and call the generic C comparison; these make the same selections. *)
+let[@inline] fmin (a : float) b = if a <= b then a else b
+let[@inline] fmax (a : float) b = if a >= b then a else b
+
 let make lo hi =
   if Float.is_nan lo || Float.is_nan hi then
     invalid_arg "Interval.make: NaN bound";
@@ -27,10 +32,10 @@ let midpoint a =
   else 0.
 
 let intersect a b =
-  let lo = max a.lo b.lo and hi = min a.hi b.hi in
+  let lo = fmax a.lo b.lo and hi = fmin a.hi b.hi in
   if lo > hi then None else Some { lo; hi }
 
-let hull a b = { lo = min a.lo b.lo; hi = max a.hi b.hi }
+let hull a b = { lo = fmin a.lo b.lo; hi = fmax a.hi b.hi }
 
 let inflate eps a =
   if eps < 0. then invalid_arg "Interval.inflate: negative eps";
@@ -53,14 +58,14 @@ let prod x y =
 let mul a b =
   let p1 = prod a.lo b.lo and p2 = prod a.lo b.hi in
   let p3 = prod a.hi b.lo and p4 = prod a.hi b.hi in
-  { lo = min (min p1 p2) (min p3 p4); hi = max (max p1 p2) (max p3 p4) }
+  { lo = fmin (fmin p1 p2) (fmin p3 p4); hi = fmax (fmax p1 p2) (fmax p3 p4) }
 
 let div a b =
   if b.lo > 0. || b.hi < 0. then
     let q x y = x /. y in
     let p1 = q a.lo b.lo and p2 = q a.lo b.hi in
     let p3 = q a.hi b.lo and p4 = q a.hi b.hi in
-    { lo = min (min p1 p2) (min p3 p4); hi = max (max p1 p2) (max p3 p4) }
+    { lo = fmin (fmin p1 p2) (fmin p3 p4); hi = fmax (fmax p1 p2) (fmax p3 p4) }
   else if b.lo = 0. && b.hi = 0. then full
   else if b.lo = 0. then
     (* divisor in [0, b.hi] *)
@@ -78,7 +83,7 @@ let rec pow_int a n =
   else if n = 0 then of_point 1.
   else if n = 1 then a
   else if n mod 2 = 0 then begin
-    let abs_a = { lo = 0.; hi = max (abs_float a.lo) (abs_float a.hi) } in
+    let abs_a = { lo = 0.; hi = fmax (abs_float a.lo) (abs_float a.hi) } in
     let abs_a =
       if a.lo > 0. then a
       else if a.hi < 0. then neg a
@@ -91,7 +96,7 @@ let rec pow_int a n =
 
 let sqrt_i a =
   if a.hi < 0. then None
-  else Some { lo = sqrt (max 0. a.lo); hi = sqrt a.hi }
+  else Some { lo = sqrt (fmax 0. a.lo); hi = sqrt a.hi }
 
 let exp_i a = { lo = exp a.lo; hi = exp a.hi }
 
@@ -102,10 +107,10 @@ let ln_i a =
 let abs_i a =
   if a.lo >= 0. then a
   else if a.hi <= 0. then neg a
-  else { lo = 0.; hi = max (-.a.lo) a.hi }
+  else { lo = 0.; hi = fmax (-.a.lo) a.hi }
 
-let min_i a b = { lo = min a.lo b.lo; hi = min a.hi b.hi }
-let max_i a b = { lo = max a.lo b.lo; hi = max a.hi b.hi }
+let min_i a b = { lo = fmin a.lo b.lo; hi = fmin a.hi b.hi }
+let max_i a b = { lo = fmax a.lo b.lo; hi = fmax a.hi b.hi }
 let scale k a = mul (of_point k) a
 
 let certainly_le a b = a.hi <= b.lo
@@ -146,7 +151,7 @@ let inv_pow_int z n =
 let inv_sqrt z =
   if z.hi < 0. then None
   else begin
-    let lo = max 0. z.lo in
+    let lo = fmax 0. z.lo in
     Some { lo = lo *. lo; hi = (if Float.is_finite z.hi then z.hi *. z.hi else infinity) }
   end
 
@@ -162,5 +167,5 @@ let inv_ln z =
     hi = (if Float.is_finite z.hi then exp z.hi else infinity) }
 
 let inv_abs z =
-  let hi = max 0. z.hi in
+  let hi = fmax 0. z.hi in
   { lo = -.hi; hi }

@@ -23,6 +23,15 @@ val of_point : float -> t
 (** Degenerate interval [\[x, x\]].
     @raise Invalid_argument on NaN. *)
 
+val fmin : float -> float -> float
+(** [fmin a b] is [Stdlib.min a b] typed at float: [a] when [a <= b],
+    otherwise [b] — so [fmin nan x = x], [fmin x nan = nan] and
+    [fmin 0. (-0.) = 0.], exactly as the polymorphic version, without
+    boxing or a C comparison. *)
+
+val fmax : float -> float -> float
+(** [fmax a b] is [Stdlib.max a b] typed at float ([a] when [a >= b]). *)
+
 val full : t
 (** [(-inf, +inf)]. *)
 

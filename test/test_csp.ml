@@ -42,6 +42,18 @@ let test_status_on_box () =
     (Constr.status_on_box (box_env 6. 7.) con);
   Alcotest.(check status) "consistent" Constr.Consistent
     (Constr.status_on_box (box_env 4. 6.) con);
+  (* the default tolerance 1e-9 is inclusive on the satisfied side and
+     exclusive on the violated side *)
+  let at_eps name expected rel lo hi =
+    Alcotest.(check status) name expected
+      (Constr.status_on_box (box_env lo hi) (mk rel (v "x") (c 0.)))
+  in
+  at_eps "le at eps" Constr.Satisfied Constr.Le 1e-9 1e-9;
+  at_eps "le from eps" Constr.Consistent Constr.Le 1e-9 1.;
+  at_eps "ge at -eps" Constr.Satisfied Constr.Ge (-1e-9) (-1e-9);
+  at_eps "ge to -eps" Constr.Consistent Constr.Ge (-1.) (-1e-9);
+  at_eps "eq within eps" Constr.Satisfied Constr.Eq (-1e-9) 1e-9;
+  at_eps "eq from eps" Constr.Consistent Constr.Eq 1e-9 1.;
   (* undefined everywhere => violated *)
   let sqrt_con = mk Constr.Ge (Expr.Sqrt (v "x")) (c 0.) in
   Alcotest.(check status) "undefined is violated" Constr.Violated
@@ -238,17 +250,6 @@ let test_helps_direction () =
   Network.declare_monotone net c1.Constr.id "x" Adpm_expr.Monotone.Decreasing;
   Alcotest.(check bool) "declared override" true
     (Network.helps_direction net c1 "x" = `Up)
-
-let test_network_copy_isolated () =
-  let net, _, _ = small_net () in
-  Network.assign net "x" (Value.Num 3.);
-  let snapshot = Network.copy net in
-  Network.assign net "x" (Value.Num 5.);
-  Alcotest.(check (option (float 0.))) "copy unaffected" (Some 3.)
-    (Network.assigned_num snapshot "x");
-  Network.unassign snapshot "x";
-  Alcotest.(check (option (float 0.))) "original unaffected" (Some 5.)
-    (Network.assigned_num net "x")
 
 (* {2 Propagate} *)
 
@@ -569,7 +570,6 @@ let suite =
     ("network alpha/status", `Quick, test_network_alpha_status);
     ("network solved", `Quick, test_network_solved);
     ("helps direction", `Quick, test_helps_direction);
-    ("network copy isolation", `Quick, test_network_copy_isolated);
     ("propagation narrows", `Quick, test_propagate_narrows);
     ("propagation detects violations", `Quick, test_propagate_detects_violation);
     ("propagation pure until applied", `Quick, test_propagate_pure_until_applied);

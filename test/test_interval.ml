@@ -249,9 +249,31 @@ let test_relative_measure () =
     (Domain.relative_measure ~initial:(Domain.point 3.) (Domain.point 3.));
   check_float "empty is 0" 0. (Domain.relative_measure ~initial Domain.Empty)
 
+(* The monomorphic float min/max every interval operation now uses must
+   select exactly what the polymorphic Stdlib versions do, NaN and signed
+   zeros included (compared bit for bit). *)
+let test_fmin_fmax_match_stdlib () =
+  let specials =
+    [ nan; -.nan; 0.; -0.; 1.; -1.; 2.5; -2.5; infinity; neg_infinity;
+      Float.min_float; Float.max_float ]
+  in
+  let bits = Int64.bits_of_float in
+  List.iter
+    (fun a ->
+      List.iter
+        (fun b ->
+          let name op = Printf.sprintf "%s %h %h" op a b in
+          Alcotest.(check int64) (name "fmin") (bits (Stdlib.min a b))
+            (bits (Interval.fmin a b));
+          Alcotest.(check int64) (name "fmax") (bits (Stdlib.max a b))
+            (bits (Interval.fmax a b)))
+        specials)
+    specials
+
 let suite =
   [
     ("make validation", `Quick, test_make_validation);
+    ("fmin/fmax match Stdlib min/max", `Quick, test_fmin_fmax_match_stdlib);
     ("basic queries", `Quick, test_basic_queries);
     ("midpoint unbounded", `Quick, test_midpoint_unbounded);
     ("intersect and hull", `Quick, test_intersect_hull);

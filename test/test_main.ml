@@ -17,6 +17,7 @@ let () =
       ("serve-wire", Test_serve.wire_suite);
       ("domains", Test_domains.suite);
       ("influence", Test_influence.suite);
+      ("relaxed", Test_relaxed.suite);
       ("fault", Test_fault.suite);
       ("check", Test_check.suite);
       ("trace", Test_trace.suite);
