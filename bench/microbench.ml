@@ -1,7 +1,7 @@
 (* Bechamel micro-benchmarks of the engines underneath the experiments:
    interval arithmetic, HC4 revision (boxed and compiled), full
-   propagation fixpoints on the paper's two design cases, a complete ADPM
-   simulation, and the CSP backtracking search with the two informed
+   propagation fixpoints on the paper's two design cases, one DPM
+   transition without propagation, a complete ADPM simulation, and the CSP backtracking search with the two informed
    orderings. *)
 
 open Bechamel
@@ -66,6 +66,22 @@ let repropagate_test name engine =
          Network.assign net "diff-pair-w" (Value.Num 5.);
          Dpm.run_propagation dpm))
 
+(* One DPM transition that runs no propagation: the receiver's top-level
+   verification request in conventional mode. After the first request the
+   checked constraints are fresh and the rest ineligible, so every run
+   measures the transition's own bookkeeping — validation, the known and
+   feasible snapshots, problem statuses, the status diff and NM routing —
+   beside the HC4 kernel above. (Each run appends one history entry.) *)
+let dpm_apply_test =
+  let dpm = Receiver.build () ~mode:Dpm.Conventional in
+  let top = Dpm.top_problem dpm in
+  let op =
+    Operator.verification ~designer:top.Problem.pr_owner ~problem:top.Problem.pr_id
+      top.Problem.pr_constraints
+  in
+  Test.make ~name:"DPM apply (receiver, conventional verification)"
+    (Staged.stage (fun () -> Dpm.apply dpm op))
+
 let simulation_test name scenario mode =
   let cfg = Config.default ~mode ~seed:7 in
   Test.make ~name (Staged.stage (fun () -> Engine.run cfg scenario))
@@ -92,6 +108,7 @@ let tests =
       repropagate_test "repropagate after 1 assign (receiver, full)" Dpm.Full;
       repropagate_test "repropagate after 1 assign (receiver, incremental)"
         Dpm.Incremental;
+      dpm_apply_test;
       simulation_test "full simulation (sensor, ADPM)" Sensor.scenario Dpm.Adpm;
       simulation_test "full simulation (sensor, conventional)" Sensor.scenario
         Dpm.Conventional;

@@ -82,7 +82,7 @@ val create :
 
 val register_problem : t -> parent:int option -> Problem.t -> unit
 (** Scenario-construction hook: attach a pre-built problem. Problem ids
-    must be unique. *)
+    must be unique and non-negative. *)
 
 val fresh_problem_id : t -> int
 
@@ -99,7 +99,13 @@ val problems_owned_by : t -> string -> Problem.t list
 val objects : t -> Design_object.t list
 val find_object : t -> string -> Design_object.t option
 val designers : t -> string list
-(** Distinct problem owners. *)
+(** Distinct problem owners, in first-seen problem order. Read from the
+    compiled routing table, which is rebuilt after a problem registration
+    or a structural change of the network. *)
+
+val subscriptions : t -> (string * string list) list
+(** The NM's routing table: each designer (in {!designers} order) with the
+    network properties of the problems they own, sorted by name. *)
 
 val op_count : t -> int
 val eval_count : t -> int
@@ -203,8 +209,14 @@ val ground_truth_solved : t -> bool
 
 val apply : t -> Operator.t -> result
 (** Execute one design operation and perform the mode's state update.
-    @raise Invalid_argument for malformed operations (unknown problem,
-    assignment to a property outside the problem, non-positive ids). *)
+    @raise Invalid_argument for malformed operations: an unknown problem;
+    an assignment to a property outside the problem's outputs, of the
+    wrong kind or outside its initial range; an unknown constraint id
+    among the verifications, the [op_motivated_by] list or a
+    decomposition's constraints; a decomposition naming an unknown output
+    or sibling. Everything is checked before anything changes, so a
+    rejected operation leaves the DPM, its network and its trace as they
+    were. *)
 
 val shift_requirement :
   t -> prop:string -> value:float -> (int * Constr.status * Constr.status) list

@@ -3,7 +3,7 @@ type status = Open | Waiting | Solved
 type t = {
   pr_id : int;
   pr_name : string;
-  mutable pr_owner : string;
+  pr_owner : string;
   pr_inputs : string list;
   pr_outputs : string list;
   mutable pr_constraints : int list;
@@ -30,7 +30,6 @@ let make ~id ~name ~owner ?(inputs = []) ?(outputs = []) ?(constraints = [])
     pr_object = object_name;
   }
 
-let set_owner t owner = t.pr_owner <- owner
 let set_status t status = t.pr_status <- status
 
 let add_constraint_id t cid =

@@ -12,7 +12,7 @@ type status = Open | Waiting | Solved
 type t = private {
   pr_id : int;
   pr_name : string;
-  mutable pr_owner : string;
+  pr_owner : string;
   pr_inputs : string list;
   pr_outputs : string list;
   mutable pr_constraints : int list;  (** T_i: constraint ids *)
@@ -35,7 +35,6 @@ val make :
   unit ->
   t
 
-val set_owner : t -> string -> unit
 val set_status : t -> status -> unit
 val add_constraint_id : t -> int -> unit
 val add_dependency : t -> int -> unit

@@ -24,7 +24,7 @@ type t = {
   constrs : (int, Constr.t) Hashtbl.t;
   mutable constr_order : int list; (* reversed *)
   adjacency : (string, int list) Hashtbl.t; (* reversed per prop *)
-  statuses : (int, Constr.status) Hashtbl.t;
+  mutable statuses : Constr.status array; (* dense, index = constraint id *)
   declared_mono : (int * int, Monotone.direction) Hashtbl.t;
   (* key: (constraint id, prop id) *)
   mutable next_cid : int;
@@ -40,6 +40,7 @@ type t = {
   mutable c_arr_cache : (int * Constr.t array) option;
   mutable adj_cache : (int * int array array) option;
   mutable k_arr_cache : (int * Hc4.kernel array) option;
+  mutable arg_ids_cache : (int * int array array) option;
   (* Compiled HC4 kernels by constraint id. Kernels carry mutable scratch,
      so a network must stay within one domain — which holds: every
      simulation run builds its own network. *)
@@ -55,7 +56,7 @@ let create () =
     constrs = Hashtbl.create 64;
     constr_order = [];
     adjacency = Hashtbl.create 64;
-    statuses = Hashtbl.create 64;
+    statuses = [||];
     declared_mono = Hashtbl.create 16;
     next_cid = 0;
     n_rev = 0;
@@ -65,6 +66,7 @@ let create () =
     c_arr_cache = None;
     adj_cache = None;
     k_arr_cache = None;
+    arg_ids_cache = None;
     dirty = Hashtbl.create 16;
     n_pstate = None;
   }
@@ -77,6 +79,7 @@ let bump_struct t step =
   bump t
 
 let structure_digest t = t.n_digest
+let structure_revision t = t.n_struct
 
 let revision t = t.n_rev
 let mark_dirty t name = Hashtbl.replace t.dirty name ()
@@ -128,9 +131,9 @@ let reset_feasible t =
   Hashtbl.iter (fun _ p -> p.p_feasible <- p.p_initial) t.props;
   bump t
 
-let assign t name value =
-  let p = find_prop t name in
-  (match (value, p.p_initial) with
+let check_value p value =
+  let name = p.p_name in
+  match (value, p.p_initial) with
   | Value.Num x, (Domain.Continuous _ | Domain.Finite _) ->
     (match Domain.hull p.p_initial with
     | Some iv when Interval.mem x iv -> ()
@@ -143,10 +146,27 @@ let assign t name value =
         (Printf.sprintf "Network.assign: %s outside initial range of %s" s name)
   | Value.Num _, (Domain.Symbolic _ | Domain.Empty)
   | Value.Sym _, (Domain.Continuous _ | Domain.Finite _ | Domain.Empty) ->
-    invalid_arg (Printf.sprintf "Network.assign: kind mismatch for %s" name));
+    invalid_arg (Printf.sprintf "Network.assign: kind mismatch for %s" name)
+
+let check_assign t name value =
+  let p = find_prop t name in
+  check_value p value;
+  p.p_id
+
+let set_assigned t p value =
   p.p_assigned <- Some value;
-  mark_dirty t name;
+  mark_dirty t p.p_name;
   bump t
+
+let assign t name value =
+  let p = find_prop t name in
+  check_value p value;
+  set_assigned t p value
+
+let assign_id t id value =
+  let p = t.by_id.(id) in
+  check_value p value;
+  set_assigned t p value
 
 let unassign t name =
   (find_prop t name).p_assigned <- None;
@@ -161,10 +181,15 @@ let assigned_num t name =
 
 let is_bound t name = assigned t name <> None
 
-let numeric_props t =
-  List.filter (fun n -> Domain.is_numeric (initial_domain t n)) (prop_names t)
-
-let all_numeric_bound t = List.for_all (fun n -> is_bound t n) (numeric_props t)
+let all_numeric_bound t =
+  let rec from i =
+    i >= Array.length t.by_id
+    ||
+    let p = t.by_id.(i) in
+    ((not (Domain.is_numeric p.p_initial)) || p.p_assigned <> None)
+    && from (i + 1)
+  in
+  from 0
 
 let box t name =
   let p = find_prop t name in
@@ -201,6 +226,7 @@ let add_constraint t ~name lhs rel rhs =
     (Constr.args c);
   Hashtbl.replace t.constrs c.Constr.id c;
   t.constr_order <- c.Constr.id :: t.constr_order;
+  t.statuses <- Array.append t.statuses [| Constr.Consistent |];
   t.next_cid <- t.next_cid + 1;
   invalidate_prop_state t;
   bump_struct t (`Constraint (name, lhs, rel, rhs));
@@ -284,17 +310,32 @@ let kernel_array t =
     t.k_arr_cache <- Some (t.n_struct, ks);
     ks
 
+let arg_ids t =
+  match t.arg_ids_cache with
+  | Some (r, arr) when r = t.n_struct -> arr
+  | _ ->
+    (* the adjacency inverted: no lookup by name *)
+    let adj = adjacency_by_id t in
+    let acc = Array.make (constraint_count t) [] in
+    for pid = Array.length adj - 1 downto 0 do
+      Array.iter (fun cid -> acc.(cid) <- pid :: acc.(cid)) adj.(pid)
+    done;
+    let arr = Array.map Array.of_list acc in
+    t.arg_ids_cache <- Some (t.n_struct, arr);
+    arr
+
 let status t id =
-  match Hashtbl.find_opt t.statuses id with
-  | Some s -> s
-  | None -> Constr.Consistent
+  if id >= 0 && id < Array.length t.statuses then t.statuses.(id)
+  else Constr.Consistent
 
 let set_status t id s =
-  Hashtbl.replace t.statuses id s;
+  if id < 0 || id >= Array.length t.statuses then
+    invalid_arg (Printf.sprintf "Network.set_status: unknown constraint id %d" id);
+  t.statuses.(id) <- s;
   bump t
 
 let reset_statuses t =
-  Hashtbl.reset t.statuses;
+  Array.fill t.statuses 0 (Array.length t.statuses) Constr.Consistent;
   bump t
 
 let violated t =

@@ -55,6 +55,11 @@ val structure_digest : t -> int
     another and recognised as stale once a structural call follows.
     Assignments, statuses and feasible updates never move it. *)
 
+val structure_revision : t -> int
+(** A counter bumped by exactly the calls that move {!structure_digest}:
+    the key the derived dense views below are cached on, exposed so
+    layers above can cache their own per-structure tables the same way. *)
+
 val dirty_props : t -> string list
 (** Properties assigned or unassigned since the last {!clear_dirty}
     (unspecified order). *)
@@ -104,11 +109,21 @@ val assign : t -> string -> Value.t -> unit
     that is what creates violations) but must lie in the initial range E_i.
     @raise Invalid_argument on kind mismatch or out-of-range values. *)
 
+val check_assign : t -> string -> Value.t -> int
+(** The checks {!assign} makes, without assigning anything: returns the
+    property's dense id, so a caller can validate a whole batch of
+    assignments before the first one lands.
+    @raise Invalid_argument for an unknown property, or as {!assign}. *)
+
+val assign_id : t -> int -> Value.t -> unit
+(** {!assign} by dense property id (same checks, no name lookup). *)
+
 val unassign : t -> string -> unit
 val assigned : t -> string -> Value.t option
 val assigned_num : t -> string -> float option
 val is_bound : t -> string -> bool
 val all_numeric_bound : t -> bool
+(** Every numeric property is bound (symbolic ones are ignored). *)
 
 val box : t -> string -> Interval.t option
 (** Interval view for propagation: the assigned point when bound, otherwise
@@ -162,11 +177,21 @@ val kernel_array : t -> Adpm_expr.Hc4.kernel array
     default [target]), indexed by constraint id. Kernels hold mutable
     scratch: use them from one domain at a time. *)
 
+val arg_ids : t -> int array array
+(** For each constraint id, the dense ids of its argument properties,
+    ascending. *)
+
 val status : t -> int -> Constr.status
-(** Last recorded status; [Consistent] before any evaluation. *)
+(** Last recorded status; [Consistent] before any evaluation (and for
+    ids the network does not know). Statuses live in an array indexed by
+    constraint id. *)
 
 val set_status : t -> int -> Constr.status -> unit
+(** @raise Invalid_argument for an unknown constraint id. *)
+
 val reset_statuses : t -> unit
+(** Every status back to [Consistent]. *)
+
 val violated : t -> Constr.t list
 
 (** {1 Heuristic-support data (Section 2.3)} *)

@@ -18,6 +18,7 @@ let () =
       ("domains", Test_domains.suite);
       ("influence", Test_influence.suite);
       ("relaxed", Test_relaxed.suite);
+      ("transition", Test_transition.suite);
       ("fault", Test_fault.suite);
       ("check", Test_check.suite);
       ("trace", Test_trace.suite);
@@ -29,4 +30,5 @@ let () =
       ("interactive", Test_interactive.suite);
       ("serve", Test_serve.suite);
       ("chaos", Test_chaos.suite);
+      ("golden", Test_golden.suite);
     ]
