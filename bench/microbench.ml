@@ -1,8 +1,9 @@
 (* Bechamel micro-benchmarks of the engines underneath the experiments:
    interval arithmetic, HC4 revision (boxed and compiled), full
    propagation fixpoints on the paper's two design cases, one DPM
-   transition without propagation, a complete ADPM simulation, and the CSP backtracking search with the two informed
-   orderings. *)
+   transition without propagation, one simulated designer's decision, a
+   complete ADPM simulation, and the CSP backtracking search with the two
+   informed orderings. *)
 
 open Bechamel
 open Toolkit
@@ -82,6 +83,50 @@ let dpm_apply_test =
   Test.make ~name:"DPM apply (receiver, conventional verification)"
     (Staged.stage (fun () -> Dpm.apply dpm op))
 
+(* One designer decision (f_o) in a mid-run state: [ops] operations into
+   a round-robin run of the scenario in which every designer observes
+   every outcome, then the first designer that would act decides,
+   repeatedly. A decision writes nothing to the DPM but its evaluation
+   counter (and the relaxed-feasibility memo), so every run decides from
+   the same state; only the designer's RNG moves. *)
+let choose_test name spec cfg ~ops =
+  let sc = Registry.resolve spec in
+  let dpm = sc.Scenario.sc_build ~mode:cfg.Config.mode in
+  if cfg.Config.mode = Dpm.Adpm then ignore (Dpm.run_propagation dpm);
+  let influence = Scenario.influence sc (Dpm.network dpm) in
+  let rng = Rng.create 7 in
+  let team =
+    List.map
+      (fun n -> Designer.create cfg ~rng:(Rng.split rng) ~influence n)
+      (Dpm.designers dpm)
+  in
+  List.iter (fun d -> Designer.learn_statuses d (Dpm.known_statuses dpm)) team;
+  let rec turn = function
+    | [] -> turn team
+    | d :: rest ->
+      if Dpm.op_count dpm >= ops then d :: rest
+      else begin
+        (match Designer.choose_operation d dpm with
+        | Some op ->
+          let result = Dpm.apply dpm op in
+          List.iter
+            (fun peer -> Designer.observe peer dpm ~own:(peer == d) op result)
+            team
+        | None -> ());
+        turn rest
+      end
+  in
+  let chooser =
+    match
+      List.find_opt
+        (fun d -> Designer.choose_operation d dpm <> None)
+        (turn team @ team)
+    with
+    | Some d -> d
+    | None -> invalid_arg ("Microbench.choose_test: nobody acts in " ^ spec)
+  in
+  Test.make ~name (Staged.stage (fun () -> Designer.choose_operation chooser dpm))
+
 let simulation_test name scenario mode =
   let cfg = Config.default ~mode ~seed:7 in
   Test.make ~name (Staged.stage (fun () -> Engine.run cfg scenario))
@@ -109,6 +154,14 @@ let tests =
       repropagate_test "repropagate after 1 assign (receiver, incremental)"
         Dpm.Incremental;
       dpm_apply_test;
+      choose_test "designer choose (receiver, conventional, op 40)" "receiver"
+        (Config.default ~mode:Dpm.Conventional ~seed:7)
+        ~ops:40;
+      choose_test "designer choose (gen n=16, ADPM headroom, op 20)"
+        "gen:n=16,k=3,seed=5,topology=random-0.2,coupling=0.25"
+        { (Config.default ~mode:Dpm.Adpm ~seed:7) with
+          Config.value_policy = Config.Headroom }
+        ~ops:20;
       simulation_test "full simulation (sensor, ADPM)" Sensor.scenario Dpm.Adpm;
       simulation_test "full simulation (sensor, conventional)" Sensor.scenario
         Dpm.Conventional;

@@ -53,6 +53,12 @@ type layout = {
   l_index : int array; (* problem id -> index in [l_probs], or -1 *)
   l_outputs : int array array; (* numeric output prop ids per problem *)
   l_cross : int array; (* cid -> is_cross_subsystem memo: -1 unknown, 0, 1 *)
+  l_owned : (string, owned) Hashtbl.t; (* designer -> what it owns *)
+}
+
+and owned = {
+  o_probs : Problem.t array; (* registration order *)
+  o_cids : int array; (* their constraint ids, ascending, once each *)
 }
 
 type t = {
@@ -153,9 +159,6 @@ let top_problem t = Hashtbl.find t.probs t.top
 let problems t = List.rev_map (fun id -> Hashtbl.find t.probs id) t.prob_order
 let find_problem t id = Hashtbl.find t.probs id
 
-let problems_owned_by t designer =
-  List.filter (fun p -> String.equal p.Problem.pr_owner designer) (problems t)
-
 let objects t = List.rev_map (fun n -> Hashtbl.find t.objs n) t.obj_order
 let find_object t name = Hashtbl.find_opt t.objs name
 
@@ -252,6 +255,25 @@ let build_layout t =
            else None)
          p.Problem.pr_outputs)
   in
+  let by_owner = Hashtbl.create 8 in
+  Array.iter
+    (fun p ->
+      let mine = Option.value ~default:[] (Hashtbl.find_opt by_owner p.Problem.pr_owner) in
+      Hashtbl.replace by_owner p.Problem.pr_owner (p :: mine))
+    probs;
+  let owned = Hashtbl.create 8 in
+  Hashtbl.iter
+    (fun owner mine ->
+      let mine = List.rev mine in
+      Hashtbl.replace owned owner
+        {
+          o_probs = Array.of_list mine;
+          o_cids =
+            Array.of_list
+              (List.sort_uniq compare
+                 (List.concat_map (fun p -> p.Problem.pr_constraints) mine));
+        })
+    by_owner;
   {
     l_struct = rev;
     l_regs = t.d_regs;
@@ -263,6 +285,7 @@ let build_layout t =
     l_index = index;
     l_outputs = Array.map outputs probs;
     l_cross = Array.make nc (-1);
+    l_owned = owned;
   }
 
 (* Valid until the network structure changes or a problem is registered;
@@ -278,6 +301,14 @@ let layout t =
     l
 
 let designers t = Notify.designers (layout t).l_routing
+
+let nothing_owned = { o_probs = [||]; o_cids = [||] }
+
+let owned t designer =
+  Option.value ~default:nothing_owned (Hashtbl.find_opt (layout t).l_owned designer)
+
+let owned_problems t designer = (owned t designer).o_probs
+let problems_owned_by t designer = Array.to_list (owned_problems t designer)
 
 let subscriptions t =
   let l = layout t in
@@ -549,16 +580,14 @@ let eligible_verifications t ~designer =
   | Adpm -> []
   | Conventional ->
     let l = layout t in
-    let owned = problems_owned_by t designer in
-    let cids =
-      List.sort_uniq compare
-        (List.concat_map (fun p -> p.Problem.pr_constraints) owned)
-    in
-    List.filter
+    let cids = (owned t designer).o_cids in
+    let acc = ref [] in
+    Array.iter
       (fun cid ->
         check_known l t.net cid;
-        eligible_now t l cid)
-      cids
+        if eligible_now t l cid then acc := cid :: !acc)
+      cids;
+    List.rev !acc
 
 (* {2 Validation}
 

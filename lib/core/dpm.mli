@@ -96,6 +96,13 @@ val problems : t -> Problem.t list
 
 val find_problem : t -> int -> Problem.t
 val problems_owned_by : t -> string -> Problem.t list
+
+val owned_problems : t -> string -> Problem.t array
+(** {!problems_owned_by} as an array, read from the dense layout: the
+    same array (physically) until a problem registration or a structural
+    change of the network, so callers can key caches on it. Do not
+    mutate. *)
+
 val objects : t -> Design_object.t list
 val find_object : t -> string -> Design_object.t option
 val designers : t -> string list

@@ -10,51 +10,154 @@ module Mailbox = Adpm_sim.Mailbox
    with whether it was this designer's own. *)
 type delivery = { dv_own : bool; dv_op : Operator.t; dv_result : Dpm.result }
 
+(* What a decision reads of the design's structure: the addressable
+   problems and their numeric outputs. It changes only when a problem
+   enters or leaves [Waiting], a problem is registered or the network
+   changes structurally, so it is kept until one of those happens. *)
+type view = {
+  v_owned : Problem.t array;  (* [Dpm.owned_problems], physically *)
+  v_open : bool array;  (* which of them were addressable *)
+  v_struct : int;  (* [Network.structure_revision] *)
+  outputs : (Problem.t * int array) list;
+      (* f_p: the addressable problems, with their numeric outputs *)
+  free : int list;
+      (* design parameters: numeric outputs the designer assigns directly,
+         by prop id in name order ([Rng.shuffle] consumes the list, so the
+         order is part of every draw) *)
+  derived : int array;  (* numeric outputs a tool model computes, name order *)
+}
+
+(* Float scratch for evaluating point programs, by prop id except the
+   stack. Owned by one designer: the programs themselves are shared.
+   [vals] holds a tool output of the current pass where [stamp] is
+   [pass] (> 0), and a headroom read that does not depend on the
+   candidate where it is [-spass] (< 0); the two never hold for one
+   property at once when they are read. *)
+type scratch = {
+  mutable env : float array;  (* the inputs of the program about to run *)
+  mutable stack : float array;
+  mutable vals : float array;
+  mutable stamp : int array;
+  mutable pass : int;
+  mutable spass : int;
+  mutable ovr_pid : int;  (* the tool run's assigned parameter, or -1 *)
+  ovr : float array;  (* ... and its value, in slot 0 *)
+  mutable violated : bool array;  (* by constraint id: known violations *)
+}
+
 type t = {
   d_name : string;
   cfg : Config.t;
   rng : Rng.t;
-  models : (string * Expr.t) list;
   (* the scenario's static influence table, re-analysed only if the
      network changes structurally under the designer *)
   mutable influence : Influence.t;
-  tabu : (string, unit) Hashtbl.t;
-  (* last repair direction and step per property, for adaptive delta *)
-  repair_memory : (string, [ `Up | `Down ] * float) Hashtbl.t;
-  (* violations that motivated repairs and await re-verification *)
-  pending_reverify : (int, unit) Hashtbl.t;
-  (* most recent own parameter assignment, so conventional-mode
-     verifications can attribute freshly discovered violations to it
-     (design-history tabu) *)
-  mutable last_synthesis : (string * float) option;
-  (* consecutive repairs of a parameter that resolved nothing: such
+  tabu : Tabu.t;
+  (* by prop id, allocated at the first repair: last repair direction
+     (0 none, 1 up, 2 down) and step, for adaptive delta; consecutive
+     repairs of a parameter that resolved nothing (fatigue): such
      parameters are demoted so siblings get a chance (design-history
-     consultation, ADPM mode where feedback is immediate) *)
-  failed_repairs : (string, int) Hashtbl.t;
-  (* what this designer believes each constraint's status to be, rebuilt
-     from delivered status transitions; consulted instead of the DPM's
-     live view only under a nonzero notification latency, where the two
-     can disagree (staleness is the phenomenon being modelled) *)
-  believed : (int, Constr.status) Hashtbl.t;
+     consultation) *)
+  mutable repair_dir : int array;
+  mutable repair_step : float array;
+  mutable fatigue : int array;
+  (* by constraint id: what this designer believes each constraint's
+     status to be, rebuilt from delivered status transitions; consulted
+     instead of the DPM's live view only under a nonzero notification
+     latency, where the two can disagree (staleness is the phenomenon
+     being modelled). One byte each: 0 where nothing was learned. *)
+  mutable believed : Bytes.t;
+  (* by constraint id, 1 where a violation motivated a repair and awaits
+     re-verification *)
+  mutable pending : Bytes.t;
+  (* most recent own parameter assignment (prop id, value), so
+     conventional-mode verifications can attribute freshly discovered
+     violations to it (design-history tabu) *)
+  mutable last_synthesis : (int * float) option;
+  s : scratch;
+  mutable cached : view option;
   (* queued NM deliveries, drained at the start of the next turn *)
   inbox : delivery Mailbox.t;
 }
 
+let grow arr n fill =
+  let len = Array.length arr in
+  if len >= n then arr
+  else begin
+    let a = Array.make n fill in
+    Array.blit arr 0 a 0 len;
+    a
+  end
+
+let grow_bytes b n =
+  if Bytes.length b >= n then b
+  else begin
+    let b' = Bytes.make n '\000' in
+    Bytes.blit b 0 b' 0 (Bytes.length b);
+    b'
+  end
+
+let fit_constraints d nc =
+  d.believed <- grow_bytes d.believed nc;
+  d.pending <- grow_bytes d.pending nc
+
+(* size every by-id array for the table's network *)
+let fit d infl =
+  let np = Influence.prop_count infl and s = d.s in
+  if Array.length d.fatigue > 0 then begin
+    d.repair_dir <- grow d.repair_dir np 0;
+    d.repair_step <- grow d.repair_step np 0.;
+    d.fatigue <- grow d.fatigue np 0
+  end;
+  s.env <- grow s.env np 0.;
+  s.vals <- grow s.vals np 0.;
+  s.stamp <- grow s.stamp np 0;
+  s.stack <- grow s.stack (Point.max_nodes (Influence.programs infl)) 0.;
+  fit_constraints d (Influence.constraint_count infl)
+
 let create cfg ~rng ~influence name =
-  {
-    d_name = name;
-    cfg;
-    rng;
-    models = Influence.models influence;
-    influence;
-    tabu = Hashtbl.create 64;
-    repair_memory = Hashtbl.create 16;
-    pending_reverify = Hashtbl.create 16;
-    last_synthesis = None;
-    failed_repairs = Hashtbl.create 16;
-    believed = Hashtbl.create 64;
-    inbox = Mailbox.create ();
-  }
+  let d =
+    {
+      d_name = name;
+      cfg;
+      rng;
+      influence;
+      tabu = Tabu.create ();
+      repair_dir = [||];
+      repair_step = [||];
+      fatigue = [||];
+      believed = Bytes.empty;
+      pending = Bytes.empty;
+      last_synthesis = None;
+      s =
+        {
+          env = [||];
+          stack = [||];
+          vals = [||];
+          stamp = [||];
+          pass = 0;
+          spass = 0;
+          ovr_pid = -1;
+          ovr = [| 0. |];
+          violated = [||];
+        };
+      cached = None;
+      inbox = Mailbox.create ();
+    }
+  in
+  fit d influence;
+  d
+
+(* the repair memory exists once a repair happened *)
+let repair_memory d =
+  if Array.length d.fatigue = 0 then begin
+    let np = Influence.prop_count d.influence in
+    d.repair_dir <- Array.make np 0;
+    d.repair_step <- Array.make np 0.;
+    d.fatigue <- Array.make np 0
+  end
+
+let fatigue d pid = if pid < Array.length d.fatigue then d.fatigue.(pid) else 0
 
 let name d = d.d_name
 
@@ -68,154 +171,238 @@ let delayed_view d =
   d.cfg.Config.latency > 0
   || not (Adpm_fault.Fault.is_none d.cfg.Config.faults)
 
-let believed_status d cid =
-  try Hashtbl.find d.believed cid with Not_found -> Constr.Consistent
+let status_code = function
+  | Constr.Consistent -> '\001'
+  | Constr.Satisfied -> '\002'
+  | Constr.Violated -> '\003'
 
-let learn_statuses d statuses =
-  List.iter (fun (cid, s) -> Hashtbl.replace d.believed cid s) statuses
+let believed d cid =
+  match if cid < Bytes.length d.believed then Bytes.get d.believed cid else '\000' with
+  | '\002' -> Some Constr.Satisfied
+  | '\003' -> Some Constr.Violated
+  | '\001' -> Some Constr.Consistent
+  | _ -> None
+
+let believe d cid s =
+  if cid >= Bytes.length d.believed then fit_constraints d (cid + 1);
+  Bytes.set d.believed cid (status_code s)
+
+let learn_statuses d statuses = List.iter (fun (cid, s) -> believe d cid s) statuses
 
 let believed_snapshot d =
-  Hashtbl.fold (fun cid s acc -> (cid, s) :: acc) d.believed []
-  |> List.sort compare
+  let acc = ref [] in
+  for cid = Bytes.length d.believed - 1 downto 0 do
+    Option.iter (fun s -> acc := (cid, s) :: !acc) (believed d cid)
+  done;
+  !acc
+
+let pending d cid = Bytes.get d.pending cid <> '\000'
+let set_pending d cid v = Bytes.set d.pending cid (if v then '\001' else '\000')
 
 (* A crashed designer comes back with its working memory gone: believed
    statuses, queued deliveries, repair adaptation, re-verification
    bookkeeping. Only the tabu set survives — the design history lives in
    the shared database (Section 3.1.1), not in the designer's head. *)
 let restart d =
-  Hashtbl.reset d.believed;
-  Hashtbl.reset d.repair_memory;
-  Hashtbl.reset d.pending_reverify;
-  Hashtbl.reset d.failed_repairs;
+  Bytes.fill d.believed 0 (Bytes.length d.believed) '\000';
+  Bytes.fill d.pending 0 (Bytes.length d.pending) '\000';
+  Array.fill d.repair_dir 0 (Array.length d.repair_dir) 0;
+  Array.fill d.fatigue 0 (Array.length d.fatigue) 0;
   d.last_synthesis <- None;
   ignore (Mailbox.drain d.inbox : delivery list)
 
-let tabu_key prop value = Printf.sprintf "%s@%.9g" prop value
-
-let is_tabu d prop value =
-  d.cfg.Config.use_history_tabu && Hashtbl.mem d.tabu (tabu_key prop value)
-
-let is_derived d prop = List.mem_assoc prop d.models
-
-(* f_p: assigned problems that are not Waiting. *)
-let addressable_problems d dpm =
-  List.filter
-    (fun p -> p.Problem.pr_status <> Problem.Waiting)
-    (Dpm.problems_owned_by dpm d.d_name)
-
-let numeric_outputs net p =
-  List.filter
-    (fun o ->
-      Network.mem_prop net o
-      && Domain.is_numeric (Network.initial_domain net o))
-    p.Problem.pr_outputs
+let is_tabu d pid value =
+  d.cfg.Config.use_history_tabu && Tabu.mem d.tabu pid value
 
 (* The influence table for the network as it stands. *)
 let influence d dpm =
   let tbl = Influence.refresh d.influence (Dpm.network dpm) in
-  d.influence <- tbl;
+  if tbl != d.influence then begin
+    d.influence <- tbl;
+    fit d tbl
+  end;
   tbl
+
+let prop_name net pid = (Network.prop_by_id net pid).Network.p_name
+
+let assigned_num net pid =
+  match (Network.prop_by_id net pid).Network.p_assigned with
+  | Some (Value.Num x) -> Some x
+  | Some (Value.Sym _) | None -> None
+
+let is_bound net pid = (Network.prop_by_id net pid).Network.p_assigned <> None
+
+let build_view infl net owned =
+  let v_open = Array.map (fun p -> p.Problem.pr_status <> Problem.Waiting) owned in
+  let numeric_outputs p =
+    Array.of_list
+      (List.filter_map
+         (fun o ->
+           if Network.mem_prop net o then
+             let prop = Network.find_prop net o in
+             if Domain.is_numeric prop.Network.p_initial then Some prop.Network.p_id
+             else None
+           else None)
+         p.Problem.pr_outputs)
+  in
+  let outputs =
+    List.filter_map
+      (fun (p, addressable) -> if addressable then Some (p, numeric_outputs p) else None)
+      (List.combine (Array.to_list owned) (Array.to_list v_open))
+  in
+  let names =
+    List.concat_map (fun (_, pids) -> List.map (prop_name net) (Array.to_list pids)) outputs
+  in
+  let derived, free =
+    List.partition (Influence.is_derived infl)
+      (List.map (Network.prop_id net) (List.sort_uniq String.compare names))
+  in
+  {
+    v_owned = owned;
+    v_open;
+    v_struct = Network.structure_revision net;
+    outputs;
+    free;
+    derived = Array.of_list derived;
+  }
+
+let still_fits v net owned =
+  v.v_owned == owned
+  && v.v_struct = Network.structure_revision net
+  &&
+  let rec same i =
+    i >= Array.length owned
+    || (owned.(i).Problem.pr_status <> Problem.Waiting) = v.v_open.(i)
+       && same (i + 1)
+  in
+  same 0
 
 (* What one decision reads, taken once at its start and passed down:
    nothing the designer does while choosing changes any of it. *)
-type view = {
-  net : Network.t;
-  probs : Problem.t list;  (* f_p: the addressable problems *)
-  free : string list;
-      (* design parameters: numeric outputs the designer assigns directly *)
-  derived : string list;  (* numeric outputs a tool model computes *)
-  infl : Influence.t;
-  violated : bool array;  (* known violations, by constraint id *)
-}
+type ctx = { net : Network.t; infl : Influence.t; view : view }
 
-let view d dpm probs =
+let context d dpm =
   let net = Dpm.network dpm in
-  let outputs =
-    List.sort_uniq compare (List.concat_map (numeric_outputs net) probs)
+  let infl = influence d dpm in
+  let owned = Dpm.owned_problems dpm d.d_name in
+  let view =
+    match d.cached with
+    | Some v when still_fits v net owned -> v
+    | Some _ | None ->
+      let v = build_view infl net owned in
+      d.cached <- Some v;
+      v
   in
-  let derived, free = List.partition (is_derived d) outputs in
-  let known =
-    if delayed_view d then fun c -> believed_status d c.Constr.id = Constr.Violated
-    else fun c -> Dpm.known_violated dpm c.Constr.id
-  in
-  {
-    net;
-    probs;
-    free;
-    derived;
-    infl = influence d dpm;
-    violated = Array.map known (Network.constraint_array net);
-  }
+  { net; infl; view }
 
-(* Known violations reaching parameter [x] directly or through a model:
+(* Refill the known violations, by constraint id; true if there is one. *)
+let load_violated d dpm ctx =
+  let n = Network.constraint_count ctx.net in
+  if Array.length d.s.violated <> n then d.s.violated <- Array.make n false;
+  let violated = d.s.violated and delayed = delayed_view d and any = ref false in
+  for cid = 0 to n - 1 do
+    let v =
+      if delayed then
+        cid < Bytes.length d.believed
+        && Bytes.get d.believed cid = status_code Constr.Violated
+      else Dpm.known_violated dpm cid
+    in
+    violated.(cid) <- v;
+    if v then any := true
+  done;
+  !any
+
+(* Known violations reaching parameter [pid] directly or through a model:
    the [motivated_by] list of an operation that moves it. *)
-let motivated_for ctx x =
-  Influence.motivated ctx.infl (Network.prop_id ctx.net x) ~violated:ctx.violated
+let motivated_for d ctx pid = Influence.motivated ctx.infl pid ~violated:d.s.violated
 
 (* {2 Tool emulation}
 
-   Recompute every derived output whose model inputs are available, to a
-   fixpoint (models may reference other derived properties). [extra]
-   overrides the network's current assignment of one property; values
-   are looked up lazily: computed, then the override, then the network. *)
-let recompute_derived d ctx extra =
-  let net = ctx.net in
-  let targets = ctx.derived in
-  (* a handful of outputs per designer: an association list *)
-  let computed = ref [] in
-  let lookup name =
-    match List.assoc_opt name !computed with
-    | Some x -> Some x
-    | None -> (
-      match extra with
-      | Some (prop, x) when String.equal prop name -> Some x
-      | Some _ | None -> (
-        match Network.assigned_num net name with
-        | x -> x
-        | exception Invalid_argument _ -> None))
+   A tool run recomputes every derived output whose model inputs are
+   available, to a fixpoint (models may reference other derived
+   properties), in name order, sweep after sweep. An input reads this
+   run's output if there is one, then the parameter being assigned
+   ([ovr_pid]), then the network's assignment. *)
+let load_tool s net progs i =
+  let rec go k =
+    k >= Point.vars_to progs i
+    ||
+    let v = Point.var progs k in
+    v >= 0
+    && (if s.stamp.(v) = s.pass then begin
+          s.env.(v) <- s.vals.(v);
+          true
+        end
+        else if v = s.ovr_pid then begin
+          s.env.(v) <- s.ovr.(0);
+          true
+        end
+        else
+          match (Network.prop_by_id net v).Network.p_assigned with
+          | Some (Value.Num x) ->
+            s.env.(v) <- x;
+            true
+          | Some (Value.Sym _) | None -> false)
+    && go (k + 1)
   in
+  go (Point.vars_from progs i)
+
+let run_tool d ctx ~ovr_pid x =
+  let s = d.s and targets = ctx.view.derived in
+  let progs = Influence.programs ctx.infl in
+  s.ovr_pid <- ovr_pid;
+  s.ovr.(0) <- x;
+  s.pass <- s.pass + 1;
   let progress = ref true in
   while !progress do
     progress := false;
-    List.iter
-      (fun prop ->
-        if not (List.mem_assoc prop !computed) then begin
-          let model = List.assoc prop d.models in
-          match Expr.eval_opt lookup model with
-          | Some raw when Float.is_finite raw ->
-            (* the tool's output is clamped to the property's legal range *)
-            let value =
-              match Domain.hull (Network.initial_domain net prop) with
-              | Some hull ->
-                Float.min (Interval.hi hull) (Float.max (Interval.lo hull) raw)
-              | None -> raw
-            in
-            computed := (prop, value) :: !computed;
+    for j = 0 to Array.length targets - 1 do
+      let q = targets.(j) in
+      if s.stamp.(q) <> s.pass then begin
+        let i = Influence.model ctx.infl q in
+        if load_tool s ctx.net progs i then begin
+          let raw = Point.eval progs i ~env:s.env ~stack:s.stack in
+          if Float.is_finite raw then begin
+            s.vals.(q) <- Influence.clamp ctx.infl q raw;
+            s.stamp.(q) <- s.pass;
             progress := true
-          | Some _ | None -> ()
-        end)
-      targets
-  done;
-  List.filter_map
-    (fun prop ->
-      match List.assoc_opt prop !computed with
-      | Some v when Network.assigned_num net prop <> Some v ->
-        Some (prop, Value.Num v)
-      | Some _ | None -> None)
-    targets
+          end
+        end
+      end
+    done
+  done
 
-let problem_of_output ctx prop =
-  List.find_opt (fun p -> List.mem prop (numeric_outputs ctx.net p)) ctx.probs
+(* the run computed an output that differs from the network's value *)
+let changed s net q =
+  s.stamp.(q) = s.pass
+  &&
+  match (Network.prop_by_id net q).Network.p_assigned with
+  | Some (Value.Num x) -> x <> s.vals.(q)
+  | Some (Value.Sym _) | None -> true
 
-let synthesis_op d ctx ?(motivated_by = []) prop v =
-  match problem_of_output ctx prop with
+(* the last run's changed outputs, name order: the tool's assignments *)
+let tool_outputs d ctx =
+  Array.fold_right
+    (fun q acc ->
+      if changed d.s ctx.net q then (prop_name ctx.net q, Value.Num d.s.vals.(q)) :: acc
+      else acc)
+    ctx.view.derived []
+
+(* the first addressable problem with the property among its outputs *)
+let problem_of_output ctx pid =
+  List.find_map
+    (fun (p, pids) -> if Array.mem pid pids then Some p else None)
+    ctx.view.outputs
+
+let synthesis_op d ctx ?(motivated_by = []) pid v =
+  match problem_of_output ctx pid with
   | None -> None
   | Some p ->
-    let derived = recompute_derived d ctx (Some (prop, v)) in
+    run_tool d ctx ~ovr_pid:pid v;
     Some
       (Operator.synthesis ~motivated_by ~designer:d.d_name
          ~problem:p.Problem.pr_id
-         ((prop, Value.Num v) :: derived))
+         ((prop_name ctx.net pid, Value.Num v) :: tool_outputs d ctx))
 
 (* {2 Value selection helpers} *)
 
@@ -245,11 +432,8 @@ let random_in_domain d dom =
 (* Choose a value from a non-empty domain, preferring the quantile the
    direction votes suggest; repeated failed repairs escalate the choice
    toward the window's corner (the fix may only exist at the margin). *)
-let pick_from_domain d prop dom direction =
-  let fatigue =
-    float_of_int (try Hashtbl.find d.failed_repairs prop with Not_found -> 0)
-  in
-  let push = Float.min 0.25 (0.08 *. fatigue) in
+let pick_from_domain d pid dom direction =
+  let push = Float.min 0.25 (0.08 *. float_of_int (fatigue d pid)) in
   let q =
     match direction with
     | `Up -> 0.75 +. push
@@ -258,15 +442,15 @@ let pick_from_domain d prop dom direction =
   in
   match quantile_of_domain dom q with
   | None -> None
-  | Some v -> if is_tabu d prop v then None else Some v
+  | Some v -> if is_tabu d pid v then None else Some v
 
 (* The feasible-endpoint choice of f_v for forward synthesis: the top or
    bottom value according to which direction helps satisfy the most
    connected constraints (counting model-mediated connections). *)
-let endpoint_from_votes d ctx prop dom =
+let endpoint_from_votes d ctx pid dom =
   let up, down =
     if not d.cfg.Config.use_monotone_hints then (0, 0)
-    else Influence.endpoint_votes ctx.infl (Network.prop_id ctx.net prop)
+    else Influence.endpoint_votes ctx.infl pid
   in
   (* top or bottom of the feasible window per the votes, pulled slightly
      inside (with a little designer-to-designer jitter) so a boundary
@@ -279,9 +463,62 @@ let endpoint_from_votes d ctx prop dom =
     else quantile_of_domain dom (0.45 +. jitter)
   in
   match choice with
-  | Some v when not (is_tabu d prop v) -> Some v
+  | Some v when not (is_tabu d pid v) -> Some v
   | Some _ -> random_in_domain d dom
   | None -> None
+
+let midpoint_of dom =
+  match Domain.hull dom with
+  | Some iv when Interval.is_bounded iv -> Some (Interval.midpoint iv)
+  | Some _ | None -> None
+
+(* A property the candidate does not set reads the same value for every
+   candidate of one scoring: its assignment, else the middle of its
+   feasible window, else of its initial range. Kept for the scoring
+   unless a tool output of a later candidate takes its slot. *)
+let load_settled s net v =
+  if s.stamp.(v) = -s.spass then begin
+    s.env.(v) <- s.vals.(v);
+    true
+  end
+  else begin
+    let p = Network.prop_by_id net v in
+    let value =
+      match p.Network.p_assigned with
+      | Some (Value.Num x) -> Some x
+      | Some (Value.Sym _) | None -> (
+        match midpoint_of p.Network.p_feasible with
+        | Some m -> Some m
+        | None -> midpoint_of p.Network.p_initial)
+    in
+    match value with
+    | Some x ->
+      s.vals.(v) <- x;
+      s.stamp.(v) <- -s.spass;
+      s.env.(v) <- x;
+      true
+    | None -> false
+  end
+
+(* A constraint side's inputs for one candidate: the candidate itself,
+   then the outputs the tool run changed, then the settled reads. *)
+let load_side s net progs i =
+  let rec go k =
+    k >= Point.vars_to progs i
+    ||
+    let v = Point.var progs k in
+    (if v = s.ovr_pid then begin
+       s.env.(v) <- s.ovr.(0);
+       true
+     end
+     else if changed s net v then begin
+       s.env.(v) <- s.vals.(v);
+       true
+     end
+     else load_settled s net v)
+    && go (k + 1)
+  in
+  go (Point.vars_from progs i)
 
 (* The headroom-seeking f_v variant (the adaptability option): among
    candidate quantiles of the feasible window, pick the one maximizing
@@ -289,80 +526,58 @@ let endpoint_from_votes d ctx prop dom =
    every constraint comfortably away from its limit so a later
    requirement shift has margin to land in. Unbound teammate parameters
    are assumed at the middle of their feasible windows; each constraint
-   check is charged as one tool evaluation. *)
-let headroom_from_votes d dpm ctx prop dom =
-  let net = ctx.net in
-  let connected = Influence.touching ctx.infl (Network.prop_id net prop) in
+   check is charged as one tool evaluation, whether or not its sides
+   have values. *)
+let headroom_from_votes d dpm ctx pid dom =
+  let net = ctx.net and s = d.s in
+  let connected = Influence.touching ctx.infl pid in
   if connected = [||] then None
   else begin
     let candidates =
       List.filter
-        (fun v -> not (is_tabu d prop v))
+        (fun v -> not (is_tabu d pid v))
         (List.sort_uniq compare
            (List.filter_map (quantile_of_domain dom)
               [ 0.1; 0.3; 0.5; 0.7; 0.9 ]))
     in
     let evals = ref 0 in
-    let midpoint name =
-      match Domain.hull (Network.feasible net name) with
-      | Some iv when Interval.is_bounded iv -> Some (Interval.midpoint iv)
-      | _ -> (
-        match Domain.hull (Network.initial_domain net name) with
-        | Some iv when Interval.is_bounded iv -> Some (Interval.midpoint iv)
-        | _ -> None)
-    in
-    (* a property the candidate does not set reads the same value for
-       every candidate: its assignment, else the middle of its window *)
-    let settled : (string, float option) Hashtbl.t = Hashtbl.create 16 in
-    let settled_value name =
-      match Hashtbl.find_opt settled name with
-      | Some v -> v
-      | None ->
-        let v =
-          match Network.assigned_num net name with
-          | Some x -> Some x
-          | None -> midpoint name
-        in
-        Hashtbl.add settled name v;
-        v
-    in
+    s.spass <- s.spass + 1;
     let all = Network.constraint_array net in
+    let progs = Influence.programs ctx.infl in
     let score x =
-      let derived = recompute_derived d ctx (Some (prop, x)) in
-      let lookup name =
-        if String.equal name prop then Some x
-        else
-          match List.assoc_opt name derived with
-          | Some (Value.Num x) -> Some x
-          | Some (Value.Sym _) | None -> settled_value name
-      in
-      let worst =
-        Array.fold_left
-          (fun acc cid ->
-            let c = all.(cid) in
-            incr evals;
-            match
-              ( Expr.eval_opt lookup c.Constr.lhs,
-                Expr.eval_opt lookup c.Constr.rhs )
-            with
-            | Some l, Some r when Float.is_finite l && Float.is_finite r ->
-              let raw =
-                match c.Constr.rel with
-                | Constr.Le -> r -. l
-                | Constr.Ge -> l -. r
-                | Constr.Eq -> -.Float.abs (l -. r)
-              in
-              let headroom = raw /. (1. +. Float.abs r) in
-              Some (match acc with None -> headroom | Some a -> Float.min a headroom)
-            | _ -> acc)
-          None connected
-      in
-      match worst with
-      | None -> None
-      | Some s ->
-        (* log of the worst headroom; an already-violated candidate ranks
-           strictly below every positive-margin one, more-negative worse *)
-        Some (if s > 0. then Float.log s else -1e18 +. s)
+      run_tool d ctx ~ovr_pid:pid x;
+      let worst = ref Float.nan and seen = ref false in
+      Array.iter
+        (fun cid ->
+          incr evals;
+          let lhs = Influence.lhs cid and rhs = Influence.rhs cid in
+          if load_side s net progs lhs then begin
+            let l = Point.eval progs lhs ~env:s.env ~stack:s.stack in
+            if Float.is_finite l && load_side s net progs rhs then begin
+              let r = Point.eval progs rhs ~env:s.env ~stack:s.stack in
+              if Float.is_finite r then begin
+                let raw =
+                  match all.(cid).Constr.rel with
+                  | Constr.Le -> r -. l
+                  | Constr.Ge -> l -. r
+                  | Constr.Eq -> -.Float.abs (l -. r)
+                in
+                let headroom = raw /. (1. +. Float.abs r) in
+                worst := if !seen then Float.min !worst headroom else headroom;
+                seen := true
+              end
+            end
+          end)
+        connected;
+      if not !seen then None
+      else
+        (* log of the worst headroom [w]. A violated candidate ranks below
+           every positive-margin one, but [-1e18 +. w] absorbs any
+           |w| < 64 (the float spacing at 1e18 is 128): violated
+           candidates usually tie at -1e18, and the first (lowest) of
+           them wins. *)
+        let w = !worst in
+        Some (if w > 0. then Float.log w else -1e18 +. w)
     in
     let best =
       List.fold_left
@@ -379,30 +594,35 @@ let headroom_from_votes d dpm ctx prop dom =
     Option.map fst best
   end
 
+let dir_code = function `Up -> 1 | `Down -> 2
+
 (* Delta move for repairs (f_v's "choose from initial subspace" branch):
    exponential search while the direction persists, bisection on flip. *)
-let delta_move d dpm prop direction =
-  let net = Dpm.network dpm in
-  let initial = Network.initial_domain net prop in
+let delta_move d dpm pid direction =
+  let p = Network.prop_by_id (Dpm.network dpm) pid in
+  let initial = p.Network.p_initial in
   match Domain.hull initial with
   | None -> None
   | Some hull ->
+    repair_memory d;
     let width = if Interval.is_bounded hull then Interval.width hull else 1.0 in
     let base_step = width /. d.cfg.Config.delta_divisor in
     let step =
       if d.cfg.Config.adaptive_delta then
-        match Hashtbl.find_opt d.repair_memory prop with
-        | Some (last_dir, last_step) when last_dir = direction ->
+        let last_step = d.repair_step.(pid) in
+        match d.repair_dir.(pid) with
+        | 0 -> base_step
+        | dir when dir = dir_code direction ->
           Float.min (last_step *. 2.) (width /. 2.)
-        | Some (_, last_step) -> Float.max (last_step /. 2.) (base_step /. 16.)
-        | None -> base_step
+        | _ -> Float.max (last_step /. 2.) (base_step /. 16.)
       else base_step
     in
-    Hashtbl.replace d.repair_memory prop (direction, step);
+    d.repair_dir.(pid) <- dir_code direction;
+    d.repair_step.(pid) <- step;
     let cur =
-      match Network.assigned_num net prop with
-      | Some v -> v
-      | None -> Interval.midpoint hull
+      match p.Network.p_assigned with
+      | Some (Value.Num v) -> v
+      | Some (Value.Sym _) | None -> Interval.midpoint hull
     in
     let signed s = match direction with `Up -> s | `Down -> -.s in
     let snap v =
@@ -429,9 +649,9 @@ let delta_move d dpm prop direction =
         (not discrete)
         && Float.abs (candidate -. cur) < base_step /. 8.
       then None
-      else if is_tabu d prop candidate && tries < 6 then
+      else if is_tabu d pid candidate && tries < 6 then
         attempt (step *. 2.) (tries + 1)
-      else if is_tabu d prop candidate then None
+      else if is_tabu d pid candidate then None
       else Some candidate
     in
     attempt step 0
@@ -462,29 +682,37 @@ let verification_op d dpm probs =
       | [] -> None
       | _ ->
         let p, cids = Rng.pick d.rng candidates in
-        let motivated_by =
-          List.filter (fun cid -> Hashtbl.mem d.pending_reverify cid) cids
-        in
+        let motivated_by = List.filter (pending d) cids in
         Some
           (Operator.verification ~motivated_by ~designer:d.d_name
              ~problem:p.Problem.pr_id cids)))
 
+(* the tool outputs whose model reads the parameter: they move with it
+   in a relaxed-feasibility query *)
+let unpin ctx pid =
+  let progs = Influence.programs ctx.infl in
+  List.filter_map
+    (fun q ->
+      if Point.mentions progs (Influence.model ctx.infl q) pid then
+        Some (prop_name ctx.net q)
+      else None)
+    (Array.to_list ctx.view.derived)
+
 (* Repair: f_a picks the parameter whose single directed move is likely to
    fix the most known violations; f_v picks its new value. *)
 let repair_op d dpm ctx =
+  let net = ctx.net in
   let votes =
     List.map
-      (fun x ->
-        ( x,
-          Influence.repair_votes ctx.infl (Network.prop_id ctx.net x)
-            ~violated:ctx.violated ))
-      ctx.free
+      (fun pid ->
+        (pid, Influence.repair_votes ctx.infl pid ~violated:d.s.violated))
+      ctx.view.free
   in
   let candidates = List.filter (fun (_, (_, _, a)) -> a > 0) votes in
   match candidates with
   | [] -> None
   | _ ->
-    let score (prop, (up, down, alpha)) =
+    let score (pid, (up, down, alpha)) =
       if d.cfg.Config.use_alpha_repair then begin
         (* primary: violations fixable by one directed move, discounted
            when other violations pull the opposite way and when recent
@@ -494,10 +722,7 @@ let repair_op d dpm ctx =
             float_of_int (max up down) -. (0.5 *. float_of_int (min up down))
           else 0.
         in
-        let fatigue =
-          float_of_int
-            (try Hashtbl.find d.failed_repairs prop with Not_found -> 0)
-        in
+        let fatigue = float_of_int (fatigue d pid) in
         -.(fixable -. fatigue +. (float_of_int alpha /. 1000.))
       end
       else Rng.float d.rng 1.0
@@ -514,9 +739,8 @@ let repair_op d dpm ctx =
       else if Rng.bool d.rng then `Up
       else `Down
     in
-    let repair_value prop direction =
-      let net = Dpm.network dpm in
-      let current = Network.assigned_num net prop in
+    let repair_value pid direction =
+      let current = assigned_num net pid in
       let differs = function
         | Some v when current <> Some v -> Some v
         | Some _ | None -> None
@@ -525,34 +749,32 @@ let repair_op d dpm ctx =
       | Dpm.Adpm when d.cfg.Config.use_relaxed_feasible -> (
         (* constraint-margin window for the parameter, letting its
            dependent performance properties move with it *)
-        let unpin =
-          List.filter
-            (fun p -> Expr.mentions (List.assoc p d.models) prop)
-            ctx.derived
+        let dom =
+          Dpm.relaxed_feasible_group dpm ~target:(prop_name net pid)
+            ~unpin:(unpin ctx pid)
         in
-        let dom = Dpm.relaxed_feasible_group dpm ~target:prop ~unpin in
-        match differs (pick_from_domain d prop dom direction) with
-        | Some v when not (is_tabu d prop v) -> Some v
+        match differs (pick_from_domain d pid dom direction) with
+        | Some v when not (is_tabu d pid v) -> Some v
         | Some _ | None -> (
           match differs (random_in_domain d dom) with
           | Some v -> Some v
-          | None -> delta_move d dpm prop direction))
-      | Dpm.Adpm | Dpm.Conventional -> delta_move d dpm prop direction
+          | None -> delta_move d dpm pid direction))
+      | Dpm.Adpm | Dpm.Conventional -> delta_move d dpm pid direction
     in
     (* escape of last resort: every candidate is tabu-locked or saturated —
        restart one of them at a fresh random value inside E_i *)
     let random_restart () =
-      let net = Dpm.network dpm in
       let viable =
         List.filter_map
-          (fun (prop, _) ->
-            let current = Network.assigned_num net prop in
+          (fun (pid, _) ->
+            let current = assigned_num net pid in
+            let initial = (Network.prop_by_id net pid).Network.p_initial in
             let rec draw tries =
               if tries = 0 then None
               else
-                match random_in_domain d (Network.initial_domain net prop) with
-                | Some v when current <> Some v && not (is_tabu d prop v) ->
-                  Some (prop, v)
+                match random_in_domain d initial with
+                | Some v when current <> Some v && not (is_tabu d pid v) ->
+                  Some (pid, v)
                 | Some _ | None -> draw (tries - 1)
             in
             draw 8)
@@ -564,14 +786,14 @@ let repair_op d dpm ctx =
       | [] -> (
         match random_restart () with
         | None -> None
-        | Some (prop, v) ->
-          synthesis_op d ctx ~motivated_by:(motivated_for ctx prop) prop v)
-      | (prop, (up, down, _)) :: rest -> (
+        | Some (pid, v) ->
+          synthesis_op d ctx ~motivated_by:(motivated_for d ctx pid) pid v)
+      | (pid, (up, down, _)) :: rest -> (
         let direction = direction_for (up, down) in
-        match repair_value prop direction with
+        match repair_value pid direction with
         | None -> try_candidates rest
         | Some v ->
-          synthesis_op d ctx ~motivated_by:(motivated_for ctx prop) prop v)
+          synthesis_op d ctx ~motivated_by:(motivated_for d ctx pid) pid v)
     in
     try_candidates ranked
 
@@ -580,82 +802,82 @@ let repair_op d dpm ctx =
    value. *)
 let forward_op d dpm ctx =
   let net = ctx.net in
-  let unbound = List.filter (fun p -> not (Network.is_bound net p)) ctx.free in
+  let unbound = List.filter (fun pid -> not (is_bound net pid)) ctx.view.free in
   match unbound with
   | [] -> (
     (* all parameters placed: run the tool once more if some performance
        property is still uncomputed *)
-    let stale = recompute_derived d ctx None in
-    let pending =
-      List.filter
-        (fun (prop, _) -> not (Network.is_bound net prop))
-        stale
-    in
-    match pending with
-    | [] -> None
-    | (prop, _) :: _ -> (
-      match problem_of_output ctx prop with
+    run_tool d ctx ~ovr_pid:(-1) 0.;
+    match
+      Array.find_opt
+        (fun q -> changed d.s net q && not (is_bound net q))
+        ctx.view.derived
+    with
+    | None -> None
+    | Some q -> (
+      match problem_of_output ctx q with
       | None -> None
       | Some p ->
         Some
-          (Operator.synthesis ~designer:d.d_name ~problem:p.Problem.pr_id stale)))
+          (Operator.synthesis ~designer:d.d_name ~problem:p.Problem.pr_id
+             (tool_outputs d ctx))))
   | _ ->
+    (* a stable sort on scores computed once: the order [List.sort] gives
+       when it recomputes them per comparison *)
     let pick_by score =
       match
-        List.sort (fun a b -> compare (score a) (score b))
-          (Rng.shuffle d.rng unbound)
+        List.sort
+          (fun (a, _) (b, _) -> Float.compare a b)
+          (List.map (fun pid -> (score pid, pid)) (Rng.shuffle d.rng unbound))
       with
       | [] -> None
-      | x :: _ -> Some x
+      | (_, x) :: _ -> Some x
     in
     let target =
       match (d.cfg.Config.forward_ordering, Dpm.mode dpm) with
       | Config.Smallest_subspace, Dpm.Adpm ->
-        pick_by (fun prop ->
-            let p = Network.find_prop net prop in
+        pick_by (fun pid ->
+            let p = Network.prop_by_id net pid in
             Domain.relative_measure ~initial:p.Network.p_initial
               p.Network.p_feasible)
       | Config.Most_constrained, (Dpm.Adpm | Dpm.Conventional) ->
         (* constraint membership is static knowledge, available either way;
            count model-mediated membership too (the 2.3.2 extension) *)
-        pick_by (fun prop ->
-            -.float_of_int
-                (Influence.reach_count ctx.infl (Network.prop_id net prop)))
+        pick_by (fun pid -> -.float_of_int (Influence.reach_count ctx.infl pid))
       | (Config.Smallest_subspace | Config.Random_target), _ ->
         Some (Rng.pick d.rng unbound)
     in
     (match target with
     | None -> None
-    | Some prop ->
+    | Some pid ->
+      let p = Network.prop_by_id net pid in
       let value =
         match Dpm.mode dpm with
         | Dpm.Adpm -> (
-          let feasible = Network.feasible net prop in
+          let feasible = p.Network.p_feasible in
           if Domain.is_empty feasible then
             (* v_F = empty: choose from the initial range *)
-            random_in_domain d (Network.initial_domain net prop)
+            random_in_domain d p.Network.p_initial
           else
             let vote =
               match d.cfg.Config.value_policy with
-              | Config.Endpoint -> endpoint_from_votes d ctx prop feasible
+              | Config.Endpoint -> endpoint_from_votes d ctx pid feasible
               | Config.Headroom -> (
-                match headroom_from_votes d dpm ctx prop feasible with
+                match headroom_from_votes d dpm ctx pid feasible with
                 | Some v -> Some v
-                | None -> endpoint_from_votes d ctx prop feasible)
+                | None -> endpoint_from_votes d ctx pid feasible)
             in
             match vote with
             | Some v -> Some v
-            | None -> random_in_domain d (Network.initial_domain net prop))
+            | None -> random_in_domain d p.Network.p_initial)
         | Dpm.Conventional ->
           (* no feasibility information: an engineering guess from the
              middle half of the initial range *)
-          quantile_of_domain
-            (Network.initial_domain net prop)
-            (0.25 +. Rng.float d.rng 0.5)
+          quantile_of_domain p.Network.p_initial (0.25 +. Rng.float d.rng 0.5)
       in
       (match value with
       | None -> None
-      | Some v -> synthesis_op d ctx prop v))
+      | Some v -> synthesis_op d ctx pid v))
 
 (* Which of f_a's orderings actually drives forward target selection for
    this configuration and mode (the fallbacks in [forward_op]). *)
@@ -689,13 +911,13 @@ let trace_decision d dpm heuristic op =
   end
 
 let choose_operation d dpm =
-  let probs = addressable_problems d dpm in
-  match probs with
+  let ctx = context d dpm in
+  match ctx.view.outputs with
   | [] -> None
-  | _ -> (
-    let ctx = view d dpm probs in
+  | outputs -> (
+    let probs = List.map fst outputs in
     let chosen =
-      if Array.exists Fun.id ctx.violated then
+      if load_violated d dpm ctx then
         match repair_op d dpm ctx with
         | Some op -> Some (Event.Conflict_resolution, op)
         | None -> (
@@ -720,88 +942,109 @@ let choose_operation d dpm =
       Some op)
 
 let synthesis_with_tools d dpm prop v =
-  let ctx = view d dpm (addressable_problems d dpm) in
-  let motivated_by =
-    if Network.mem_prop ctx.net prop then motivated_for ctx prop else []
-  in
-  synthesis_op d ctx ~motivated_by prop v
+  let ctx = context d dpm in
+  if not (Network.mem_prop ctx.net prop) then None
+  else begin
+    let pid = Network.prop_id ctx.net prop in
+    ignore (load_violated d dpm ctx : bool);
+    synthesis_op d ctx ~motivated_by:(motivated_for d ctx pid) pid v
+  end
 
 let request_verification d dpm =
-  verification_op d dpm (addressable_problems d dpm)
+  verification_op d dpm (List.map fst (context d dpm).view.outputs)
+
+let tire d pid =
+  repair_memory d;
+  d.fatigue.(pid) <- d.fatigue.(pid) + 1
+let rested d = Array.fill d.fatigue 0 (Array.length d.fatigue) 0
 
 let observe d dpm ~own op result =
+  let infl = influence d dpm in
+  let net = Dpm.network dpm in
   (* Every delivered outcome updates the believed constraint statuses —
      this is the knowledge the NM pushes. [r_status_changes] includes the
      conventional-mode freshness decays (Violated fading back to
      Consistent) that the violated/resolved lists omit. *)
-  List.iter
-    (fun (cid, _old, status) -> Hashtbl.replace d.believed cid status)
-    result.Dpm.r_status_changes;
+  List.iter (fun (cid, _old, status) -> believe d cid status) result.Dpm.r_status_changes;
   match op.Operator.op_kind with
   | Operator.Synthesis assignments when own ->
+    let parameter prop =
+      let pid = Network.prop_id net prop in
+      if Influence.is_derived infl pid then None else Some pid
+    in
     if result.Dpm.r_newly_violated <> [] && d.cfg.Config.use_history_tabu then
       List.iter
         (fun (prop, value) ->
           match value with
-          | Value.Num v when not (is_derived d prop) ->
-            Hashtbl.replace d.tabu (tabu_key prop v) ()
-          | Value.Num _ | Value.Sym _ -> ())
+          | Value.Num v -> (
+            match parameter prop with
+            | Some pid -> Tabu.add d.tabu pid v
+            | None -> ())
+          | Value.Sym _ -> ())
         assignments;
-    (match assignments with
-    | (prop, Value.Num v) :: _ when not (is_derived d prop) ->
-      d.last_synthesis <- Some (prop, v);
+    let first =
+      match assignments with
+      | (prop, Value.Num v) :: _ -> (
+        match parameter prop with Some pid -> Some (pid, v) | None -> None)
+      | _ -> None
+    in
+    (match first with
+    | Some (pid, _) ->
+      d.last_synthesis <- first;
       (* ADPM feedback is immediate: a repair that resolved nothing tires
          out its parameter; one that helped restores it *)
-      if Dpm.mode dpm = Dpm.Adpm && op.Operator.op_motivated_by <> [] then begin
-        if result.Dpm.r_resolved = [] then begin
-          let n = try Hashtbl.find d.failed_repairs prop with Not_found -> 0 in
-          Hashtbl.replace d.failed_repairs prop (n + 1)
-        end
-        else Hashtbl.reset d.failed_repairs
-      end
-    | _ -> d.last_synthesis <- None);
+      if Dpm.mode dpm = Dpm.Adpm && op.Operator.op_motivated_by <> [] then
+        if result.Dpm.r_resolved = [] then tire d pid else rested d
+    | None -> d.last_synthesis <- None);
     (* repairs await re-verification before the fix is trusted *)
-    List.iter
-      (fun cid -> Hashtbl.replace d.pending_reverify cid ())
-      op.Operator.op_motivated_by
+    List.iter (fun cid -> set_pending d cid true) op.Operator.op_motivated_by
   | Operator.Verification cids ->
     (* Verification results — whoever ran them, including the leader's
        integration checks — are how conventional mode discovers damage.
        Attribute fresh violations touching my last assignment to it (the
        design-history consultation, Section 3.1.1 footnote). *)
-    let touches_last prop =
+    let touches_last pid =
       result.Dpm.r_newly_violated <> []
-      &&
-      let infl = influence d dpm in
-      let pid = Network.prop_id (Dpm.network dpm) prop in
-      List.exists
-        (fun cid -> Influence.touches infl ~cid pid)
-        result.Dpm.r_newly_violated
+      && List.exists
+           (fun cid -> Influence.touches infl ~cid pid)
+           result.Dpm.r_newly_violated
     in
     (if d.cfg.Config.use_history_tabu then
        match d.last_synthesis with
-       | Some (prop, v) when touches_last prop ->
-         Hashtbl.replace d.tabu (tabu_key prop v) ()
+       | Some (pid, v) when touches_last pid -> Tabu.add d.tabu pid v
        | Some _ | None -> ());
     (* repair fatigue, conventional flavour: a verification that re-finds a
        violation my repairs were supposed to fix — or surfaces a new one on
        the parameter I just moved — tires out that parameter; a resolution
        restores everyone *)
     (match d.last_synthesis with
-    | Some (prop, _) ->
+    | Some (pid, _) ->
       let refound =
-        List.exists
-          (fun cid -> Hashtbl.mem d.pending_reverify cid)
-          result.Dpm.r_newly_violated
+        List.exists (pending d) result.Dpm.r_newly_violated
       in
-      if refound || touches_last prop then begin
-        let n = try Hashtbl.find d.failed_repairs prop with Not_found -> 0 in
-        Hashtbl.replace d.failed_repairs prop (n + 1)
-      end
-      else if result.Dpm.r_resolved <> [] then Hashtbl.reset d.failed_repairs
+      if refound || touches_last pid then tire d pid
+      else if result.Dpm.r_resolved <> [] then rested d
     | None -> ());
-    List.iter (fun cid -> Hashtbl.remove d.pending_reverify cid) cids
+    List.iter (fun cid -> set_pending d cid false) cids
   | Operator.Synthesis _ | Operator.Decompose _ -> ()
+
+(* {2 Inspection} *)
+
+let outputs d dpm =
+  let ctx = context d dpm in
+  let names = List.map (prop_name ctx.net) in
+  (names ctx.view.free, names (Array.to_list ctx.view.derived))
+
+let tool_run d dpm ?assign () =
+  let ctx = context d dpm in
+  (match assign with
+  | Some (prop, x) -> run_tool d ctx ~ovr_pid:(Network.prop_id ctx.net prop) x
+  | None -> run_tool d ctx ~ovr_pid:(-1) 0.);
+  tool_outputs d ctx
+
+let headroom_value d dpm prop dom =
+  let ctx = context d dpm in
+  headroom_from_votes d dpm ctx (Network.prop_id ctx.net prop) dom
 
 (* {2 Mailbox} *)
 

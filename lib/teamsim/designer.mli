@@ -90,6 +90,31 @@ val observe : t -> Dpm.t -> own:bool -> Operator.t -> Dpm.result -> unit
     one run by the team leader at integration) and adapts the repair
     step. *)
 
+(** {1 Inspection}
+
+    What one decision computes, exposed for the equivalence tests. *)
+
+val outputs : t -> Dpm.t -> string list * string list
+(** The numeric outputs of the designer's addressable problems, split
+    into design parameters it assigns and performance properties a tool
+    model computes; both sorted by name. *)
+
+val tool_run :
+  t -> Dpm.t -> ?assign:string * float -> unit ->
+  (string * Adpm_csp.Value.t) list
+(** The tool assignments a synthesis of [assign] would carry besides
+    [assign] itself: every performance property the models compute (to a
+    fixpoint, reading [assign] over the network's value of that parameter)
+    whose value differs from the network's, in name order.
+    @raise Invalid_argument when [assign] names no property. *)
+
+val headroom_value :
+  t -> Dpm.t -> string -> Adpm_interval.Domain.t -> float option
+(** The headroom policy's value for the design parameter from the given
+    window, charging its constraint evaluations to the DPM. [None] when
+    the parameter reaches no constraint or no candidate scores.
+    @raise Invalid_argument for an unknown property. *)
+
 val deliver : t -> own:bool -> Operator.t -> Dpm.result -> unit
 (** Enqueue an operation outcome in the designer's mailbox without
     processing it. The discrete-event engine calls this when the

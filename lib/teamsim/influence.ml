@@ -8,6 +8,7 @@ open Adpm_csp
    which showed up as peak RSS; off-heap int32 arrays cost only their
    bytes. *)
 type ints = (int32, Bigarray.int32_elt, Bigarray.c_layout) Bigarray.Array1.t
+type floats = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
 
 type t = {
   models : (string * Expr.t) list;
@@ -20,6 +21,12 @@ type t = {
       (* per property, ascending: [cid lsl 2] lor bit 0 (some route helps
          upward) lor bit 1 (some route helps downward) *)
   endpoint : ints;  (* 2*pid: upward route count, 2*pid+1: downward *)
+  (* the constraint sides and tool models as point programs over prop
+     ids: program [2*cid] is a constraint's lhs, [2*cid+1] its rhs, and
+     the models follow *)
+  programs : Point.t;
+  model : ints;  (* prop id -> its model's program, or -1 *)
+  hull : floats;  (* 2*pid, 2*pid+1: the initial range's hull *)
 }
 
 let ints a =
@@ -128,6 +135,35 @@ let analyse ~models net =
           entries.(first.(pid + 1) - 1 - i) <- (cid lsl 2) lor bits)
         l)
     touch;
+  let var_id name =
+    if Network.mem_prop net name then Network.prop_id net name else -1
+  in
+  let constraints = Network.constraint_array net in
+  let nc = Array.length constraints in
+  let model = Array.make n_props (-1) and derived = ref [] in
+  for pid = n_props - 1 downto 0 do
+    match List.assoc_opt (Network.prop_by_id net pid).Network.p_name models with
+    | Some e -> derived := (pid, e) :: !derived
+    | None -> ()
+  done;
+  List.iteri (fun k (pid, _) -> model.(pid) <- (2 * nc) + k) !derived;
+  let programs =
+    Point.compile ~var_id
+      (Array.concat
+         [
+           Array.init (2 * nc) (fun k ->
+               let c = constraints.(k / 2) in
+               if k mod 2 = 0 then c.Constr.lhs else c.Constr.rhs);
+           Array.of_list (List.map snd !derived);
+         ])
+  in
+  (* no hull: infinite bounds, which leave a finite tool output as is *)
+  let hull =
+    Array.init (2 * n_props) (fun k ->
+        match Domain.hull (Network.prop_by_id net (k / 2)).Network.p_initial with
+        | Some iv -> if k mod 2 = 0 then Interval.lo iv else Interval.hi iv
+        | None -> if k mod 2 = 0 then neg_infinity else infinity)
+  in
   {
     models;
     digest = Network.structure_digest net;
@@ -136,9 +172,23 @@ let analyse ~models net =
     first = ints first;
     entries = ints entries;
     endpoint = ints endpoint;
+    programs;
+    model = ints model;
+    hull = Bigarray.Array1.of_array Bigarray.float64 Bigarray.c_layout hull;
   }
 
 let models t = t.models
+let prop_count t = t.n_props
+let constraint_count t = t.n_constraints
+let programs t = t.programs
+let model t pid = get t.model pid
+let is_derived t pid = get t.model pid >= 0
+
+let clamp t pid raw =
+  Float.min t.hull.{(2 * pid) + 1} (Float.max t.hull.{2 * pid} raw)
+
+let lhs cid = 2 * cid
+let rhs cid = (2 * cid) + 1
 
 let fits t net =
   t.digest = Network.structure_digest net

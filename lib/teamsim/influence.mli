@@ -17,7 +17,12 @@
     left by two, with one bit saying some argument route helps by an
     upward move and one by a downward move. [first] gives each
     property's offset into it; [endpoint] the two endpoint vote totals
-    per property. The table is immutable once built. *)
+    per property. The table is immutable once built.
+
+    The table also carries the scenario's tool models and every
+    constraint's two sides compiled into {!Adpm_expr.Point} programs over
+    prop ids, which the designer evaluates on its own scratch, and the
+    hull of every property's initial range. *)
 
 open Adpm_expr
 open Adpm_csp
@@ -44,6 +49,28 @@ val refresh : t -> Network.t -> t
     analysis of the network with the same models: a network changed
     structurally after analysis is re-analysed, never served stale
     data. *)
+
+val prop_count : t -> int
+val constraint_count : t -> int
+(** The network size the table was built for. *)
+
+val programs : t -> Point.t
+(** The tool models and constraint sides, compiled; off-heap like the
+    rest of the table. *)
+
+val model : t -> int -> int
+(** The program of a derived property's model (by prop id): the first
+    binding of its name in [models]. [-1] for a design parameter. *)
+
+val is_derived : t -> int -> bool
+
+val clamp : t -> int -> float -> float
+(** [clamp t pid raw] limits a finite tool output to the hull of the
+    property's initial range (no limit where it has none). *)
+
+val lhs : int -> int
+val rhs : int -> int
+(** The programs of a constraint's sides (by constraint id). *)
 
 val touching : t -> int -> int array
 (** Ids of the constraints reaching the property (by prop id), directly or

@@ -90,6 +90,86 @@ let simplify_preserves_semantics =
       let a = Expr.eval env expr and b = Expr.eval env (Expr.simplify expr) in
       (Float.is_nan a && Float.is_nan b) || abs_float (a -. b) <= 1e-6 *. (1. +. abs_float a))
 
+(* Compiled point programs against the interpreter: every constructor,
+   over inputs that stress IEEE corners (signed zeros, NaN, infinities,
+   subnormals, negative bases under [Pow]) and over missing inputs. A
+   program's result exists exactly when every input is loaded. *)
+let point_matches_eval_opt =
+  let names = [| "x"; "y"; "z"; "w" |] in
+  let corners =
+    [ 0.; -0.; 1.; -1.; -2.5; 3.; 0.5; Float.nan; infinity; neg_infinity;
+      5e-324; -1e-310; 2.2250738585072014e-308; 1e308; -1e308 ]
+  in
+  let gen_value =
+    QCheck.Gen.(
+      frequency [ (3, oneofl corners); (2, float_range (-1e3) 1e3); (1, float) ])
+  in
+  let gen_expr =
+    QCheck.Gen.(
+      sized_size (int_bound 40)
+      @@ fix (fun self n ->
+             if n <= 1 then
+               oneof
+                 [ map (fun c -> Expr.Const c) gen_value;
+                   map (fun i -> Expr.Var names.(i)) (int_bound 3) ]
+             else
+               let sub = self (n / 2) in
+               oneof
+                 [
+                   map (fun a -> Expr.Neg a) sub;
+                   map2 (fun a b -> Expr.Add (a, b)) sub sub;
+                   map2 (fun a b -> Expr.Sub (a, b)) sub sub;
+                   map2 (fun a b -> Expr.Mul (a, b)) sub sub;
+                   map2 (fun a b -> Expr.Div (a, b)) sub sub;
+                   map2 (fun a k -> Expr.Pow (a, k)) sub (int_bound 5);
+                   map (fun a -> Expr.Sqrt a) sub;
+                   map (fun a -> Expr.Exp a) sub;
+                   map (fun a -> Expr.Ln a) sub;
+                   map (fun a -> Expr.Abs a) sub;
+                   map2 (fun a b -> Expr.Min (a, b)) sub sub;
+                   map2 (fun a b -> Expr.Max (a, b)) sub sub;
+                 ]))
+  in
+  let gen_env = QCheck.Gen.(array_repeat 4 (opt ~ratio:0.85 gen_value)) in
+  let print (e, env) =
+    Printf.sprintf "%s with [%s]" (Expr.to_string e)
+      (String.concat "; "
+         (Array.to_list
+            (Array.mapi
+               (fun i v ->
+                 names.(i) ^ "="
+                 ^ match v with Some x -> Printf.sprintf "%h" x | None -> "-")
+               env)))
+  in
+  QCheck.Test.make ~name:"point programs match eval_opt" ~count:3000
+    (QCheck.make ~print (QCheck.Gen.pair gen_expr gen_env))
+    (fun (e, inputs) ->
+      let slot x =
+        let rec find i = if names.(i) = x then i else find (i + 1) in
+        find 0
+      in
+      let expected = Expr.eval_opt (fun x -> inputs.(slot x)) e in
+      (* the expression between two others: programs index one pool *)
+      let progs = Point.compile ~var_id:slot [| Expr.Var "x"; e; Expr.Const 1. |] in
+      let env = Array.map (Option.value ~default:0.) inputs in
+      let loaded =
+        List.for_all
+          (fun k -> Option.is_some inputs.(Point.var progs k))
+          (List.init (Point.vars_to progs 1 - Point.vars_from progs 1) (fun j ->
+               Point.vars_from progs 1 + j))
+      in
+      let got =
+        if loaded then
+          Some (Point.eval progs 1 ~env ~stack:(Array.make (Point.nodes progs 1) 0.))
+        else None
+      in
+      match (expected, got) with
+      | None, None -> true
+      | Some a, Some b ->
+        Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+        || (Float.is_nan a && Float.is_nan b)
+      | Some _, None | None, Some _ -> false)
+
 let test_pp_roundtrip_examples () =
   Alcotest.(check string) "precedence" "x + y * x"
     (Expr.to_string Expr.(Add (e, Mul (y, e))));
@@ -244,6 +324,7 @@ let suite =
     ("subst", `Quick, test_subst);
     ("simplify rules", `Quick, test_simplify);
     QCheck_alcotest.to_alcotest simplify_preserves_semantics;
+    QCheck_alcotest.to_alcotest point_matches_eval_opt;
     ("pretty printing", `Quick, test_pp_roundtrip_examples);
     ("derivatives vs finite differences", `Quick, test_deriv_cases);
     ("derivative of non-smooth nodes", `Quick, test_deriv_nonsmooth);

@@ -17,6 +17,7 @@ let () =
       ("serve-wire", Test_serve.wire_suite);
       ("domains", Test_domains.suite);
       ("influence", Test_influence.suite);
+      ("designer", Test_designer.suite);
       ("relaxed", Test_relaxed.suite);
       ("transition", Test_transition.suite);
       ("fault", Test_fault.suite);
