@@ -1,17 +1,16 @@
 (* Bench-smoke gate: fail loudly (nonzero exit) if BENCH_results.json is
-   missing, unparseable, or lacks a finite positive incremental_speedup,
-   parallel_speedup or domains_speedup — so a refactor that silently stops
-   producing the incremental-vs-full, fork-vs-sequential or
-   domains-vs-sequential comparison breaks @check instead of shipping an
-   empty benchmark.
+   missing, unparseable, or lacks a finite positive incremental_speedup or
+   domains_speedup — so a refactor that silently stops producing the
+   incremental-vs-full or domains-vs-sequential comparison breaks @check
+   instead of shipping an empty benchmark.
 
-   The parallel (fork) and domains gates: each field must always be a
-   finite positive ratio and its _agrees flag true, and on a real
-   measurement (jobs >= 2 — plus >= 2 actual cores, for domains — in a
-   non-fast run) the ratio must be >= 1: a multi-worker pass of the Fig. 9
-   cells that fails to beat the sequential pass is a regression. Fast
-   smoke runs are exempt from the >= 1 bar because their cells are
-   milliseconds long, where spawn overhead and timer noise dominate. *)
+   The domains gate: the field must always be a finite positive ratio and
+   domains_agrees true, and on a real measurement (jobs >= 2 on >= 2
+   actual cores, in a non-fast run) the ratio must be >= 1: a
+   multi-domain pass of the Fig. 9 cells that fails to beat the
+   sequential pass is a regression. Fast smoke runs are exempt from the
+   >= 1 bar because their cells are milliseconds long, where spawn
+   overhead and timer noise dominate. *)
 
 module Json = Adpm_trace.Json
 
@@ -46,35 +45,14 @@ let () =
       | Some s -> s)
   in
   let incremental = speedup "incremental_speedup" in
-  let parallel = speedup "parallel_speedup" in
-  (* the discrete-event engine must both exist and agree: a missing or
-     non-finite overhead ratio means the scheduler comparison silently
-     stopped running, and des_agrees=false means the latency-0 fingerprint
-     diverged from the lockstep reference — both are hard failures *)
-  let des_overhead = speedup "des_overhead" in
-  (match Option.bind (Json.member "des_agrees" json) Json.to_bool with
-  | Some true -> ()
-  | Some false ->
-    die
-      "des_agrees is false: the discrete-event engine's latency-0 summaries \
-       diverged from the lockstep loop"
-  | None -> die "%s lacks the des_agrees field" file);
   let fast =
     match Option.bind (Json.member "fast" json) Json.to_bool with
     | Some b -> b
     | None -> die "%s lacks the fast field" file
   in
-  let jobs =
-    match Option.bind (Json.member "parallel_jobs" json) Json.to_int with
-    | Some n -> n
-    | None -> die "%s lacks the parallel_jobs field" file
-  in
-  if jobs >= 2 && (not fast) && parallel < 1. then
-    die "parallel_speedup %g < 1 with %d jobs: the parallel path regressed"
-      parallel jobs;
   (* The domain runner always executes (its jobs are forced to >= 2), so a
      missing domains_speedup or a false domains_agrees means the
-     shared-memory backend silently stopped running or diverged from the
+     domain pool silently stopped running or diverged from the
      sequential reference — both hard failures. The > 1 bar additionally
      needs real cores to overlap on and a non-fast run. *)
   let domains = speedup "domains_speedup" in
@@ -82,7 +60,7 @@ let () =
   | Some true -> ()
   | Some false ->
     die
-      "domains_agrees is false: the domain-backend Fig. 9 cells diverged \
+      "domains_agrees is false: the domain-pool Fig. 9 cells diverged \
        from the sequential pass"
   | None -> die "%s lacks the domains_agrees field" file);
   let domains_jobs =
@@ -97,24 +75,9 @@ let () =
   in
   if cores >= 2 && domains_jobs >= 2 && (not fast) && domains < 1. then
     die
-      "domains_speedup %g < 1 with %d jobs on %d cores: the domain backend \
+      "domains_speedup %g < 1 with %d jobs on %d cores: the domain pool \
        regressed"
       domains domains_jobs cores;
-  (* pool supervision must be measured and essentially free on the healthy
-     path: a missing ratio means the comparison silently stopped running,
-     and > 1.1x means the retry/timeout bookkeeping started costing real
-     time. Fast smoke runs are exempt from the 1.1x bar (their cells are
-     milliseconds long, fork timing noise dominates), not from existing. *)
-  let pool = speedup "pool_retry_overhead" in
-  (match Option.bind (Json.member "pool_retry_agrees" json) Json.to_bool with
-  | Some true -> ()
-  | Some false ->
-    die
-      "pool_retry_agrees is false: supervised and relaxed pool runs \
-       diverged on the healthy path"
-  | None -> die "%s lacks the pool_retry_agrees field" file);
-  if (not fast) && pool > 1.1 then
-    die "pool_retry_overhead %gx > 1.1x: supervision is no longer free" pool;
   (* the adaptability study and the generator-throughput measurement must
      both have run: adapt_advantage is the headline conventional/ADPM
      operation ratio under requirement shifts (geometric mean over
@@ -184,14 +147,12 @@ let () =
       die "fault_sweep.completion_by_drop is missing or empty"
     | Some _ -> ()));
   Printf.printf
-    "bench-smoke check OK: incremental_speedup=%.2fx parallel_speedup=%.2fx \
-     (jobs=%d) domains_speedup=%.2fx (jobs=%d, cores=%d) des_overhead=%.2fx \
-     pool_retry_overhead=%.2fx adapt_advantage=%.2fx \
+    "bench-smoke check OK: incremental_speedup=%.2fx domains_speedup=%.2fx \
+     (jobs=%d, cores=%d) adapt_advantage=%.2fx \
      gen_scenarios_per_s=%.1f fuzz_throughput=%.1f/s \
      teamsimd=%d sessions @ %.0f ops/s (p99 %.2fms) recovery=%.1fms \
      chaos_sessions=%d/%d ok\n"
-    incremental parallel jobs domains domains_jobs cores des_overhead pool
-    adapt_advantage gen_rate fuzz teamsimd_sessions teamsimd_ops teamsimd_p99
-    recovery_ms
+    incremental domains domains_jobs cores adapt_advantage gen_rate fuzz
+    teamsimd_sessions teamsimd_ops teamsimd_p99 recovery_ms
     (Float.to_int (Float.round (chaos_ok *. float_of_int chaos_sessions)))
     chaos_sessions

@@ -11,13 +11,12 @@
    Environment knobs:
      ADPM_BENCH_SEEDS  seeds per Fig. 9 cell (default 60, as in the paper)
      ADPM_BENCH_FAST   set to shrink every experiment (CI smoke mode)
-     ADPM_BENCH_JOBS   worker processes for multi-seed experiments
+     ADPM_BENCH_JOBS   worker domains for multi-seed experiments
                        (default: one per CPU core) *)
 
 open Adpm_experiments
 module Json = Adpm_trace.Json
-module Pool = Adpm_parallel.Pool
-module Engine = Adpm_teamsim.Engine
+module Dpool = Adpm_parallel.Dpool
 
 let getenv_int name default =
   match Sys.getenv_opt name with
@@ -94,20 +93,15 @@ let gen_scenarios_per_s () =
     (List.length specs) dt rate;
   rate
 
-let results_json ~fig9_seeds ~parallel ~domains ~adapt ~gen_rate verdicts incr
-    des pool faults fuzz teamsimd chaos =
-  let parallel_jobs, parallel_speedup, parallel_agrees = parallel in
+let results_json ~fig9_seeds ~domains ~adapt ~gen_rate verdicts incr faults
+    fuzz teamsimd chaos =
   let domains_jobs, domains_speedup, domains_agrees = domains in
   Json.Obj
     [
       ("fast", Json.Bool fast);
-      ("cores", Json.Num (float_of_int (Pool.cpu_count ())));
+      ("cores", Json.Num (float_of_int (Dpool.cpu_count ())));
       ("fig9_seeds", Json.Num (float_of_int fig9_seeds));
       ("incremental_speedup", Json.Num incr.Incremental.speedup);
-      ("des_overhead", Json.Num des.Des_overhead.overhead);
-      ("des_agrees", Json.Bool des.Des_overhead.agrees);
-      ("pool_retry_overhead", Json.Num pool.Pool_overhead.overhead);
-      ("pool_retry_agrees", Json.Bool pool.Pool_overhead.agrees);
       ("fault_sweep", fault_sweep_json faults);
       ("adapt_advantage", Json.Num adapt.Exp_adapt.adapt_advantage);
       ("gen_scenarios_per_s", Json.Num gen_rate);
@@ -127,9 +121,6 @@ let results_json ~fig9_seeds ~parallel ~domains ~adapt ~gen_rate verdicts incr
         Json.Num
           (float_of_int chaos.Chaos_bench.ok_sessions
           /. float_of_int chaos.Chaos_bench.sessions) );
-      ("parallel_jobs", Json.Num (float_of_int parallel_jobs));
-      ("parallel_speedup", Json.Num parallel_speedup);
-      ("parallel_agrees", Json.Bool parallel_agrees);
       ("domains_jobs", Json.Num (float_of_int domains_jobs));
       ("domains_speedup", Json.Num domains_speedup);
       ("domains_agrees", Json.Bool domains_agrees);
@@ -166,7 +157,7 @@ let results_json ~fig9_seeds ~parallel ~domains ~adapt ~gen_rate verdicts incr
 
 let () =
   let fig9_seeds = getenv_int "ADPM_BENCH_SEEDS" (if fast then 10 else 60) in
-  let njobs = max 1 (getenv_int "ADPM_BENCH_JOBS" (Pool.cpu_count ())) in
+  let njobs = max 1 (getenv_int "ADPM_BENCH_JOBS" (Dpool.cpu_count ())) in
   let fig7_seeds = if fast then 5 else 20 in
   let fig10_seeds = if fast then 3 else 10 in
   let ablation_seeds = if fast then 5 else 15 in
@@ -175,16 +166,9 @@ let () =
   section "Figures 2-4: Section 2.4 walkthrough";
   print_string (timed "fig234" (fun () -> Exp_fig234.render (Exp_fig234.run ())));
 
-  (* Fork before domains, always: the first Domain.spawn permanently
-     disables Unix.fork in this process, so every fork-pool measurement
-     (Fig. 7's fork pass, the parallel runner, the supervision-overhead
-     bench) runs before the domain runner and everything downstream of
-     it. *)
   section "Figure 7: per-operation profiles (simplified case)";
   print_string
-    (timed "fig7" (fun () ->
-         Exp_fig7.render
-           (Exp_fig7.run ~seeds:fig7_seeds ~backend:Engine.Fork ~jobs:njobs ())));
+    (timed "fig7" (fun () -> Exp_fig7.render (Exp_fig7.run ~seeds:fig7_seeds ())));
 
   section "Figure 8: design process statistics window";
   print_string (timed "fig8" (fun () -> Exp_fig8.render (Exp_fig8.run ())));
@@ -221,40 +205,6 @@ let () =
     List.for_all2 (fun a b -> fingerprint a = fingerprint b) (cells r)
       (cells fig9)
   in
-
-  (* Parallel runner (fork): redo the Fig. 9 cells with the worker pool
-     and compare wall time against the sequential pass above. On a
-     single-CPU host there is nothing to overlap, so the ratio is
-     definitionally 1 and the fork path is left to the test suite's
-     equivalence checks. *)
-  let parallel =
-    if njobs < 2 then (1, 1.0, true)
-    else begin
-      section
-        (Printf.sprintf
-           "Parallel runner (fork): Fig. 9 cells at jobs=%d vs jobs=1" njobs);
-      let fig9_par =
-        timed "fig9_parallel" (fun () ->
-            Exp_fig9.run ~seeds:fig9_seeds ~backend:Engine.Fork ~jobs:njobs ())
-      in
-      let speedup = wall "fig9" /. wall "fig9_parallel" in
-      let agrees = agrees_with_fig9 fig9_par in
-      Printf.printf
-        "jobs=%d: sequential %.2fs, parallel %.2fs -> speedup %.2fx; results %s\n"
-        njobs (wall "fig9")
-        (wall "fig9_parallel")
-        speedup
-        (if agrees then "bit-identical" else "DIVERGED");
-      (njobs, speedup, agrees)
-    end
-  in
-
-  section "Worker pool: supervision overhead on the healthy path";
-  let pool =
-    timed "pool_overhead" (fun () ->
-        Pool_overhead.run ~seeds:(if fast then 4 else 12) ~jobs:(max 2 njobs) ())
-  in
-  print_string (Pool_overhead.render pool);
 
   section "Figure 10: specification-tightness sweep";
   print_string
@@ -304,17 +254,9 @@ let () =
   in
   print_string (Exp_faults.render faults);
 
-  section "Discrete-event scheduler: overhead vs the lockstep loop (latency 0)";
-  let des =
-    timed "des_overhead" (fun () ->
-        Des_overhead.run ~seeds:(if fast then 3 else 12) ())
-  in
-  print_string (Des_overhead.render des);
-
   section "teamsimd: concurrent interactive sessions over the socket protocol";
-  (* No forks, no domains: the daemon is a single-threaded select loop
-     hosted in this process, so this section is safe to run before the
-     domain spawn below and does not consume the fork latch. *)
+  (* No domains: the daemon is a single-threaded select loop hosted in
+     this process. *)
   let teamsimd =
     timed "teamsimd" (fun () ->
         Daemon_bench.run
@@ -325,8 +267,8 @@ let () =
   print_string (Daemon_bench.render teamsimd);
 
   section "teamsimd crash recovery: journal replay and chaos-proxy sessions";
-  (* Same no-fork/no-domain footing as the load bench above: daemon,
-     proxy, and clients are all select loops in this thread. *)
+  (* Same footing as the load bench above: daemon, proxy, and clients
+     are all select loops in this thread. *)
   let chaos =
     timed "chaos" (fun () ->
         Chaos_bench.run
@@ -336,16 +278,13 @@ let () =
   in
   print_string (Chaos_bench.render chaos);
 
-  (* Domain runner: the Fig. 9 cells again on the shared-memory backend.
-     Unlike the fork section this always runs (jobs forced to >= 2) so
-     every bench run exercises the domain pool's bit-identity; a real
-     speedup is only expected — and only gated by check_results — when
-     the host actually has >= 2 cores. It runs LAST among the timed
-     experiment sections on purpose: spawning domains permanently grows
-     the runtime's multi-domain GC state, which measurably slows the
-     sequential sections that follow, so every section whose wall time is
-     tracked against a baseline must run before the first domain spawn
-     (just as the fork sections must — see the note above fig7). *)
+  (* Domain runner: the Fig. 9 cells again on the domain pool. Its jobs
+     are forced to >= 2 so every bench run exercises the pool's
+     bit-identity; a real speedup is only expected — and only gated by
+     check_results — when the host actually has >= 2 cores. It runs LAST
+     among the timed experiment sections on purpose: spawning domains
+     permanently grows the runtime's multi-domain GC state, which
+     measurably slows the sequential sections that follow. *)
   let domains =
     let djobs = max 2 njobs in
     section
@@ -354,14 +293,14 @@ let () =
          djobs);
     let fig9_dom =
       timed "fig9_domains" (fun () ->
-          Exp_fig9.run ~seeds:fig9_seeds ~backend:Engine.Domains ~jobs:djobs ())
+          Exp_fig9.run ~seeds:fig9_seeds ~jobs:djobs ())
     in
     let speedup = wall "fig9" /. wall "fig9_domains" in
     let agrees = agrees_with_fig9 fig9_dom in
     Printf.printf
       "jobs=%d (%d core(s)): sequential %.2fs, domains %.2fs -> speedup \
        %.2fx; results %s\n"
-      djobs (Pool.cpu_count ()) (wall "fig9")
+      djobs (Dpool.cpu_count ()) (wall "fig9")
       (wall "fig9_domains")
       speedup
       (if agrees then "bit-identical" else "DIVERGED");
@@ -378,8 +317,8 @@ let () =
   timed "microbench" (fun () -> Microbench.run ~fast ());
 
   let json =
-    results_json ~fig9_seeds ~parallel ~domains ~adapt ~gen_rate
-      (Exp_fig9.verdicts fig9) incr des pool faults fuzz teamsimd chaos
+    results_json ~fig9_seeds ~domains ~adapt ~gen_rate (Exp_fig9.verdicts fig9)
+      incr faults fuzz teamsimd chaos
   in
   let oc = open_out "BENCH_results.json" in
   Fun.protect

@@ -145,9 +145,7 @@ let shift_plan_arg =
            $(b,p_budget>=140\\@30;gmin0>=9.5\\@60): at virtual time TICK, \
            re-assign requirement PROP to FLOOR through the DPM. An ADPM \
            team re-propagates immediately; a conventional team discovers \
-           the moved requirement only when it next verifies. Needs the \
-           discrete-event engine (any nonzero latency or duration works; \
-           latency 0 is fine too — only lockstep refuses shifts).")
+           the moved requirement only when it next verifies.")
 
 let value_policy_arg =
   let policy_conv =
@@ -232,24 +230,6 @@ let fault_plan_term =
   in
   Term.(const combine $ drop_arg $ dup_arg $ jitter_arg $ crash_plan_arg)
 
-let job_retries_arg =
-  Arg.(
-    value
-    & opt int Adpm_parallel.Pool.default_retries
-    & info [ "job-retries" ] ~docv:"N"
-        ~doc:
-          "Extra attempts the worker pool grants a seed shard whose worker \
-           crashes or times out before giving up on it.")
-
-let job_timeout_arg =
-  Arg.(
-    value
-    & opt (some float) None
-    & info [ "job-timeout" ] ~docv:"SECONDS"
-        ~doc:
-          "Kill and requeue a worker that goes this long without \
-           delivering a result (wall-clock). Unset means wait forever.")
-
 (* Reject a bad combination of numeric settings before the engine raises. *)
 let validated cfg =
   match Config.validate cfg with
@@ -270,33 +250,12 @@ let jobs_arg =
     & opt int 1
     & info [ "j"; "jobs" ] ~docv:"JOBS"
         ~doc:
-          "Worker processes for multi-seed runs ($(b,0) = one per CPU \
+          "Worker domains for multi-seed runs ($(b,0) = one per CPU \
            core). Results are bit-identical for any value; only wall time \
            changes.")
 
 let effective_jobs jobs =
-  if jobs = 0 then Adpm_parallel.Pool.cpu_count () else max 1 jobs
-
-let backend_arg =
-  let backend_conv =
-    Arg.conv
-      ( (fun s ->
-          match Engine.backend_of_string s with
-          | Ok b -> Ok b
-          | Error e -> Error (`Msg e)),
-        fun ppf b -> Format.pp_print_string ppf (Engine.backend_to_string b) )
-  in
-  Arg.(
-    value
-    & opt backend_conv Engine.Domains
-    & info [ "backend" ] ~docv:"BACKEND"
-        ~doc:
-          "Parallel backend for multi-seed runs: $(b,domains) (shared-memory \
-           domain pool, the throughput default), $(b,fork) (process pool \
-           with crash/hang supervision — use with $(b,--retries) / \
-           $(b,--job-timeout) or fault injection), or $(b,inline) \
-           (sequential reference). Results are bit-identical across \
-           backends.")
+  if jobs = 0 then Adpm_parallel.Dpool.cpu_count () else max 1 jobs
 
 let verbose_arg =
   Arg.(value & flag & info [ "v"; "verbose" ] ~doc:"Print every operation.")
@@ -461,8 +420,7 @@ let analyze_cmd =
     term
 
 let sweep_cmd =
-  let action scenario_name seeds backend jobs latency faults retries job_timeout
-      csv =
+  let action scenario_name seeds jobs latency faults csv =
     match find_scenario scenario_name with
     | Error e ->
       prerr_endline e;
@@ -474,15 +432,8 @@ let sweep_cmd =
         validated
           { (Config.default ~mode ~seed:0) with Config.latency; faults }
       in
-      let on_retry (e : Adpm_parallel.Pool.supervision_event) =
-        Printf.eprintf
-          "pool: item %d attempt %d failed (%s); %d item(s) requeued\n%!"
-          e.Adpm_parallel.Pool.sv_index e.Adpm_parallel.Pool.sv_attempt
-          e.Adpm_parallel.Pool.sv_reason e.Adpm_parallel.Pool.sv_requeued
-      in
       let run_mode mode =
-        Engine.run_many ~backend ~jobs ~retries ?job_timeout ~on_retry
-          (cfg mode) scenario ~seeds:seed_list
+        Engine.run_many ~jobs (cfg mode) scenario ~seeds:seed_list
       in
       let conv_runs = run_mode Dpm.Conventional in
       let adpm_runs = run_mode Dpm.Adpm in
@@ -498,9 +449,8 @@ let sweep_cmd =
   in
   let term =
     Term.(
-      const action $ scenario_arg $ seeds_arg $ backend_arg $ jobs_arg
-      $ latency_arg $ fault_plan_term $ job_retries_arg $ job_timeout_arg
-      $ csv_arg)
+      const action $ scenario_arg $ seeds_arg $ jobs_arg $ latency_arg
+      $ fault_plan_term $ csv_arg)
   in
   Cmd.v
     (Cmd.info "sweep" ~doc:"Compare modes over many seeds (Fig. 9 data).")

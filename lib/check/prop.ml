@@ -20,7 +20,6 @@ type facts = {
       (* designer -> crash windows, newest first; [None] = still down *)
   fx_roster : (string, unit) Hashtbl.t;
   mutable fx_makespan : int;
-  mutable fx_ops : int;
   mutable fx_last_seq : int;
 }
 
@@ -31,7 +30,6 @@ let fresh_facts () =
     fx_crashes = Hashtbl.create 8;
     fx_roster = Hashtbl.create 8;
     fx_makespan = 0;
-    fx_ops = 0;
     fx_last_seq = 0;
   }
 
@@ -39,7 +37,6 @@ let makespan f = f.fx_makespan
 let completion_of f idx = Hashtbl.find_opt f.fx_completions idx
 let actor_of f idx = Hashtbl.find_opt f.fx_actors idx
 let roster_size f = Hashtbl.length f.fx_roster
-let op_count f = f.fx_ops
 
 let crashed_during f designer t1 t2 =
   match Hashtbl.find_opt f.fx_crashes designer with
@@ -57,7 +54,6 @@ let observe f (ev : Event.stamped) =
   match ev.event with
   | Event.Op_completed { index; at } ->
     Hashtbl.replace f.fx_completions index at;
-    f.fx_ops <- f.fx_ops + 1;
     time at
   | Event.Op_executed { index; designer; _ } ->
     Hashtbl.replace f.fx_actors index designer;

@@ -59,10 +59,6 @@ val actor_of : facts -> int -> string option
 val roster_size : facts -> int
 (** Distinct designers seen acting (turns, executions, crashes) so far. *)
 
-val op_count : facts -> int
-(** [Op_completed] events seen — [0] for traces without virtual-time
-    information (lockstep runs). *)
-
 val crashed_during : facts -> string -> int -> int -> bool
 (** [crashed_during f d t1 t2]: did designer [d] have a crash window
     (crash to restart, or crash to end-of-trace) intersecting

@@ -39,11 +39,11 @@ let notified_or_resolved ~horizon =
         Some (fun ob -> ob.o_recipient = recipient && ob.o_op = op_index)
       | _ -> None)
     ~at_end:(fun facts ob ->
-      (* lockstep traces carry no virtual-time delivery events at all *)
-      Prop.op_count facts = 0
-      ||
       match Prop.completion_of facts ob.o_op with
-      | None -> true (* op never completed: the run halted mid-operation *)
+      | None ->
+        (* the engine stamps [Op_completed] right after every execution,
+           so an executed operation without one is not excused *)
+        false
       | Some sent ->
         (* still in flight when the run halted (pending deliveries are
            discarded at halt, so [>=] rather than [>]) *)

@@ -23,8 +23,8 @@ val notified_or_resolved : horizon:int -> Prop.t
 (** [horizon] is the worst-case teammate transit time
     ({!Adpm_sim.Model.max_delivery_delay}); obligations whose delivery
     window extends past the end of the run, or whose recipient was
-    crashed during it, are excused. Vacuous on lockstep traces (no
-    virtual-time events). *)
+    crashed during it, are excused. An obligation whose operation has no
+    [Op_completed] is reported, never excused. *)
 
 val no_starvation : ?slack:int -> unit -> Prop.t
 (** Bound: [2 * roster + slack] other-designer turns between two turns

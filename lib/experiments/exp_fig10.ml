@@ -13,7 +13,7 @@ type point = {
 
 type result = { points : point list; conv_spread : float; adpm_spread : float }
 
-let measure ~backend ~jobs mode req_gain seeds =
+let measure ~jobs mode req_gain seeds =
   let scenario =
     Scenario.make ~name:"receiver-sweep" ~description:""
       ~models:Receiver.scenario.Scenario.sc_models (fun ~mode ->
@@ -21,23 +21,22 @@ let measure ~backend ~jobs mode req_gain seeds =
   in
   let cfg = Config.default ~mode ~seed:0 in
   let summaries =
-    Engine.run_many ~backend ~jobs cfg scenario
+    Engine.run_many ~jobs cfg scenario
       ~seeds:(List.init seeds (fun i -> i + 1))
   in
   let acc = Stats_acc.create () in
   List.iter (fun s -> Stats_acc.add_int acc s.Metrics.s_operations) summaries;
   (Stats_acc.mean acc, Stats_acc.stddev acc)
 
-let run ?(seeds = 10) ?(sweep = Receiver.gain_sweep) ?(backend = Engine.Domains)
-    ?(jobs = 1) () =
+let run ?(seeds = 10) ?(sweep = Receiver.gain_sweep) ?(jobs = 1) () =
   let points =
     List.map
       (fun req_gain ->
         let conv_mean_ops, conv_sd_ops =
-          measure ~backend ~jobs Dpm.Conventional req_gain seeds
+          measure ~jobs Dpm.Conventional req_gain seeds
         in
         let adpm_mean_ops, adpm_sd_ops =
-          measure ~backend ~jobs Dpm.Adpm req_gain seeds
+          measure ~jobs Dpm.Adpm req_gain seeds
         in
         { req_gain; conv_mean_ops; conv_sd_ops; adpm_mean_ops; adpm_sd_ops })
       sweep

@@ -20,15 +20,8 @@ type result = {
   adpm_spread : float;
 }
 
-val run :
-  ?seeds:int ->
-  ?sweep:float list ->
-  ?backend:Adpm_teamsim.Engine.backend ->
-  ?jobs:int ->
-  unit ->
-  result
+val run : ?seeds:int -> ?sweep:float list -> ?jobs:int -> unit -> result
 (** Defaults: 10 seeds per point, {!Adpm_scenarios.Receiver.gain_sweep}.
-    [backend] (default [Domains]) and [jobs] forward to
-    {!Adpm_teamsim.Engine.run_many}. *)
+    [jobs] forwards to {!Adpm_teamsim.Engine.run_many}. *)
 
 val render : result -> string

@@ -18,10 +18,10 @@ type result = {
   adpm_mean_ops : float;
 }
 
-let profile_series ~backend ~jobs mode seeds =
+let profile_series ~jobs mode seeds =
   let cfg = Config.default ~mode ~seed:0 in
   let summaries =
-    Engine.run_many ~backend ~jobs cfg Simple.scenario
+    Engine.run_many ~jobs cfg Simple.scenario
       ~seeds:(List.init seeds (fun i -> i + 1))
   in
   let mean = Report.mean_profile summaries in
@@ -46,11 +46,11 @@ let last_violation_op s =
   Array.iteri (fun i v -> if v > 0.01 then last := s.ops.(i)) s.violations;
   !last
 
-let run ?(seeds = 20) ?(backend = Engine.Domains) ?(jobs = 1) () =
+let run ?(seeds = 20) ?(jobs = 1) () =
   let conventional, conv_mean_ops =
-    profile_series ~backend ~jobs Dpm.Conventional seeds
+    profile_series ~jobs Dpm.Conventional seeds
   in
-  let adpm, adpm_mean_ops = profile_series ~backend ~jobs Dpm.Adpm seeds in
+  let adpm, adpm_mean_ops = profile_series ~jobs Dpm.Adpm seeds in
   let conv_total_viol, conv_total_evals = totals conventional in
   let adpm_total_viol, adpm_total_evals = totals adpm in
   {

@@ -25,14 +25,8 @@ type result = {
   adpm_mean_ops : float;
 }
 
-val run :
-  ?seeds:int ->
-  ?backend:Adpm_teamsim.Engine.backend ->
-  ?jobs:int ->
-  unit ->
-  result
-(** Averages profiles over [seeds] (default 20) runs per mode. [backend]
-    (default [Domains]) and [jobs] forward to
-    {!Adpm_teamsim.Engine.run_many}. *)
+val run : ?seeds:int -> ?jobs:int -> unit -> result
+(** Averages profiles over [seeds] (default 20) runs per mode. [jobs]
+    forwards to {!Adpm_teamsim.Engine.run_many}. *)
 
 val render : result -> string

@@ -26,18 +26,18 @@ type verdicts = {
   per_op_penalty_receiver : float;
 }
 
-let cell ~backend ~jobs scenario mode seeds =
+let cell ~jobs scenario mode seeds =
   let cfg = Config.default ~mode ~seed:0 in
   Report.aggregate
-    (Engine.run_many ~backend ~jobs cfg scenario
+    (Engine.run_many ~jobs cfg scenario
        ~seeds:(List.init seeds (fun i -> i + 1)))
 
-let run ?(seeds = 60) ?(backend = Engine.Domains) ?(jobs = 1) () =
+let run ?(seeds = 60) ?(jobs = 1) () =
   {
-    sensor_conv = cell ~backend ~jobs Sensor.scenario Dpm.Conventional seeds;
-    sensor_adpm = cell ~backend ~jobs Sensor.scenario Dpm.Adpm seeds;
-    receiver_conv = cell ~backend ~jobs Receiver.scenario Dpm.Conventional seeds;
-    receiver_adpm = cell ~backend ~jobs Receiver.scenario Dpm.Adpm seeds;
+    sensor_conv = cell ~jobs Sensor.scenario Dpm.Conventional seeds;
+    sensor_adpm = cell ~jobs Sensor.scenario Dpm.Adpm seeds;
+    receiver_conv = cell ~jobs Receiver.scenario Dpm.Conventional seeds;
+    receiver_adpm = cell ~jobs Receiver.scenario Dpm.Adpm seeds;
   }
 
 let safe_div a b = if b = 0. then infinity else a /. b

@@ -38,11 +38,10 @@ type verdicts = {
   per_op_penalty_receiver : float;
 }
 
-val run :
-  ?seeds:int -> ?backend:Engine.backend -> ?jobs:int -> unit -> result
-(** Default 60 seeds per cell, as in the paper. [backend] (default
-    [Domains]) and [jobs] forward to {!Adpm_teamsim.Engine.run_many} —
-    results are identical for any value. *)
+val run : ?seeds:int -> ?jobs:int -> unit -> result
+(** Default 60 seeds per cell, as in the paper. [jobs] forwards to
+    {!Adpm_teamsim.Engine.run_many} — results are identical for any
+    value. *)
 
 val verdicts : result -> verdicts
 val render : result -> string

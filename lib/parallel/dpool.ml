@@ -14,7 +14,24 @@
    be domain-safe (the simulation runner is: each run builds its own
    network, Rng and DCM from the scenario closure). *)
 
-let run_batch ~jobs ~f items =
+exception Worker_error of { index : int; message : string }
+
+let cpu_count () =
+  match In_channel.with_open_text "/proc/cpuinfo" In_channel.input_all with
+  | contents ->
+    let n =
+      List.fold_left
+        (fun acc line ->
+          if String.length line >= 9 && String.sub line 0 9 = "processor" then
+            acc + 1
+          else acc)
+        0
+        (String.split_on_char '\n' contents)
+    in
+    max 1 n
+  | exception Sys_error _ -> 1
+
+let map ~jobs ~f items =
   let arr = Array.of_list items in
   let n = Array.length arr in
   let out = Array.make n None in
@@ -32,27 +49,15 @@ let run_batch ~jobs ~f items =
     end
   in
   let helpers = max 0 (min jobs n - 1) in
-  if helpers > 0 then Pool.block_fork ();
   let domains = Array.init helpers (fun _ -> Domain.spawn work) in
   work ();
   Array.iter Domain.join domains;
-  Array.map (function Some r -> r | None -> assert false) out
-
-let map_partial ~jobs ~f items =
-  Array.to_list (run_batch ~jobs ~f items)
-
-let map ~jobs ~f items =
-  let results = run_batch ~jobs ~f items in
-  let failure = ref None in
-  (* scan right-to-left so the surviving failure is the lowest index,
-     matching the fork pool's deterministic failure contract *)
-  for i = Array.length results - 1 downto 0 do
-    match results.(i) with
-    | Error message -> failure := Some (i, message)
-    | Ok _ -> ()
-  done;
-  match !failure with
-  | Some (index, message) -> raise (Pool.Worker_error { index; message })
-  | None ->
-    Array.to_list
-      (Array.map (function Ok v -> v | Error _ -> assert false) results)
+  (* the lowest failing index wins, whichever domain got there first *)
+  Array.iteri
+    (fun index r ->
+      match r with
+      | Some (Error message) -> raise (Worker_error { index; message })
+      | Some (Ok _) | None -> ())
+    out;
+  Array.to_list
+    (Array.map (function Some (Ok v) -> v | Some (Error _) | None -> assert false) out)

@@ -222,9 +222,9 @@ let recover_one t ~dir (sc : Journal.scanned) =
           warn t "journal %s: cannot compact: %s" sid msg)))
 
 (* Concurrency story (see DESIGN.md §14): a single-threaded non-blocking
-   event loop — no Domain.spawn, so creating a daemon never trips the
-   PR 7 fork latch and [Pool]-based tooling stays usable in the same
-   process. Session work is CPU-cheap (one propagation per op), so
+   event loop — no Domain.spawn, so a process hosting a daemon may still
+   [Unix.fork] (the OCaml 5 runtime forbids forking once a domain has
+   been spawned). Session work is CPU-cheap (one propagation per op), so
    multiplexing beats per-session domains at this granularity. *)
 let create cfg =
   Wire.ignore_sigpipe ();

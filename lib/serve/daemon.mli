@@ -6,9 +6,9 @@
 
     {b Concurrency.} A single-threaded, non-blocking [Unix.select] event
     loop. This is a deliberate choice against per-session domains: it
-    never calls [Domain.spawn], so a process hosting a daemon does not
-    trip the PR 7 fork latch ({!Adpm_parallel.Pool.available} stays
-    true), and per-op work (one propagation) is far too small to amortize
+    never calls [Domain.spawn], so a process hosting a daemon may still
+    [Unix.fork] (the OCaml 5 runtime forbids forking once a domain has
+    been spawned), and per-op work (one propagation) is far too small to amortize
     domain handoff. Isolation comes from exception boundaries instead of
     address spaces: a throwing session is torn down and answered with a
     [session_failed] frame; the accept loop never stalls.

@@ -4,8 +4,8 @@
     started at time [t] completes at [t + duration]; the Notification
     Manager delivers its outcome to the acting designer instantly (the
     tool's own report) and to every teammate after a constant [latency]
-    ticks. [latency = 0] reproduces the instant broadcast of the original
-    lockstep engine. *)
+    ticks. [latency = 0] is an instant broadcast: every designer has every
+    outcome before its next turn. *)
 
 type op_class = Synthesis | Verification | Decompose
 

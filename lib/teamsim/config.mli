@@ -54,8 +54,7 @@ type t = {
       (** deterministic fault injection: notification drop/duplication
           probabilities, delivery jitter, and scheduled designer
           crash/restart windows (default {!Adpm_fault.Fault.none}, which
-          keeps runs bit-identical to the fault-free engine and is the
-          only plan the lockstep engine accepts) *)
+          keeps runs bit-identical to the fault-free engine) *)
   delta_divisor : float;
       (** repair step = |E_i| / delta_divisor (paper: about 100) *)
   adaptive_delta : bool;

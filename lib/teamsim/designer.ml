@@ -164,9 +164,10 @@ let name d = d.d_name
 (* With latency 0 and no fault plan the engine delivers every outcome
    before the next turn, so the DPM's live view and the believed table
    never disagree; using the live view on that path keeps it
-   bit-identical to the lockstep engine. Any latency or active fault
-   plan makes the two diverge (deliveries lag, vanish, or die with their
-   recipient), so decisions must come from the believed table. *)
+   bit-identical to a lockstep loop that broadcasts each outcome at once
+   (test/test_golden.ml pins that equivalence). Any latency or active
+   fault plan makes the two diverge (deliveries lag, vanish, or die with
+   their recipient), so decisions must come from the believed table. *)
 let delayed_view d =
   d.cfg.Config.latency > 0
   || not (Adpm_fault.Fault.is_none d.cfg.Config.faults)

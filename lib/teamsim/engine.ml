@@ -2,7 +2,6 @@ open Adpm_util
 open Adpm_csp
 open Adpm_core
 open Adpm_trace
-module Pool = Adpm_parallel.Pool
 module Dpool = Adpm_parallel.Dpool
 module Model = Adpm_sim.Model
 module Scheduler = Adpm_sim.Scheduler
@@ -14,14 +13,12 @@ type outcome = {
   o_makespan : int;
 }
 
-(* {2 Shared run scaffolding}
+(* {2 Run scaffolding}
 
-   Everything outside the turn-taking discipline is identical between the
-   discrete-event driver and the reference lockstep loop: scenario build,
+   Everything outside the turn-taking discipline: scenario build,
    [Run_started], Rng stream layout (one split per designer, in designer
    order), the ADPM setup propagation with its charged setup record, and
-   the closing summary. Keeping it in one place is what makes the
-   latency-0 equivalence contract auditable. *)
+   the closing summary. *)
 
 let prepare ~tracer cfg scenario ~record =
   let dpm = scenario.Scenario.sc_build ~mode:cfg.Config.mode in
@@ -101,75 +98,6 @@ let finish ~tracer cfg scenario dpm ~setup_evals ~profile ~makespan ~faults =
   in
   { o_summary = summary; o_dpm = dpm; o_makespan = makespan }
 
-(* {2 The reference lockstep loop}
-
-   The original engine: one while-loop round per shuffle, every designer
-   observes every outcome inline. Kept verbatim as the executable
-   specification the discrete-event driver is tested against (and as the
-   baseline for the scheduler-overhead benchmark). *)
-
-let run_lockstep ?(on_op = fun _ -> ()) ?(tracer = Tracer.null) cfg scenario =
-  Config.validate_exn cfg;
-  if not (Fault.is_none cfg.Config.faults) then
-    invalid_arg
-      "Engine.run_lockstep: fault injection needs the discrete-event engine";
-  if cfg.Config.shifts <> [] then
-    invalid_arg
-      "Engine.run_lockstep: requirement shifts need the discrete-event engine";
-  let profile = ref [] in
-  let record r =
-    profile := r :: !profile;
-    on_op r
-  in
-  let dpm, rng, designers, setup_evals = prepare ~tracer cfg scenario ~record in
-  let finished = ref false in
-  let continue_run () =
-    (not !finished) && Dpm.op_count dpm < cfg.Config.max_ops
-  in
-  while continue_run () do
-    let order = Rng.shuffle rng designers in
-    let acted = ref false in
-    List.iter
-      (fun designer ->
-        if continue_run () then begin
-          (* include evaluations spent while *choosing* (e.g. relaxed
-             feasibility queries) in this operation's cost *)
-          let evals_before = Dpm.eval_count dpm in
-          match Designer.choose_operation designer dpm with
-          | None -> ()
-          | Some op ->
-            acted := true;
-            if Tracer.active tracer then
-              Tracer.emit tracer
-                (Event.Op_submitted
-                   {
-                     op = Operator.to_trace_spec op;
-                     choose_evaluations = Dpm.eval_count dpm - evals_before;
-                   });
-            let result = Dpm.apply dpm op in
-            (* everyone learns the outcome (the NM relays it) *)
-            List.iter
-              (fun peer ->
-                Designer.observe peer dpm ~own:(peer == designer) op result)
-              designers;
-            record
-              {
-                Metrics.m_index = result.Dpm.r_index;
-                m_designer = Designer.name designer;
-                m_kind = Operator.kind_label op;
-                m_evaluations = Dpm.eval_count dpm - evals_before;
-                m_new_violations = List.length result.Dpm.r_newly_violated;
-                m_known_violations = List.length (Dpm.known_violations dpm);
-                m_spin = result.Dpm.r_spin;
-              };
-            if Dpm.solved dpm then finished := true
-        end)
-      order;
-    if not !acted then finished := true
-  done;
-  finish ~tracer cfg scenario dpm ~setup_evals ~profile
-    ~makespan:(Dpm.op_count dpm) ~faults:Metrics.no_faults
-
 (* {2 The discrete-event driver} *)
 
 type des_event =
@@ -200,16 +128,17 @@ let op_class op =
   | Operator.Verification _ -> Model.Verification
   | Operator.Decompose _ -> Model.Decompose
 
-(* Virtual-time semantics, and why latency 0 is bit-identical to the
-   lockstep loop:
+(* Virtual-time semantics, and why latency 0 is bit-identical to a
+   lockstep loop in which every designer observes every outcome right
+   after it executes (the lockstep fixture of test/test_golden.ml holds
+   that loop's summaries; the des and fault suites check them):
 
    - Turns are serialized: [Next_turn] is only scheduled from [Round_start]
      or [Op_done], so at most one operation is ever in flight and durations
      stretch the clock without reordering decisions.
-   - The shuffle is drawn once per [Round_start] from the same shared Rng
-     the lockstep loop uses, and a designer's own stream is consumed only
-     inside [choose_operation] — so every random draw happens in the same
-     order.
+   - The shuffle is drawn once per [Round_start] from the run's shared
+     Rng, and a designer's own stream is consumed only inside
+     [choose_operation] — so every random draw happens in the same order.
    - Outcomes are delivered to mailboxes ([Designer.deliver]) and absorbed
      at the start of the recipient's next turn ([Designer.drain]).
      [observe] mutates only the observer's private state, so deferring it
@@ -504,97 +433,13 @@ let run ?(on_op = fun _ -> ()) ?(tracer = Tracer.null) cfg scenario =
       }
 
 (* Parallelism never changes a number: each seed's run draws from its own
-   Rng stream regardless of which process executes it, and the summary
-   round-trips exactly through Metrics_codec (ints, bools, strings only).
-   So the only contract the pool must keep is order and loudness: results
-   come back in seed order, and any worker failure names its seed. *)
-let decode_summary ~seed payload =
-  match Metrics_codec.of_string payload with
-  | Error msg ->
-    Error (Printf.sprintf "undecodable worker result for seed %d: %s" seed msg)
-  | Ok summary ->
-    if summary.Metrics.s_seed <> seed then
-      Error
-        (Printf.sprintf "worker result out of order: expected seed %d, got %d"
-           seed summary.Metrics.s_seed)
-    else Ok summary
-
-type backend = Domains | Fork | Inline
-
-let backend_to_string = function
-  | Domains -> "domains"
-  | Fork -> "fork"
-  | Inline -> "inline"
-
-let backend_of_string = function
-  | "domains" -> Ok Domains
-  | "fork" -> Ok Fork
-  | "inline" -> Ok Inline
-  | s -> Error (Printf.sprintf "unknown backend '%s' (expected domains|fork|inline)" s)
-
-let run_many ?(backend = Domains) ?(jobs = 1) ?retries ?job_timeout ?on_retry
-    cfg scenario ~seeds =
+   Rng stream and builds its own network, whichever domain executes it. So
+   the only contract the pool must keep is order and loudness: results
+   come back in seed order, and a raising run names its seed. *)
+let run_many ?(jobs = 1) cfg scenario ~seeds =
   let run_seed seed = (run (Config.with_seed cfg seed) scenario).o_summary in
-  let inline () = List.map run_seed seeds in
-  let fail_seed index message =
+  try Dpool.map ~jobs ~f:run_seed seeds
+  with Dpool.Worker_error { index; message } ->
     failwith
       (Printf.sprintf "Engine.run_many: worker failed for seed %d: %s"
          (List.nth seeds index) message)
-  in
-  if jobs <= 1 || List.length seeds <= 1 then inline ()
-  else
-    match backend with
-    | Inline -> inline ()
-    | Domains -> (
-      (* shared heap: summaries come back as ordinary values, no codec *)
-      try Dpool.map ~jobs ~f:run_seed seeds
-      with Pool.Worker_error { index; message } -> fail_seed index message)
-    | Fork ->
-      if not (Pool.available ()) then inline ()
-      else begin
-        let payloads =
-          try
-            Pool.map_serialized ?retries ?job_timeout ?on_retry ~jobs
-              ~f:(fun seed -> Metrics_codec.to_string (run_seed seed))
-              seeds
-          with Pool.Worker_error { index; message } -> fail_seed index message
-        in
-        List.map2
-          (fun seed payload ->
-            match decode_summary ~seed payload with
-            | Ok summary -> summary
-            | Error msg -> failwith ("Engine.run_many: " ^ msg))
-          seeds payloads
-      end
-
-(* The `Partial policy: a poisoned seed costs one Error slot, never the
-   batch. The inline path mirrors the pool's contract (an exception in
-   the run becomes that seed's Error) so callers see one shape. *)
-let run_many_partial ?(backend = Domains) ?(jobs = 1) ?retries ?job_timeout
-    ?on_retry cfg scenario ~seeds =
-  let run_seed seed = (run (Config.with_seed cfg seed) scenario).o_summary in
-  let inline () =
-    List.map
-      (fun seed ->
-        match run_seed seed with
-        | summary -> Ok summary
-        | exception e -> Error ("worker raised: " ^ Printexc.to_string e))
-      seeds
-  in
-  if jobs <= 1 || List.length seeds <= 1 then inline ()
-  else
-    match backend with
-    | Inline -> inline ()
-    | Domains -> Dpool.map_partial ~jobs ~f:run_seed seeds
-    | Fork ->
-      if not (Pool.available ()) then inline ()
-      else
-        List.map2
-          (fun seed result ->
-            match result with
-            | Error _ as e -> e
-            | Ok payload -> decode_summary ~seed payload)
-          seeds
-          (Pool.map_partial ?retries ?job_timeout ?on_retry ~jobs
-             ~f:(fun seed -> Metrics_codec.to_string (run_seed seed))
-             seeds)

@@ -15,8 +15,9 @@
     operation completes (a designer's own feedback is instant). Designers
     absorb queued deliveries at the start of their next turn. At latency 0
     this is {b bit-identical} — full summary, per-op profile included — to
-    the original lockstep loop, which {!run_lockstep} preserves as the
-    executable reference. *)
+    a lockstep loop in which every designer observes every outcome right
+    after it executes; a recorded fixture of that loop's summaries pins
+    the equivalence. *)
 
 open Adpm_core
 
@@ -25,8 +26,7 @@ type outcome = {
   o_dpm : Dpm.t;  (** final state, for inspection *)
   o_makespan : int;
       (** final virtual-clock reading in scheduler ticks. Under the unit
-          duration model and latency 0 this equals the operation count;
-          for {!run_lockstep} it is defined as the operation count. *)
+          duration model and latency 0 this equals the operation count. *)
 }
 
 val run :
@@ -51,87 +51,16 @@ val run :
     @raise Invalid_argument if the configuration fails
     {!Config.validate}. *)
 
-val run_lockstep :
-  ?on_op:(Metrics.op_record -> unit) ->
-  ?tracer:Adpm_trace.Tracer.t ->
-  Config.t ->
-  Scenario.t ->
-  outcome
-(** The original synchronous loop, kept as the executable specification
-    {!run} is tested against (and as the baseline for the
-    scheduler-overhead benchmark). Ignores [Config.latency] and
-    [Config.duration_model]: every outcome is observed by every designer
-    inline, immediately after the operation executes.
-
-    @raise Invalid_argument if the configuration fails
-    {!Config.validate}. *)
-
-type backend =
-  | Domains
-      (** OCaml 5 shared-memory domain pool ({!Adpm_parallel.Dpool}): no
-          serialization, no per-shard process — the throughput default.
-          No fault isolation: a worker that exits or wedges the runtime
-          takes the whole process. *)
-  | Fork
-      (** Fork+pipe pool with supervision ({!Adpm_parallel.Pool}): each
-          shard in its own process; crashes and hangs are retried. The
-          fault-isolation backend. *)
-  | Inline  (** Sequential in-process reference path. *)
-
-val backend_to_string : backend -> string
-val backend_of_string : string -> (backend, string) result
-
 val run_many :
-  ?backend:backend ->
-  ?jobs:int ->
-  ?retries:int ->
-  ?job_timeout:float ->
-  ?on_retry:(Adpm_parallel.Pool.supervision_event -> unit) ->
-  Config.t ->
-  Scenario.t ->
-  seeds:int list ->
-  Metrics.run_summary list
+  ?jobs:int -> Config.t -> Scenario.t -> seeds:int list -> Metrics.run_summary list
 (** One run per seed (via {!run}), same configuration otherwise.
 
-    [jobs] (default 1) shards the seed list across that many workers of
-    the chosen [backend] (default [Domains]). The result is
-    {b bit-identical} to the sequential path for any backend and any
-    [jobs] — same summaries, same seed order — because each seed's run
-    owns its Rng stream, runs are independent (every run builds its own
-    network), and fork-backend summaries round-trip exactly through
-    {!Metrics_codec}. With [jobs <= 1] or a single seed nothing is
-    spawned; [Fork] also falls back inline when fork is unavailable —
-    on non-Unix platforms, or once the [Domains] backend has spawned its
-    first domain (the OCaml 5 runtime permanently forbids [Unix.fork]
-    after that), so run fork batches before domain batches when one
-    process needs both.
+    [jobs] (default 1) shards the seed list across that many domains of
+    {!Adpm_parallel.Dpool}; with [jobs <= 1] or a single seed the calling
+    domain runs every seed and nothing is spawned. The result is
+    {b bit-identical} for any [jobs] — same summaries, same seed order —
+    because each seed's run owns its Rng stream and builds its own
+    network.
 
-    [retries], [job_timeout] and [on_retry] configure the fork pool's
-    supervision (crashed or hung workers are respawned and their
-    undelivered seeds re-run, up to [retries] extra attempts per seed);
-    they pass through to {!Adpm_parallel.Pool.map_serialized} and are
-    ignored by the other backends (domains share one process — there is
-    nothing to respawn; pick [Fork] when runs may crash). Supervision
-    does not affect results, only availability: a retried seed re-runs
-    from scratch and is deterministic in its seed.
-
-    @raise Failure naming the failing seed if a worker exhausts its retry
-    budget or returns an undecodable result (no silent partial
-    aggregates). *)
-
-val run_many_partial :
-  ?backend:backend ->
-  ?jobs:int ->
-  ?retries:int ->
-  ?job_timeout:float ->
-  ?on_retry:(Adpm_parallel.Pool.supervision_event -> unit) ->
-  Config.t ->
-  Scenario.t ->
-  seeds:int list ->
-  (Metrics.run_summary, string) result list
-(** {!run_many} under the [`Partial] delivery policy
-    ({!Adpm_parallel.Pool.map_partial}): one [result] per seed, in seed
-    order. A seed whose worker exhausts its retry budget (or whose run
-    raises, on the inline path) yields [Error message] in its slot instead
-    of poisoning the whole batch; every other seed's summary is still
-    bit-identical to the sequential path. *)
+    @raise Failure naming the lowest failing seed if a run raises, at any
+    [jobs] (no silent partial aggregates). *)

@@ -13,7 +13,7 @@ type t = {
   mutable last_evals : int;
       (* N_T already attributed to an emitted [Op_submitted]; the delta at
          the next submission is that op's decision cost (suggest/browse
-         evaluations between applies), mirroring the lockstep engine *)
+         evaluations between applies), mirroring the engine *)
 }
 
 let create ?(tracer = Tracer.null) ~mode ~seed scenario ~designer =

@@ -174,7 +174,7 @@ let run ~resolve events =
       | Event.Notification_delivered _
       | Event.Notification_dropped _ | Event.Notification_duplicated _
       | Event.Designer_crashed _ | Event.Designer_restarted _
-      | Event.Pool_retry _ | Event.Designer_decision _ ->
+      | Event.Designer_decision _ ->
         ())
     events;
   {

@@ -31,14 +31,13 @@ type report = {
       (** mean [delivered_at - sent_at] over deliveries, in virtual ticks
           (nan when the trace has none) *)
   r_makespan : int;
-      (** latest virtual [Op_completed] timestamp; [0] for lockstep
-          traces, which carry no virtual time *)
+      (** latest virtual [Op_completed] timestamp; [0] for traces
+          without virtual time (interactive sessions) *)
   r_dropped : int;  (** notifications lost by the fault injector *)
   r_duplicated : int;  (** notifications duplicated by the fault injector *)
   r_crashes : int;  (** scheduled designer crashes that fired *)
   r_restarts : int;  (** designer restarts that fired *)
   r_shifts : int;  (** requirement shifts applied mid-run *)
-  r_pool_retries : int;  (** supervised worker-pool retry events *)
 }
 
 let analyze events =
@@ -55,7 +54,6 @@ let analyze events =
   let dropped = ref 0 and duplicated = ref 0 in
   let crashes = ref 0 and restarts = ref 0 in
   let shifts = ref 0 in
-  let pool_retries = ref 0 in
   (* pending notification clocks per designer, oldest first *)
   let pending : (string, int list) Hashtbl.t = Hashtbl.create 8 in
   let latencies : (string, int list) Hashtbl.t = Hashtbl.create 8 in
@@ -119,7 +117,6 @@ let analyze events =
       | Requirement_shifted { at; _ } ->
         incr shifts;
         makespan := max !makespan at
-      | Pool_retry _ -> incr pool_retries
       | Op_executed _ | Propagation_started _ | Designer_decision _ -> ())
     events;
   (* close still-open violations at the final clock *)
@@ -180,7 +177,6 @@ let analyze events =
     r_crashes = !crashes;
     r_restarts = !restarts;
     r_shifts = !shifts;
-    r_pool_retries = !pool_retries;
   }
 
 let render r =
@@ -198,11 +194,11 @@ let render r =
        ticks\n"
       r.r_makespan r.r_deliveries r.r_delivery_latency_mean;
   if r.r_turns > 0 then add "designer turns taken: %d\n" r.r_turns;
-  if r.r_dropped + r.r_duplicated + r.r_crashes + r.r_pool_retries > 0 then
+  if r.r_dropped + r.r_duplicated + r.r_crashes > 0 then
     add
       "faults: %d notifications dropped, %d duplicated; %d designer crashes \
-       (%d restarts); %d pool retries\n"
-      r.r_dropped r.r_duplicated r.r_crashes r.r_restarts r.r_pool_retries;
+       (%d restarts)\n"
+      r.r_dropped r.r_duplicated r.r_crashes r.r_restarts;
   if r.r_shifts > 0 then
     add "requirement shifts applied mid-run: %d\n" r.r_shifts;
   add "HC4 revisions: %d incremental (over %d dirty-seeded runs), %d full\n\n"
@@ -280,7 +276,6 @@ let to_json r =
       ("crashes", jint r.r_crashes);
       ("restarts", jint r.r_restarts);
       ("shifts", jint r.r_shifts);
-      ("pool_retries", jint r.r_pool_retries);
       ("wave_sizes", Json.Arr (List.map jint r.r_wave_sizes));
       ( "notification_latency",
         Json.Arr

@@ -38,7 +38,7 @@ type report = {
   r_notifications : int;
   r_turns : int;
       (** [Turn_started] events — live-designer turns the discrete-event
-          engine granted (0 for lockstep traces) *)
+          engine granted *)
   r_deliveries : int;
       (** [Notification_delivered] events — teammate deliveries recorded
           by the discrete-event engine *)
@@ -55,7 +55,6 @@ type report = {
   r_crashes : int;  (** [Designer_crashed] events *)
   r_restarts : int;  (** [Designer_restarted] events *)
   r_shifts : int;  (** [Requirement_shifted] events *)
-  r_pool_retries : int;  (** [Pool_retry] supervision events *)
 }
 
 val analyze : Event.stamped list -> report

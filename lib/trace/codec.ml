@@ -128,13 +128,6 @@ let fields_of_event = function
     [ ("designer", Json.Str designer); ("at", jint at) ]
   | Requirement_shifted { prop; value; at } ->
     [ ("prop", Json.Str prop); ("value", Json.Num value); ("at", jint at) ]
-  | Pool_retry { index; attempt; reason; requeued } ->
-    [
-      ("index", jint index);
-      ("attempt", jint attempt);
-      ("reason", Json.Str reason);
-      ("requeued", jint requeued);
-    ]
   | Run_finished
       { completed; operations; evaluations; setup_evaluations; spins; violations }
     ->
@@ -379,14 +372,6 @@ let event_of_json j =
       | None -> fail "field value: expected number"
     in
     Requirement_shifted { prop = get_str j "prop"; value; at = get_int j "at" }
-  | "pool_retry" ->
-    Pool_retry
-      {
-        index = get_int j "index";
-        attempt = get_int j "attempt";
-        reason = get_str j "reason";
-        requeued = get_int j "requeued";
-      }
   | "run_finished" ->
     Run_finished
       {

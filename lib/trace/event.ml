@@ -142,12 +142,6 @@ type t =
       value : float;  (** its new value *)
       at : int;  (** virtual shift time (scheduler ticks) *)
     }
-  | Pool_retry of {
-      index : int;  (** work item charged with the failed attempt *)
-      attempt : int;  (** 1-based attempt number that failed *)
-      reason : string;  (** how the worker failed *)
-      requeued : int;  (** items handed to the replacement worker *)
-    }
   | Run_finished of {
       completed : bool;
       operations : int;  (** N_O *)
@@ -176,5 +170,4 @@ let kind_label = function
   | Designer_crashed _ -> "designer_crashed"
   | Designer_restarted _ -> "designer_restarted"
   | Requirement_shifted _ -> "requirement_shifted"
-  | Pool_retry _ -> "pool_retry"
   | Run_finished _ -> "run_finished"

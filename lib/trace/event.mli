@@ -101,8 +101,8 @@ type t =
     }
   | Op_completed of { index : int; at : int }
       (** Emitted by the discrete-event engine when the operation's
-          virtual duration elapses ([at] is in scheduler ticks); absent
-          from lockstep-loop traces. *)
+          virtual duration elapses ([at] is in scheduler ticks), right
+          after its execution. *)
   | Turn_started of { designer : string; at : int }
       (** A live designer's turn began at virtual time [at]: it drains its
           mailbox and considers acting (possibly choosing nothing). Crashed
@@ -160,16 +160,6 @@ type t =
           requirement property [prop] was re-assigned to [value] through
           the DPM (the adaptability workload). Replay re-applies it so
           later operations see the moved requirement. *)
-  | Pool_retry of {
-      index : int;
-      attempt : int;
-      reason : string;
-      requeued : int;
-    }
-      (** A pool worker crashed, hung, or garbled its stream; the
-          supervisor charged work item [index] with failed [attempt]
-          number and requeued [requeued] items to a fresh worker. Host
-          wall-clock, not virtual time. *)
   | Run_finished of {
       completed : bool;
       operations : int;

@@ -10,9 +10,8 @@
     and deliberately print as [null] — i.e. [parse (to_string (Num nan))]
     is [Ok Null], not [Ok (Num nan)]. Wire formats must therefore never
     put a possibly-non-finite float inside [Num]; use the absent-field
-    convention via {!finite_num} instead (as [Metrics_codec] and the
-    teamsimd frames do), so a missing measurement reads back as a missing
-    field rather than silently becoming [Null].
+    convention via {!finite_num} instead, so a missing measurement reads
+    back as a missing field rather than silently becoming [Null].
 
     {b String contract.} Strings are raw UTF-8 byte sequences. The parser
     validates [\u] escapes strictly: exactly four hex digits, astral-plane

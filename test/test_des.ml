@@ -1,11 +1,13 @@
 (* The discrete-event engine's contracts.
 
-   The load-bearing one: at latency 0 (any duration model), Engine.run is
-   bit-identical — whole summary, per-op profile included — to the
-   preserved lockstep loop, across every scenario, both modes, and a
-   spread of seeds. Then the latency > 0 behaviours: delivery timestamps
-   strictly after the originating operation, determinism, replayability,
-   and the virtual makespan. *)
+   The load-bearing one: at latency 0 Engine.run is bit-identical —
+   whole summary, per-op profile and makespan — to the lockstep loop it
+   replaced, across every scenario, both modes and a spread of seeds, as
+   recorded in the lockstep fixture of test_golden.ml. Then the duration
+   model stretches the clock without changing the outcome at latency 0,
+   and the latency > 0 behaviours: delivery timestamps strictly after the
+   originating operation, determinism, replayability, and the virtual
+   makespan. *)
 
 open Adpm_core
 open Adpm_teamsim
@@ -32,39 +34,7 @@ let cfg ?(latency = 0) ?(duration_model = Adpm_sim.Model.unit_duration) mode
 
 (* {2 Latency-0 equivalence} *)
 
-let check_identical label a b =
-  (* compare field by field first so a mismatch names what diverged *)
-  Alcotest.(check bool)
-    (label ^ ": completed")
-    a.Metrics.s_completed b.Metrics.s_completed;
-  Alcotest.(check int) (label ^ ": operations") a.Metrics.s_operations
-    b.Metrics.s_operations;
-  Alcotest.(check int) (label ^ ": evaluations") a.Metrics.s_evaluations
-    b.Metrics.s_evaluations;
-  Alcotest.(check int) (label ^ ": spins") a.Metrics.s_spins b.Metrics.s_spins;
-  Alcotest.(check bool)
-    (label ^ ": full summary incl. profile")
-    true (a = b)
-
-let test_latency0_equivalence () =
-  List.iter
-    (fun scenario ->
-      List.iter
-        (fun mode ->
-          List.iter
-            (fun seed ->
-              let c = cfg mode seed in
-              let des = (Engine.run c scenario).Engine.o_summary in
-              let reference =
-                (Engine.run_lockstep c scenario).Engine.o_summary
-              in
-              check_identical
-                (Printf.sprintf "%s/%s seed %d" scenario.Scenario.sc_name
-                   (Dpm.mode_to_string mode) seed)
-                des reference)
-            [ 1; 2; 3; 4; 5 ])
-        [ Dpm.Adpm; Dpm.Conventional ])
-    scenarios
+let test_latency0_equivalence () = Test_golden.check_lockstep_fixture ()
 
 let test_duration_model_invariant_at_latency0 () =
   let stretched =
@@ -87,20 +57,13 @@ let test_duration_model_invariant_at_latency0 () =
 let test_makespan_counts_ops_at_unit_duration () =
   let outcome = Engine.run (cfg Dpm.Adpm 1) Sensor.scenario in
   Alcotest.(check int) "makespan = operation count (uniform:1, latency 0)"
-    outcome.Engine.o_summary.Metrics.s_operations outcome.Engine.o_makespan;
-  let lockstep = Engine.run_lockstep (cfg Dpm.Adpm 1) Sensor.scenario in
-  Alcotest.(check int) "lockstep reports the same makespan"
-    outcome.Engine.o_makespan lockstep.Engine.o_makespan
+    outcome.Engine.o_summary.Metrics.s_operations outcome.Engine.o_makespan
 
 let test_engine_validates_config () =
   let bad = { (cfg Dpm.Adpm 1) with Config.max_ops = 0 } in
-  let raises f =
-    match f () with
-    | (_ : Engine.outcome) -> Alcotest.fail "expected Invalid_argument"
-    | exception Invalid_argument _ -> ()
-  in
-  raises (fun () -> Engine.run bad Simple.scenario);
-  raises (fun () -> Engine.run_lockstep bad Simple.scenario)
+  match Engine.run bad Simple.scenario with
+  | (_ : Engine.outcome) -> Alcotest.fail "expected Invalid_argument"
+  | exception Invalid_argument _ -> ()
 
 (* {2 Latency > 0} *)
 
@@ -299,10 +262,6 @@ let test_shift_rejections () =
     | _ -> Alcotest.failf "%s: expected Invalid_argument" label
     | exception Invalid_argument _ -> ()
   in
-  expect_invalid "lockstep refuses shifts" (fun () ->
-      Engine.run_lockstep
-        (shift_cfg ~shifts:[ squeeze ] Dpm.Adpm 1)
-        gen_scenario);
   expect_invalid "unknown property" (fun () ->
       Engine.run
         (shift_cfg
@@ -322,15 +281,9 @@ let test_headroom_policy_runs () =
   List.iter
     (fun seed ->
       let c = shift_cfg ~policy:Config.Headroom Dpm.Adpm seed in
-      let des = (Engine.run c gen_scenario).Engine.o_summary in
       Alcotest.(check bool)
         (Printf.sprintf "headroom seed %d completes" seed)
-        true des.Metrics.s_completed;
-      (* the policy is engine-independent, like every designer choice *)
-      let reference = (Engine.run_lockstep c gen_scenario).Engine.o_summary in
-      Alcotest.(check bool)
-        (Printf.sprintf "headroom seed %d: DES = lockstep" seed)
-        true (des = reference))
+        true (Engine.run c gen_scenario).Engine.o_summary.Metrics.s_completed)
     [ 1; 2; 3 ]
 
 let test_headroom_policy_is_live () =
@@ -369,7 +322,7 @@ let suite =
     ("conventional pays more after a shift", `Slow,
      test_conventional_pays_more_after_shift);
     ("bad shift plans are rejected", `Quick, test_shift_rejections);
-    ("headroom policy runs (DES = lockstep)", `Slow, test_headroom_policy_runs);
+    ("headroom policy runs", `Slow, test_headroom_policy_runs);
     ("headroom policy is live", `Quick, test_headroom_policy_is_live);
     ("headroom+shift trace replays", `Quick, test_headroom_trace_replays);
   ]

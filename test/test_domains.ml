@@ -1,13 +1,13 @@
-(* Tests for the shared-memory domain backend: randomized three-way
-   equivalence (domains vs fork vs inline produce bit-identical summary
-   lists on every scenario, both modes, jobs in {1,2,4}), and the Dpool
-   failure contract — a raising worker surfaces as Worker_error with the
-   lowest failing index, exactly like the fork pool. *)
+(* Tests for the multi-seed runner and its domain pool: randomized
+   equivalence (Engine.run_many at jobs 2 and 4 returns the summary list
+   of jobs 1, bit for bit and in seed order, on every scenario in both
+   modes), and the Dpool failure contract — a raising item surfaces as
+   Worker_error with the lowest failing index, and a raising run as a
+   Failure naming its seed, at every jobs value. *)
 
 open Adpm_core
 open Adpm_teamsim
 open Adpm_scenarios
-module Pool = Adpm_parallel.Pool
 module Dpool = Adpm_parallel.Dpool
 
 let summary =
@@ -38,7 +38,7 @@ let master_seed =
   | Some s -> (try int_of_string s with _ -> 0x5eed)
   | None -> 0x5eed
 
-let test_three_backend_equivalence () =
+let test_jobs_equivalence () =
   let rng = Random.State.make [| master_seed |] in
   List.iter
     (fun scenario ->
@@ -48,32 +48,22 @@ let test_three_backend_equivalence () =
             List.init 4 (fun _ -> 1 + Random.State.int rng 10_000)
           in
           let cfg = Config.default ~mode ~seed:0 in
-          let reference =
-            Engine.run_many ~backend:Engine.Inline ~jobs:1 cfg scenario ~seeds
-          in
+          let reference = Engine.run_many ~jobs:1 cfg scenario ~seeds in
+          Alcotest.(check (list int))
+            "jobs=1 keeps seed order" seeds
+            (List.map (fun s -> s.Metrics.s_seed) reference);
           List.iter
-            (fun backend ->
-              List.iter
-                (fun jobs ->
-                  let got =
-                    Engine.run_many ~backend ~jobs cfg scenario ~seeds
-                  in
-                  List.iter2
-                    (fun want have ->
-                      Alcotest.check summary
-                        (Printf.sprintf
-                           "%s/%s backend=%s jobs=%d seed=%d \
-                            (ADPM_TEST_SEED=%d)"
-                           scenario.Scenario.sc_name (Dpm.mode_to_string mode)
-                           (Engine.backend_to_string backend)
-                           jobs want.Metrics.s_seed master_seed)
-                        want have)
-                    reference got)
-                [ 1; 2; 4 ])
-            (* Fork first: the first domain spawn permanently disables
-               Unix.fork in this process, after which the fork backend
-               (correctly) degrades to its inline fallback. *)
-            [ Engine.Fork; Engine.Domains ])
+            (fun jobs ->
+              List.iter2
+                (fun want have ->
+                  Alcotest.check summary
+                    (Printf.sprintf "%s/%s jobs=%d seed=%d (ADPM_TEST_SEED=%d)"
+                       scenario.Scenario.sc_name (Dpm.mode_to_string mode) jobs
+                       want.Metrics.s_seed master_seed)
+                    want have)
+                reference
+                (Engine.run_many ~jobs cfg scenario ~seeds))
+            [ 2; 4 ])
         [ Dpm.Conventional; Dpm.Adpm ])
     scenarios
 
@@ -101,7 +91,7 @@ let test_dpool_worker_raises_lowest_index () =
     (fun jobs ->
       match Dpool.map ~jobs ~f items with
       | (_ : int list) -> Alcotest.failf "jobs=%d: expected Worker_error" jobs
-      | exception Pool.Worker_error { index; message } ->
+      | exception Dpool.Worker_error { index; message } ->
         Alcotest.(check int)
           (Printf.sprintf "jobs=%d: lowest failing index" jobs)
           3 index;
@@ -111,96 +101,41 @@ let test_dpool_worker_raises_lowest_index () =
           (contains message "worker raised" && contains message "boom 3"))
     [ 1; 2; 4; 16 ]
 
-let test_dpool_map_partial_slots () =
-  let items = List.init 10 (fun i -> i) in
-  let f i = if i mod 2 = 1 then failwith "odd" else i * 10 in
-  let results = Dpool.map_partial ~jobs:4 ~f items in
-  Alcotest.(check int) "one slot per item" 10 (List.length results);
-  List.iteri
-    (fun i r ->
-      match (r, i mod 2) with
-      | Ok v, 0 -> Alcotest.(check int) "even slot value" (i * 10) v
-      | Error msg, 1 ->
-        Alcotest.(check bool)
-          (Printf.sprintf "odd slot %d carries the failure" i)
-          true
-          (contains msg "worker raised" && contains msg "odd")
-      | Ok _, _ -> Alcotest.failf "slot %d unexpectedly succeeded" i
-      | Error msg, _ -> Alcotest.failf "slot %d unexpectedly failed: %s" i msg)
-    results
-
 let test_domains_failure_names_seed () =
-  (* A deterministically-raising build surfaces through the domain backend
-     as Failure naming the lowest failing seed, matching fork-pool
-     semantics. *)
+  (* A deterministically-raising build surfaces as a Failure naming the
+     lowest failing seed — the same message at jobs 1, where the calling
+     domain runs every seed, as with spawned domains. *)
   let broken =
     Scenario.make ~name:"broken" ~description:"always fails" (fun ~mode:_ ->
         failwith "synthetic build failure")
   in
   let cfg = Config.default ~mode:Dpm.Adpm ~seed:0 in
-  match
-    Engine.run_many ~backend:Engine.Domains ~jobs:2 cfg broken
-      ~seeds:[ 7; 8; 9 ]
-  with
-  | (_ : Metrics.run_summary list) -> Alcotest.fail "expected Failure"
-  | exception Failure msg ->
-    Alcotest.(check bool)
-      "failure names the lowest failing seed" true (contains msg "seed 7");
-    Alcotest.(check bool)
-      "failure carries the worker message" true
-      (contains msg "synthetic build failure")
-
-let test_domains_partial_isolates_bad_seeds () =
-  let broken =
-    Scenario.make ~name:"broken" ~description:"always fails" (fun ~mode:_ ->
-        failwith "synthetic build failure")
+  let message jobs =
+    match Engine.run_many ~jobs cfg broken ~seeds:[ 7; 8; 9 ] with
+    | (_ : Metrics.run_summary list) ->
+      Alcotest.failf "jobs=%d: expected Failure" jobs
+    | exception Failure msg -> msg
   in
-  let cfg = Config.default ~mode:Dpm.Adpm ~seed:0 in
-  let results =
-    Engine.run_many_partial ~backend:Engine.Domains ~jobs:2 cfg broken
-      ~seeds:[ 7; 8; 9 ]
-  in
-  Alcotest.(check int) "one slot per seed" 3 (List.length results);
-  List.iteri
-    (fun i r ->
-      match r with
-      | Error msg ->
-        Alcotest.(check bool)
-          (Printf.sprintf "slot %d carries the failure" i)
-          true
-          (contains msg "synthetic build failure")
-      | Ok _ -> Alcotest.failf "slot %d unexpectedly succeeded" i)
-    results
-
-let test_backend_of_string () =
+  let at_one = message 1 in
+  Alcotest.(check string) "jobs=1 message"
+    ("Engine.run_many: worker failed for seed 7: worker raised: "
+    ^ "Failure(\"synthetic build failure\")")
+    at_one;
   List.iter
-    (fun (s, b) ->
-      match Engine.backend_of_string s with
-      | Ok got ->
-        Alcotest.(check string) ("parses " ^ s) (Engine.backend_to_string b)
-          (Engine.backend_to_string got)
-      | Error e -> Alcotest.failf "%s failed to parse: %s" s e)
-    [ ("domains", Engine.Domains); ("fork", Engine.Fork); ("inline", Engine.Inline) ];
-  match Engine.backend_of_string "threads" with
-  | Ok _ -> Alcotest.fail "bogus backend parsed"
-  | Error e ->
-    Alcotest.(check bool)
-      "error names the bogus backend" true (contains e "threads")
+    (fun jobs ->
+      Alcotest.(check string)
+        (Printf.sprintf "jobs=%d message equals jobs=1" jobs)
+        at_one (message jobs))
+    [ 2; 4 ]
 
 let suite =
   [
-    Alcotest.test_case "three-backend randomized equivalence" `Slow
-      test_three_backend_equivalence;
+    Alcotest.test_case "randomized jobs equivalence" `Slow
+      test_jobs_equivalence;
     Alcotest.test_case "dpool map is order-preserving List.map" `Quick
       test_dpool_identity;
     Alcotest.test_case "dpool raise surfaces lowest index" `Quick
       test_dpool_worker_raises_lowest_index;
-    Alcotest.test_case "dpool map_partial isolates failing slots" `Quick
-      test_dpool_map_partial_slots;
     Alcotest.test_case "domains run_many failure names seed" `Quick
       test_domains_failure_names_seed;
-    Alcotest.test_case "domains run_many_partial isolates bad seeds" `Quick
-      test_domains_partial_isolates_bad_seeds;
-    Alcotest.test_case "backend_of_string round-trips" `Quick
-      test_backend_of_string;
   ]

@@ -178,48 +178,6 @@ let test_pp_roundtrip_examples () =
   Alcotest.(check string) "functions" "sqrt(x + y)"
     (Expr.to_string Expr.(Sqrt (Add (e, y))))
 
-(* {2 Deriv: symbolic derivative vs central finite differences} *)
-
-let numeric_deriv f x0 =
-  let h = 1e-6 *. (1. +. abs_float x0) in
-  (f (x0 +. h) -. f (x0 -. h)) /. (2. *. h)
-
-let test_deriv_cases () =
-  let check_deriv name expr x0 =
-    match Deriv.deriv expr "x" with
-    | None -> Alcotest.fail (name ^ ": expected a derivative")
-    | Some d ->
-      let f v = Expr.eval (env_of_list [ ("x", v) ]) expr in
-      let symbolic = Expr.eval (env_of_list [ ("x", x0) ]) d in
-      let numeric = numeric_deriv f x0 in
-      Alcotest.(check (float 1e-3)) name numeric symbolic
-  in
-  check_deriv "d(x^2)" (Expr.Pow (e, 2)) 3.;
-  check_deriv "d(x^3)" (Expr.Pow (e, 3)) 1.5;
-  check_deriv "d(sqrt x)" (Expr.Sqrt e) 2.;
-  check_deriv "d(exp x)" (Expr.Exp e) 1.2;
-  check_deriv "d(ln x)" (Expr.Ln e) 2.5;
-  check_deriv "d(x * (x+1))" Expr.(Mul (e, Add (e, Const 1.))) 2.;
-  check_deriv "d(1/x)" Expr.(Div (Const 1., e)) 2.;
-  check_deriv "d(2x - x^2)" Expr.(Sub (Mul (Const 2., e), Pow (e, 2))) 0.7
-
-let test_deriv_nonsmooth () =
-  Alcotest.(check bool) "abs has no derivative in x" true
-    (Deriv.deriv (Expr.Abs e) "x" = None);
-  Alcotest.(check bool) "min has no derivative in x" true
-    (Deriv.deriv (Expr.Min (e, Expr.Const 0.)) "x" = None);
-  (* but when x does not appear under the non-smooth node it's fine *)
-  (match Deriv.deriv Expr.(Add (e, Abs y)) "x" with
-  | Some d ->
-    check_float "d/dx (x + |y|) = 1" 1.
-      (Expr.eval (env_of_list [ ("x", 0.); ("y", 5.) ]) d)
-  | None -> Alcotest.fail "expected derivative")
-
-let test_deriv_constant () =
-  match Deriv.deriv (Expr.Const 5.) "x" with
-  | Some d -> Alcotest.(check bool) "zero" true (Expr.equal d (Expr.Const 0.))
-  | None -> Alcotest.fail "constant should differentiate"
-
 (* {2 Monotone} *)
 
 let box_env bindings name = List.assoc name bindings
@@ -326,9 +284,6 @@ let suite =
     QCheck_alcotest.to_alcotest simplify_preserves_semantics;
     QCheck_alcotest.to_alcotest point_matches_eval_opt;
     ("pretty printing", `Quick, test_pp_roundtrip_examples);
-    ("derivatives vs finite differences", `Quick, test_deriv_cases);
-    ("derivative of non-smooth nodes", `Quick, test_deriv_nonsmooth);
-    ("derivative of constant", `Quick, test_deriv_constant);
     ("monotone basics", `Quick, test_monotone_basic);
     ("monotone sign dependence", `Quick, test_monotone_sign_dependence);
     ("monotone combinators", `Quick, test_monotone_combinators);

@@ -1,13 +1,14 @@
 (* The fault-injection layer's contracts.
 
-   The load-bearing one first: a zero-rate fault plan is structurally
+   The load-bearing one: a zero-rate fault plan is structurally
    [Fault.none], so the engine takes the fault-free path — no Rng split,
    no fate draws — and stays bit-identical (full summary, per-op profile
-   included) to the lockstep reference across every scenario, both modes
-   and a spread of seeds. Then the faulty behaviours: every knob is live,
-   runs are pure functions of their seed, recorded faulty traces replay
-   and converge, and a crashed designer's believed-status table is
-   rebuilt only from post-restart deliveries. *)
+   included) to the lockstep fixture of test_golden.ml across every
+   scenario, both modes and a spread of seeds. Then plan algebra and
+   parsing, and the faulty behaviours: every knob is live, runs are pure
+   functions of their seed, recorded faulty traces replay and converge,
+   and a crashed designer's believed-status table is rebuilt only from
+   post-restart deliveries. *)
 
 open Adpm_core
 open Adpm_teamsim
@@ -96,49 +97,12 @@ let test_crash_plan_string_roundtrip () =
   | Ok [ { Fault.cr_designer = "a"; cr_at = 3; cr_recover = 1 } ] -> ()
   | Ok _ | Error _ -> Alcotest.fail "trailing semicolon should be tolerated"
 
-(* {2 Zero-fault bit-identity with the PR 4 engine} *)
-
-let check_identical label a b =
-  Alcotest.(check bool)
-    (label ^ ": completed")
-    a.Metrics.s_completed b.Metrics.s_completed;
-  Alcotest.(check int) (label ^ ": operations") a.Metrics.s_operations
-    b.Metrics.s_operations;
-  Alcotest.(check int) (label ^ ": evaluations") a.Metrics.s_evaluations
-    b.Metrics.s_evaluations;
-  Alcotest.(check bool)
-    (label ^ ": full summary incl. profile")
-    true (a = b)
+(* {2 Zero-fault bit-identity with the lockstep fixture} *)
 
 let test_zero_fault_bit_identity () =
-  List.iter
-    (fun scenario ->
-      List.iter
-        (fun mode ->
-          List.iter
-            (fun seed ->
-              let with_zero_plan =
-                (Engine.run (cfg ~faults:zero_plan mode seed) scenario)
-                  .Engine.o_summary
-              in
-              let reference =
-                (Engine.run_lockstep (cfg mode seed) scenario)
-                  .Engine.o_summary
-              in
-              check_identical
-                (Printf.sprintf "%s/%s seed %d" scenario.Scenario.sc_name
-                   (Dpm.mode_to_string mode) seed)
-                with_zero_plan reference)
-            [ 1; 2; 3 ])
-        [ Dpm.Adpm; Dpm.Conventional ])
-    scenarios
-
-let test_lockstep_rejects_faults () =
-  let faulty = cfg ~faults:{ zero_plan with Fault.p_drop = 0.5 } Dpm.Adpm 1 in
-  match Engine.run_lockstep faulty Sensor.scenario with
-  | (_ : Engine.outcome) ->
-    Alcotest.fail "run_lockstep accepted a fault plan"
-  | exception Invalid_argument _ -> ()
+  Test_golden.check_lockstep_fixture
+    ~adjust:(fun c -> { c with Config.faults = zero_plan })
+    ()
 
 (* {2 Knobs are live and runs are seed-deterministic} *)
 
@@ -368,7 +332,6 @@ let suite =
     ("plan none and validate", `Quick, test_plan_none_and_validate);
     ("crash plan string round-trip", `Quick, test_crash_plan_string_roundtrip);
     ("zero-fault bit-identity", `Slow, test_zero_fault_bit_identity);
-    ("lockstep rejects faults", `Quick, test_lockstep_rejects_faults);
     ("drop knob is live", `Quick, test_drop_knob_is_live);
     ("dup knob is live", `Quick, test_dup_knob_is_live);
     ("crash knob is live", `Quick, test_crash_knob_is_live);

@@ -201,7 +201,7 @@ let qcheck_generated =
 let spec = "gen:n=5,k=2,seed=41,topology=random-0.5,coupling=0.5,jitter=0.3"
 
 let test_domains_share_cold_table () =
-  let summaries backend =
+  let summaries jobs =
     (* a fresh resolution: the table is analysed inside the pool *)
     let sc = Registry.resolve spec in
     let cfg =
@@ -209,12 +209,11 @@ let test_domains_share_cold_table () =
         Config.value_policy = Config.Headroom;
         latency = 2 }
     in
-    List.map Metrics_codec.to_string
-      (Engine.run_many ~backend ~jobs:4 cfg sc ~seeds:(List.init 12 succ))
+    List.map Export.summary_json
+      (Engine.run_many ~jobs cfg sc ~seeds:(List.init 12 succ))
   in
   Alcotest.(check (list string))
-    "domains at jobs=4 equal inline" (summaries Engine.Inline)
-    (summaries Engine.Domains)
+    "domains at jobs=4 equal jobs=1" (summaries 1) (summaries 4)
 
 let test_one_table_per_resolution () =
   let a = Registry.resolve spec and b = Registry.resolve spec in

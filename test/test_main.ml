@@ -11,11 +11,11 @@ let () =
       ("sim", Test_sim.suite);
       ("teamsim", Test_teamsim.suite);
       ("des", Test_des.suite);
-      ("parallel", Test_parallel.suite);
-      (* forks inside: must run before the "domains" suite spawns (the
-         PR 7 fork latch) *)
+      (* forks inside: must run before the "domains" suite spawns, since
+         the OCaml 5 runtime forbids Unix.fork once a domain exists *)
       ("serve-wire", Test_serve.wire_suite);
       ("domains", Test_domains.suite);
+      ("parallel", Test_parallel.suite);
       ("influence", Test_influence.suite);
       ("designer", Test_designer.suite);
       ("relaxed", Test_relaxed.suite);

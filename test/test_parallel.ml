@@ -1,13 +1,14 @@
-(* Tests for the parallel multi-seed runner: the fork pool's failure
-   contract (loud, deterministic, names the failing item/seed), the
-   Metrics_codec JSON round-trip it ships summaries through, and the
-   headline guarantee — Engine.run_many returns bit-identical summary
-   lists for any jobs value, on every scenario in both modes. *)
+(* Tests for the parallel multi-seed runner: the domain pool's map
+   contract (order, empty input, a raising item surfaces as Worker_error
+   at the lowest failing index, at every jobs value) and the headline
+   guarantee — Engine.run_many returns, for any jobs value, exactly the
+   summaries of one Engine.run per seed, in seed order, on every scenario
+   in both modes. *)
 
 open Adpm_core
 open Adpm_teamsim
 open Adpm_scenarios
-module Pool = Adpm_parallel.Pool
+module Dpool = Adpm_parallel.Dpool
 
 let summary =
   Alcotest.testable
@@ -29,271 +30,40 @@ let test_pool_identity () =
     (fun jobs ->
       Alcotest.(check (list string))
         (Printf.sprintf "jobs=%d keeps order" jobs)
-        expected
-        (Pool.map_serialized ~jobs ~f items))
+        expected (Dpool.map ~jobs ~f items))
     [ 1; 2; 3; 8; 100 ]
 
 let test_pool_empty () =
-  Alcotest.(check (list string))
-    "empty input" []
-    (Pool.map_serialized ~jobs:4 ~f:(fun (_ : int) -> "x") [])
-
-let test_pool_hostile_payloads () =
-  (* Length framing must survive payloads full of newlines and frame-ish
-     text. *)
-  let items = [ "plain"; "line\nbreak"; "ok 0 5\nfake"; "\r\n\r\n"; "" ] in
-  let f x = x ^ "\n" ^ x in
-  Alcotest.(check (list string))
-    "payloads with newlines survive" (List.map f items)
-    (Pool.map_serialized ~jobs:2 ~f items)
+  List.iter
+    (fun jobs ->
+      Alcotest.(check (list string))
+        (Printf.sprintf "jobs=%d empty input" jobs)
+        []
+        (Dpool.map ~jobs ~f:(fun (_ : int) -> "x") []))
+    [ 1; 4 ]
 
 let check_worker_error name expected_index f =
   match f () with
   | (_ : string list) -> Alcotest.failf "%s: expected Worker_error" name
-  | exception Pool.Worker_error { index; message } ->
+  | exception Dpool.Worker_error { index; message } ->
     Alcotest.(check int) (name ^ ": failing index") expected_index index;
     Alcotest.(check bool)
-      (name ^ ": message is not empty")
+      (name ^ ": message names the exception")
       true
-      (String.length message > 0)
+      (contains message "worker raised")
 
 let test_pool_worker_raises () =
-  (* Item 3 fails; every other item's work still exists but the pool must
-     raise, lowest failing index first, in both execution paths. *)
+  (* Item 3 fails; the pool must raise naming it, on spawned domains and
+     on the calling domain alone. *)
   let f x = if x = 30 then failwith "boom on 30" else string_of_int x in
   let items = [ 0; 10; 20; 30; 40 ] in
-  check_worker_error "forked" 3 (fun () ->
-      Pool.map_serialized ~jobs:2 ~f items);
-  check_worker_error "inline" 3 (fun () ->
-      Pool.map_serialized ~jobs:1 ~f items)
+  check_worker_error "jobs=2" 3 (fun () -> Dpool.map ~jobs:2 ~f items);
+  check_worker_error "jobs=1" 3 (fun () -> Dpool.map ~jobs:1 ~f items)
 
 let test_pool_worker_raises_lowest_index () =
   let f x = if x mod 2 = 0 then failwith "even" else string_of_int x in
   check_worker_error "many failures" 1 (fun () ->
-      Pool.map_serialized ~jobs:3 ~f [ 1; 2; 3; 4; 5; 6 ])
-
-let test_pool_worker_dies () =
-  (* A worker that exits mid-shard (simulating a crash) must surface a
-     loud error naming its undelivered item, not a short result list. *)
-  let f x = if x = 2 then Unix._exit 7 else string_of_int x in
-  match Pool.map_serialized ~jobs:2 ~f [ 0; 1; 2; 3 ] with
-  | (_ : string list) -> Alcotest.fail "expected Worker_error after exit 7"
-  | exception Pool.Worker_error { index; message } ->
-    Alcotest.(check int) "undelivered item named" 2 index;
-    Alcotest.(check bool)
-      "message mentions the exit status" true
-      (contains message "status 7")
-
-(* {2 Pool supervision: crashes, hangs, retry budgets} *)
-
-(* A marker file in the temp directory lets a forked worker misbehave on
-   the first attempt only: the respawned worker sees the marker and
-   behaves. Everything a test needs to prove recovery is deterministic —
-   which items fail, where they are requeued — even though wall-clock
-   interleaving is not. *)
-let with_marker f =
-  let path = Filename.temp_file "adpm_pool_test" ".marker" in
-  Sys.remove path;
-  Fun.protect
-    ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
-    (fun () -> f path)
-
-let touch path =
-  let oc = open_out path in
-  close_out oc
-
-let test_pool_crash_once_recovers () =
-  with_marker (fun marker ->
-      let f x =
-        if x = 2 && not (Sys.file_exists marker) then begin
-          touch marker;
-          Unix._exit 9
-        end
-        else string_of_int (x * 10)
-      in
-      let events = ref [] in
-      let got =
-        Pool.map_serialized ~jobs:2
-          ~on_retry:(fun e -> events := e :: !events)
-          ~f [ 0; 1; 2; 3 ]
-      in
-      Alcotest.(check (list string))
-        "crash-once run matches healthy output"
-        [ "0"; "10"; "20"; "30" ] got;
-      match !events with
-      | [ e ] ->
-        Alcotest.(check int) "crashed item charged" 2 e.Pool.sv_index;
-        Alcotest.(check int) "first attempt" 1 e.Pool.sv_attempt;
-        Alcotest.(check bool)
-          "reason names the exit status" true
-          (contains e.Pool.sv_reason "status 9");
-        Alcotest.(check bool) "undelivered work requeued" true
-          (e.Pool.sv_requeued >= 1)
-      | es -> Alcotest.failf "expected exactly one retry, saw %d" (List.length es))
-
-let test_pool_hang_is_killed_and_requeued () =
-  with_marker (fun marker ->
-      let f x =
-        if x = 1 && not (Sys.file_exists marker) then begin
-          touch marker;
-          Unix.sleepf 30.
-        end;
-        string_of_int (x + 100)
-      in
-      let events = ref [] in
-      let got =
-        Pool.map_serialized ~jobs:2 ~job_timeout:0.4
-          ~on_retry:(fun e -> events := e :: !events)
-          ~f [ 0; 1; 2; 3 ]
-      in
-      Alcotest.(check (list string))
-        "hung worker's shard still completes"
-        [ "100"; "101"; "102"; "103" ] got;
-      match !events with
-      | [ e ] ->
-        Alcotest.(check int) "hung item charged" 1 e.Pool.sv_index;
-        Alcotest.(check bool)
-          "reason says it timed out" true
-          (contains e.Pool.sv_reason "timed out")
-      | es -> Alcotest.failf "expected exactly one retry, saw %d" (List.length es))
-
-let test_pool_retry_budget_exhausted () =
-  (* Item 1 dies on every attempt: 1 initial + 1 retry, then the pool
-     gives up on it — Fail_fast raises, naming it. *)
-  let f x = if x = 1 then Unix._exit 3 else string_of_int x in
-  let attempts = ref 0 in
-  (match
-     Pool.map_serialized ~jobs:2 ~retries:1
-       ~on_retry:(fun _ -> incr attempts)
-       ~f [ 0; 1; 2; 3 ]
-   with
-  | (_ : string list) -> Alcotest.fail "expected Worker_error"
-  | exception Pool.Worker_error { index; message } ->
-    Alcotest.(check int) "exhausted item named" 1 index;
-    Alcotest.(check bool)
-      "message mentions the exit status" true (contains message "status 3"));
-  Alcotest.(check int) "1 initial + 1 retry attempts reported" 2 !attempts
-
-let test_pool_partial_error_placement () =
-  (* Under `Partial the poisoned item costs its own slot only; every
-     healthy item still delivers, in item order. *)
-  let f x = if x = 2 then Unix._exit 5 else string_of_int (x * 2) in
-  let results = Pool.map_partial ~jobs:2 ~retries:1 ~f [ 0; 1; 2; 3; 4 ] in
-  Alcotest.(check int) "one result per item" 5 (List.length results);
-  List.iteri
-    (fun i r ->
-      match (i, r) with
-      | 2, Error msg ->
-        Alcotest.(check bool)
-          "error slot names the exit status" true (contains msg "status 5")
-      | 2, Ok got -> Alcotest.failf "item 2 unexpectedly succeeded: %s" got
-      | _, Ok got ->
-        Alcotest.(check string)
-          (Printf.sprintf "item %d delivered" i)
-          (string_of_int (i * 2)) got
-      | _, Error msg -> Alcotest.failf "item %d failed: %s" i msg)
-    results
-
-let test_pool_partial_raising_f () =
-  (* A deterministic exception in f is terminal (no pointless respawns)
-     and lands in its own slot in both execution paths. *)
-  let f x = if x = 1 then failwith "bad item" else string_of_int x in
-  let check name results =
-    match results with
-    | [ Ok "0"; Error msg; Ok "2" ] ->
-      Alcotest.(check bool)
-        (name ^ ": error carries the exception") true
-        (contains msg "bad item")
-    | _ -> Alcotest.failf "%s: unexpected result shape" name
-  in
-  check "forked" (Pool.map_partial ~jobs:2 ~f [ 0; 1; 2 ]);
-  check "inline" (Pool.map_partial ~jobs:1 ~f [ 0; 1; 2 ])
-
-let test_pool_fail_fast_lowest_index_on_crashes () =
-  (* Two items crash their workers on every attempt; Fail_fast must name
-     the lowest index once everything has been resolved. *)
-  let f x = if x = 1 || x = 3 then Unix._exit 4 else string_of_int x in
-  match Pool.map_serialized ~jobs:2 ~retries:0 ~f [ 0; 1; 2; 3 ] with
-  | (_ : string list) -> Alcotest.fail "expected Worker_error"
-  | exception Pool.Worker_error { index; _ } ->
-    Alcotest.(check int) "lowest crashing index" 1 index
-
-(* {2 Metrics_codec} *)
-
-let hostile_names =
-  [
-    "plain";
-    "quote \" inside";
-    "line\nbreak";
-    "carriage\rreturn";
-    "comma, \"mix\"\r\n";
-    "tab\tand control \x01 bytes";
-  ]
-
-let synthetic_summary name i =
-  {
-    Metrics.s_scenario = name;
-    s_mode = (if i mod 2 = 0 then Dpm.Adpm else Dpm.Conventional);
-    s_seed = 17 + i;
-    s_completed = i mod 3 <> 0;
-    s_operations = 2;
-    s_evaluations = 41 + i;
-    s_spins = i;
-    s_faults =
-      { Metrics.f_dropped = i; f_duplicated = i mod 2; f_crashes = i mod 3 };
-    s_profile =
-      [
-        {
-          Metrics.m_index = 1;
-          m_designer = name;
-          m_kind = "synthesis";
-          m_evaluations = 40 + i;
-          m_new_violations = 1;
-          m_known_violations = 1;
-          m_spin = false;
-        };
-        {
-          Metrics.m_index = 2;
-          m_designer = "d2 " ^ name;
-          m_kind = "verification";
-          m_evaluations = 1;
-          m_new_violations = 0;
-          m_known_violations = 0;
-          m_spin = true;
-        };
-      ];
-  }
-
-let test_codec_roundtrip_hostile () =
-  List.iteri
-    (fun i name ->
-      let s = synthetic_summary name i in
-      match Metrics_codec.of_string (Metrics_codec.to_string s) with
-      | Ok s' -> Alcotest.check summary (Printf.sprintf "round-trip %S" name) s s'
-      | Error e -> Alcotest.failf "round-trip %S failed: %s" name e)
-    hostile_names
-
-let test_codec_roundtrip_real_run () =
-  let cfg = Config.default ~mode:Dpm.Adpm ~seed:5 in
-  let s = (Engine.run cfg Lna.scenario).Engine.o_summary in
-  match Metrics_codec.of_string (Metrics_codec.to_string s) with
-  | Ok s' -> Alcotest.check summary "real run round-trips" s s'
-  | Error e -> Alcotest.failf "real run round-trip failed: %s" e
-
-let test_codec_rejects_garbage () =
-  List.iter
-    (fun garbage ->
-      match Metrics_codec.of_string garbage with
-      | Error _ -> ()
-      | Ok _ -> Alcotest.failf "garbage %S decoded" garbage)
-    [
-      "";
-      "not json";
-      "{}";
-      {|{"scenario":"x"}|};
-      {|{"scenario":"x","mode":"warp","seed":1,"completed":true,"operations":0,"evaluations":0,"spins":0,"profile":[]}|};
-      {|{"scenario":"x","mode":"ADPM","seed":1,"completed":true,"operations":0,"evaluations":0,"spins":0,"profile":[{"op":1}]}|};
-    ]
+      Dpool.map ~jobs:3 ~f [ 1; 2; 3; 4; 5; 6 ])
 
 (* {2 Engine.run_many equivalence} *)
 
@@ -313,14 +83,20 @@ let test_equivalence () =
       List.iter
         (fun mode ->
           let cfg = Config.default ~mode ~seed:0 in
-          let reference = Engine.run_many ~backend:Engine.Fork ~jobs:1 cfg scenario ~seeds in
+          let sequential =
+            List.map
+              (fun seed ->
+                (Engine.run (Config.with_seed cfg seed) scenario)
+                  .Engine.o_summary)
+              seeds
+          in
           List.iter
             (fun jobs ->
               Alcotest.(check (list summary))
                 (Printf.sprintf "%s/%s jobs=%d" scenario.Scenario.sc_name
                    (Dpm.mode_to_string mode) jobs)
-                reference
-                (Engine.run_many ~backend:Engine.Fork ~jobs cfg scenario ~seeds))
+                sequential
+                (Engine.run_many ~jobs cfg scenario ~seeds))
             [ 2; 4 ])
         [ Dpm.Conventional; Dpm.Adpm ])
     scenarios
@@ -328,95 +104,20 @@ let test_equivalence () =
 let test_equivalence_preserves_seed_order () =
   let seeds = [ 9; 3; 7; 1; 5 ] in
   let cfg = Config.default ~mode:Dpm.Adpm ~seed:0 in
-  let summaries = Engine.run_many ~backend:Engine.Fork ~jobs:3 cfg Sensor.scenario ~seeds in
+  let summaries = Engine.run_many ~jobs:3 cfg Sensor.scenario ~seeds in
   Alcotest.(check (list int))
     "seed order preserved" seeds
     (List.map (fun s -> s.Metrics.s_seed) summaries)
 
-let test_run_many_crash_recovery_bit_identical () =
-  (* A scenario whose build kills its worker exactly once: the supervised
-     pool respawns, reruns the lost seeds, and the aggregate summaries
-     come out bit-identical to a healthy sequential run. *)
-  with_marker (fun marker ->
-      let flaky =
-        Scenario.make ~name:Sensor.scenario.Scenario.sc_name
-          ~description:"sensor, but the first worker build crashes"
-          ~models:Sensor.scenario.Scenario.sc_models
-          (fun ~mode ->
-            if not (Sys.file_exists marker) then begin
-              touch marker;
-              Unix._exit 11
-            end;
-            Sensor.scenario.Scenario.sc_build ~mode)
-      in
-      let cfg = Config.default ~mode:Dpm.Adpm ~seed:0 in
-      let seeds = [ 1; 2; 3; 4 ] in
-      let healthy = Engine.run_many ~backend:Engine.Fork ~jobs:1 cfg Sensor.scenario ~seeds in
-      let retried = ref 0 in
-      let recovered =
-        Engine.run_many ~backend:Engine.Fork ~jobs:2
-          ~on_retry:(fun _ -> incr retried) cfg flaky
-          ~seeds
-      in
-      Alcotest.(check bool) "at least one worker was respawned" true
-        (!retried >= 1);
-      Alcotest.(check (list summary))
-        "recovered run matches the healthy sequential run" healthy recovered)
-
-let test_run_many_partial_isolates_bad_seeds () =
-  (* Under `Partial a broken scenario poisons each seed's slot separately;
-     the shapes match on the forked and inline paths. *)
-  let broken =
-    Scenario.make ~name:"broken" ~description:"always fails" (fun ~mode:_ ->
-        failwith "synthetic build failure")
-  in
-  let cfg = Config.default ~mode:Dpm.Adpm ~seed:0 in
-  let check name results =
-    Alcotest.(check int) (name ^ ": one slot per seed") 3 (List.length results);
-    List.iteri
-      (fun i r ->
-        match r with
-        | Error msg ->
-          Alcotest.(check bool)
-            (Printf.sprintf "%s: slot %d carries the failure" name i)
-            true
-            (contains msg "synthetic build failure"
-            || contains msg "worker raised")
-        | Ok _ -> Alcotest.failf "%s: slot %d unexpectedly succeeded" name i)
-      results
-  in
-  check "forked"
-    (Engine.run_many_partial ~backend:Engine.Fork ~jobs:2 ~retries:0 cfg broken
-       ~seeds:[ 7; 8; 9 ]);
-  check "inline"
-    (Engine.run_many_partial ~backend:Engine.Fork ~jobs:1 cfg broken
-       ~seeds:[ 7; 8; 9 ])
-
-let test_run_many_partial_healthy_matches_fail_fast () =
-  let cfg = Config.default ~mode:Dpm.Conventional ~seed:0 in
-  let seeds = [ 1; 2; 3 ] in
-  let plain = Engine.run_many ~backend:Engine.Fork ~jobs:2 cfg Sensor.scenario ~seeds in
-  let partial =
-    Engine.run_many_partial ~backend:Engine.Fork ~jobs:2 cfg Sensor.scenario
-      ~seeds
-  in
-  Alcotest.(check (list summary))
-    "healthy `Partial run carries the same summaries" plain
-    (List.map
-       (function
-         | Ok s -> s
-         | Error msg -> Alcotest.failf "unexpected Error slot: %s" msg)
-       partial)
-
 let test_run_many_failure_names_seed () =
-  (* A scenario whose build raises makes every worker fail; the engine
-     must report the lowest-indexed seed, deterministically. *)
+  (* A scenario whose build raises makes every seed fail; the engine must
+     report the lowest-indexed seed, deterministically. *)
   let broken =
     Scenario.make ~name:"broken" ~description:"always fails" (fun ~mode:_ ->
         failwith "synthetic build failure")
   in
   let cfg = Config.default ~mode:Dpm.Adpm ~seed:0 in
-  match Engine.run_many ~backend:Engine.Fork ~jobs:2 cfg broken ~seeds:[ 7; 8; 9 ] with
+  match Engine.run_many ~jobs:2 cfg broken ~seeds:[ 7; 8; 9 ] with
   | (_ : Metrics.run_summary list) -> Alcotest.fail "expected Failure"
   | exception Failure msg ->
     Alcotest.(check bool)
@@ -427,28 +128,9 @@ let suite =
   [
     ("pool identity and order", `Quick, test_pool_identity);
     ("pool empty input", `Quick, test_pool_empty);
-    ("pool hostile payloads", `Quick, test_pool_hostile_payloads);
     ("pool worker raises", `Quick, test_pool_worker_raises);
     ("pool lowest failing index", `Quick, test_pool_worker_raises_lowest_index);
-    ("pool worker dies", `Quick, test_pool_worker_dies);
-    ("pool crash once recovers", `Quick, test_pool_crash_once_recovers);
-    ("pool hang killed and requeued", `Quick,
-     test_pool_hang_is_killed_and_requeued);
-    ("pool retry budget exhausted", `Quick, test_pool_retry_budget_exhausted);
-    ("pool partial error placement", `Quick, test_pool_partial_error_placement);
-    ("pool partial raising f", `Quick, test_pool_partial_raising_f);
-    ("pool fail-fast lowest crashing index", `Quick,
-     test_pool_fail_fast_lowest_index_on_crashes);
-    ("codec round-trip hostile names", `Quick, test_codec_roundtrip_hostile);
-    ("codec round-trip real run", `Quick, test_codec_roundtrip_real_run);
-    ("codec rejects garbage", `Quick, test_codec_rejects_garbage);
     ("parallel equals sequential", `Slow, test_equivalence);
     ("seed order preserved", `Quick, test_equivalence_preserves_seed_order);
     ("worker failure names seed", `Quick, test_run_many_failure_names_seed);
-    ("run_many crash recovery bit-identical", `Quick,
-     test_run_many_crash_recovery_bit_identical);
-    ("run_many_partial isolates bad seeds", `Quick,
-     test_run_many_partial_isolates_bad_seeds);
-    ("run_many_partial healthy matches fail-fast", `Quick,
-     test_run_many_partial_healthy_matches_fail_fast);
   ]

@@ -1052,8 +1052,8 @@ let suite =
 (* {2 Wire robustness under forks and signals}
 
    These fork, so they run in their own Alcotest suite registered
-   {e before} the "domains" suite in test_main.ml (the PR 7 fork latch:
-   forking after a Domain.spawn is unsound). *)
+   {e before} the "domains" suite in test_main.ml: the OCaml 5 runtime
+   forbids Unix.fork once a domain has been spawned. *)
 
 (* A frame far larger than the socket's send buffer, read by a
    deliberately slow peer: [Wire.send_line] must keep writing through

@@ -360,6 +360,17 @@ let test_codec_rejects_malformed () =
       "[1,2,3]";
     ]
 
+(* [pool_retry] is not an event type: a line carrying one, as older
+   traces may, is a typed decode error, never an exception. *)
+let test_codec_rejects_pool_retry () =
+  let line =
+    {|{"seq":3,"clock":0,"type":"pool_retry","index":1,"attempt":1,"reason":"worker died","requeued":2}|}
+  in
+  match Codec.of_line line with
+  | Ok _ -> Alcotest.fail "pool_retry decoded"
+  | Error msg -> Alcotest.(check string) "error" "unknown event type pool_retry" msg
+  | exception e -> Alcotest.failf "raised %s" (Printexc.to_string e)
+
 (* {2 Sinks} *)
 
 let test_ring_bounding () =
@@ -609,4 +620,6 @@ let suite =
       test_replay_detects_tampering;
     Alcotest.test_case "replay rejects unusable traces" `Quick
       test_replay_rejects_unusable_traces;
+    Alcotest.test_case "codec rejects a pool_retry line" `Quick
+      test_codec_rejects_pool_retry;
   ]
