@@ -1,27 +1,37 @@
 (* Benchmark harness: regenerates every table and figure of the paper's
    evaluation section (Figs. 2-4 walkthrough, Fig. 7 profiles, Fig. 8
    statistics window, Fig. 9 performance/penalty aggregates, Fig. 10
-   tightness sweep, plus the heuristic ablations), then runs bechamel
-   micro-benchmarks of the underlying engines.
+   tightness sweep, plus the heuristic ablations and the extension
+   studies), then runs bechamel micro-benchmarks of the underlying
+   engines. Ends with the wall time of every section.
 
-   Per-experiment wall time and the Fig. 9 headline ratios are written to
-   BENCH_results.json in the working directory, so CI can diff successive
-   runs without scraping stdout.
+   Exits nonzero when the domain runner's Fig. 9 cells diverge from the
+   sequential pass, or when a non-fast run with >= 2 jobs on >= 2 cores
+   finds the domain runner slower than the sequential pass.
 
-   Environment knobs:
+   Environment knobs (positive integers; anything else is an error):
      ADPM_BENCH_SEEDS  seeds per Fig. 9 cell (default 60, as in the paper)
      ADPM_BENCH_FAST   set to shrink every experiment (CI smoke mode)
      ADPM_BENCH_JOBS   worker domains for multi-seed experiments
                        (default: one per CPU core) *)
 
 open Adpm_experiments
-module Json = Adpm_trace.Json
 module Dpool = Adpm_parallel.Dpool
+
+let die fmt =
+  Printf.ksprintf
+    (fun msg ->
+      prerr_endline ("bench: " ^ msg);
+      exit 1)
+    fmt
 
 let getenv_int name default =
   match Sys.getenv_opt name with
-  | Some s -> ( match int_of_string_opt s with Some n -> n | None -> default)
   | None -> default
+  | Some s -> (
+    match int_of_string_opt s with
+    | Some n when n > 0 -> n
+    | _ -> die "%s must be a positive integer (got %S)" name s)
 
 let fast = Sys.getenv_opt "ADPM_BENCH_FAST" <> None
 
@@ -35,129 +45,11 @@ let timed name f =
   timings := (name, Unix.gettimeofday () -. t0) :: !timings;
   v
 
-let fault_sweep_json (faults : Exp_faults.result) =
-  let v = Exp_faults.verdicts faults in
-  Json.Obj
-    ([
-       ( "completion_by_drop",
-         Json.Arr
-           (List.map
-              (fun (drop, conv, adpm) ->
-                Json.Obj
-                  [
-                    ("drop", Json.Num drop);
-                    ("conv", Json.Num conv);
-                    ("adpm", Json.Num adpm);
-                  ])
-              v.Exp_faults.completion_by_drop) );
-       ( "adpm_degrades_slower",
-         Json.Bool v.Exp_faults.adpm_degrades_slower );
-     ]
-    @
-    match v.Exp_faults.crash_completion with
-    | None -> []
-    | Some (conv, adpm) ->
-      [
-        ( "crash",
-          Json.Obj [ ("conv", Json.Num conv); ("adpm", Json.Num adpm) ] );
-      ])
-
-(* Generator throughput: full canonical-pipeline builds per second —
-   spec parse, DDDL emission (round-trip checked), elaboration to a
-   network — over a spread of specs. *)
-let gen_scenarios_per_s () =
-  let specs =
-    List.concat_map
-      (fun seed ->
-        [
-          Printf.sprintf "n=3,k=2,seed=%d" seed;
-          Printf.sprintf "n=4,k=3,seed=%d,topology=star" seed;
-          Printf.sprintf "n=5,k=2,seed=%d,topology=random-0.5,coupling=0.25"
-            seed;
-        ])
-      (List.init (if fast then 4 else 20) (fun i -> i))
-  in
-  let t0 = Unix.gettimeofday () in
-  List.iter
-    (fun spec ->
-      match Adpm_scenarios.Registry.resolve_result ("gen:" ^ spec) with
-      | Ok scenario ->
-        ignore
-          (scenario.Adpm_teamsim.Scenario.sc_build ~mode:Adpm_core.Dpm.Adpm
-            : Adpm_core.Dpm.t)
-      | Error e -> failwith ("gen throughput: " ^ e))
-    specs;
-  let dt = Unix.gettimeofday () -. t0 in
-  let rate = float_of_int (List.length specs) /. dt in
-  Printf.printf "%d generated scenarios built in %.2fs -> %.1f scenarios/s\n"
-    (List.length specs) dt rate;
-  rate
-
-let results_json ~fig9_seeds ~domains ~adapt ~gen_rate verdicts incr faults
-    fuzz teamsimd chaos =
-  let domains_jobs, domains_speedup, domains_agrees = domains in
-  Json.Obj
-    [
-      ("fast", Json.Bool fast);
-      ("cores", Json.Num (float_of_int (Dpool.cpu_count ())));
-      ("fig9_seeds", Json.Num (float_of_int fig9_seeds));
-      ("incremental_speedup", Json.Num incr.Incremental.speedup);
-      ("fault_sweep", fault_sweep_json faults);
-      ("adapt_advantage", Json.Num adapt.Exp_adapt.adapt_advantage);
-      ("gen_scenarios_per_s", Json.Num gen_rate);
-      ("fuzz_throughput", Json.Num fuzz.Fuzz_bench.throughput);
-      ("fuzz_schedules", Json.Num (float_of_int fuzz.Fuzz_bench.schedules));
-      ("fuzz_clean", Json.Bool fuzz.Fuzz_bench.clean);
-      ( "teamsimd_sessions",
-        Json.Num (float_of_int teamsimd.Daemon_bench.sessions) );
-      ("teamsimd_ops", Json.Num (float_of_int teamsimd.Daemon_bench.total_ops));
-      ("teamsimd_ops_per_s", Json.Num teamsimd.Daemon_bench.ops_per_s);
-      ("teamsimd_p99_ms", Json.Num teamsimd.Daemon_bench.p99_ms);
-      ("teamsimd_recovery_ms", Json.Num chaos.Chaos_bench.recovery_ms);
-      ( "teamsimd_recovered",
-        Json.Num (float_of_int chaos.Chaos_bench.recovered) );
-      ("chaos_sessions", Json.Num (float_of_int chaos.Chaos_bench.sessions));
-      ( "chaos_sessions_ok",
-        Json.Num
-          (float_of_int chaos.Chaos_bench.ok_sessions
-          /. float_of_int chaos.Chaos_bench.sessions) );
-      ("domains_jobs", Json.Num (float_of_int domains_jobs));
-      ("domains_speedup", Json.Num domains_speedup);
-      ("domains_agrees", Json.Bool domains_agrees);
-      ( "incremental",
-        Json.Obj
-          [
-            ("revisions_full", Json.Num (float_of_int incr.Incremental.total_full));
-            ( "revisions_incremental",
-              Json.Num (float_of_int incr.Incremental.total_incr) );
-            ("outcomes_agree", Json.Bool incr.Incremental.all_agree);
-          ] );
-      ( "wall_time_s",
-        Json.Obj
-          (List.rev_map (fun (name, dt) -> (name, Json.Num dt)) !timings) );
-      ( "fig9",
-        Json.Obj
-          [
-            ("ops_ratio_sensor", Json.Num verdicts.Exp_fig9.ops_ratio_sensor);
-            ("ops_ratio_receiver", Json.Num verdicts.Exp_fig9.ops_ratio_receiver);
-            ( "variability_ratio_sensor",
-              Json.Num verdicts.Exp_fig9.variability_ratio_sensor );
-            ( "variability_ratio_receiver",
-              Json.Num verdicts.Exp_fig9.variability_ratio_receiver );
-            ("spin_fraction", Json.Num verdicts.Exp_fig9.spin_fraction);
-            ("eval_penalty_sensor", Json.Num verdicts.Exp_fig9.eval_penalty_sensor);
-            ( "eval_penalty_receiver",
-              Json.Num verdicts.Exp_fig9.eval_penalty_receiver );
-            ( "per_op_penalty_sensor",
-              Json.Num verdicts.Exp_fig9.per_op_penalty_sensor );
-            ( "per_op_penalty_receiver",
-              Json.Num verdicts.Exp_fig9.per_op_penalty_receiver );
-          ] );
-    ]
+let wall name = List.assoc name !timings
 
 let () =
   let fig9_seeds = getenv_int "ADPM_BENCH_SEEDS" (if fast then 10 else 60) in
-  let njobs = max 1 (getenv_int "ADPM_BENCH_JOBS" (Dpool.cpu_count ())) in
+  let njobs = getenv_int "ADPM_BENCH_JOBS" (Dpool.cpu_count ()) in
   let fig7_seeds = if fast then 5 else 20 in
   let fig10_seeds = if fast then 3 else 10 in
   let ablation_seeds = if fast then 5 else 15 in
@@ -177,7 +69,6 @@ let () =
   let fig9 = timed "fig9" (fun () -> Exp_fig9.run ~seeds:fig9_seeds ()) in
   print_string (Exp_fig9.render fig9);
 
-  let wall name = List.assoc name !timings in
   (* Per-run sample lists, not whole aggregates: Stats_acc carries an
      internal sort cache whose state is irrelevant to equality. *)
   let fingerprint (c : Adpm_teamsim.Report.aggregate) =
@@ -225,21 +116,10 @@ let () =
            (Exp_scaling.run ~seeds:(if fast then 3 else 8) ~jobs:njobs ())));
 
   section "Adaptability study (extension): requirement shifts mid-run";
-  let adapt =
-    timed "adapt" (fun () ->
-        Exp_adapt.run ~seeds:(if fast then 2 else 8) ~jobs:njobs ())
-  in
-  print_string (Exp_adapt.render adapt);
-
-  section "Generator throughput: canonical DDDL pipeline builds";
-  let gen_rate = timed "gen_throughput" (fun () -> gen_scenarios_per_s ()) in
-
-  section "Incremental DCM: full vs dirty-seeded HC4 (receiver, Fig. 9 case)";
-  let incr =
-    timed "incremental" (fun () ->
-        Incremental.run ~seeds:(if fast then 3 else 10) ())
-  in
-  print_string (Incremental.render incr);
+  print_string
+    (timed "adapt" (fun () ->
+         Exp_adapt.render
+           (Exp_adapt.run ~seeds:(if fast then 2 else 8) ~jobs:njobs ())));
 
   section "Notification-latency sweep (extension): ADPM advantage vs lag";
   print_string
@@ -248,80 +128,46 @@ let () =
            (Exp_latency.run ~seeds:(if fast then 3 else 20) ~jobs:njobs ())));
 
   section "Fault-injection sweep (extension): completion vs notification loss";
-  let faults =
-    timed "faults" (fun () ->
-        Exp_faults.run ~seeds:(if fast then 3 else 20) ~jobs:njobs ())
-  in
-  print_string (Exp_faults.render faults);
-
-  section "teamsimd: concurrent interactive sessions over the socket protocol";
-  (* No domains: the daemon is a single-threaded select loop hosted in
-     this process. *)
-  let teamsimd =
-    timed "teamsimd" (fun () ->
-        Daemon_bench.run
-          ~sessions:(if fast then 16 else 64)
-          ~ops_per_session:(if fast then 4 else 8)
-          ())
-  in
-  print_string (Daemon_bench.render teamsimd);
-
-  section "teamsimd crash recovery: journal replay and chaos-proxy sessions";
-  (* Same footing as the load bench above: daemon, proxy, and clients
-     are all select loops in this thread. *)
-  let chaos =
-    timed "chaos" (fun () ->
-        Chaos_bench.run
-          ~sessions:(if fast then 4 else 8)
-          ~ops_per_session:(if fast then 4 else 6)
-          ())
-  in
-  print_string (Chaos_bench.render chaos);
+  print_string
+    (timed "faults" (fun () ->
+         Exp_faults.render
+           (Exp_faults.run ~seeds:(if fast then 3 else 20) ~jobs:njobs ())));
 
   (* Domain runner: the Fig. 9 cells again on the domain pool. Its jobs
      are forced to >= 2 so every bench run exercises the pool's
-     bit-identity; a real speedup is only expected — and only gated by
-     check_results — when the host actually has >= 2 cores. It runs LAST
-     among the timed experiment sections on purpose: spawning domains
-     permanently grows the runtime's multi-domain GC state, which
-     measurably slows the sequential sections that follow. *)
-  let domains =
-    let djobs = max 2 njobs in
-    section
-      (Printf.sprintf
-         "Domain runner: Fig. 9 cells at jobs=%d (shared memory) vs jobs=1"
-         djobs);
-    let fig9_dom =
-      timed "fig9_domains" (fun () ->
-          Exp_fig9.run ~seeds:fig9_seeds ~jobs:djobs ())
-    in
-    let speedup = wall "fig9" /. wall "fig9_domains" in
-    let agrees = agrees_with_fig9 fig9_dom in
-    Printf.printf
-      "jobs=%d (%d core(s)): sequential %.2fs, domains %.2fs -> speedup \
-       %.2fx; results %s\n"
-      djobs (Dpool.cpu_count ()) (wall "fig9")
-      (wall "fig9_domains")
-      speedup
-      (if agrees then "bit-identical" else "DIVERGED");
-    (djobs, speedup, agrees)
+     bit-identity; a real speedup is only expected — and only gated —
+     when the host actually has >= 2 cores and the run is not a fast
+     smoke, whose millisecond cells are dominated by spawn overhead and
+     timer noise. It runs LAST among the timed experiment sections on
+     purpose: spawning domains permanently grows the runtime's
+     multi-domain GC state, which measurably slows the sequential
+     sections that follow. *)
+  let djobs = max 2 njobs in
+  let cores = Dpool.cpu_count () in
+  section
+    (Printf.sprintf
+       "Domain runner: Fig. 9 cells at jobs=%d (shared memory) vs jobs=1"
+       djobs);
+  let fig9_dom =
+    timed "fig9_domains" (fun () -> Exp_fig9.run ~seeds:fig9_seeds ~jobs:djobs ())
   in
-
-  section "Schedule fuzzer: temporal-property suite over random schedules";
-  let fuzz =
-    timed "fuzz" (fun () -> Fuzz_bench.run ~count:(if fast then 10 else 50) ())
-  in
-  print_string (Fuzz_bench.render fuzz);
+  let speedup = wall "fig9" /. wall "fig9_domains" in
+  let agrees = agrees_with_fig9 fig9_dom in
+  Printf.printf
+    "jobs=%d (%d core(s)): sequential %.2fs, domains %.2fs -> speedup %.2fx; \
+     results %s\n"
+    djobs cores (wall "fig9") (wall "fig9_domains") speedup
+    (if agrees then "bit-identical" else "DIVERGED");
 
   section "Micro-benchmarks (bechamel)";
   timed "microbench" (fun () -> Microbench.run ~fast ());
 
-  let json =
-    results_json ~fig9_seeds ~domains ~adapt ~gen_rate (Exp_fig9.verdicts fig9)
-      incr faults fuzz teamsimd chaos
-  in
-  let oc = open_out "BENCH_results.json" in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (Json.to_string json ^ "\n"));
-  Printf.printf "\nwrote BENCH_results.json\n"
+  section "Wall time per section";
+  List.iter
+    (fun (name, dt) -> Printf.printf "%-14s %8.2fs\n" name dt)
+    (List.rev !timings);
+
+  if not agrees then
+    die "the domain runner's Fig. 9 cells diverged from the sequential pass";
+  if cores >= 2 && (not fast) && speedup < 1. then
+    die "domains speedup %.2fx < 1 with %d jobs on %d cores" speedup djobs cores

@@ -66,26 +66,6 @@ let mode_arg =
     & info [ "m"; "mode" ] ~docv:"MODE"
         ~doc:"Design process mode: $(b,adpm) or $(b,conventional).")
 
-let engine_conv =
-  let parse s =
-    match Dpm.engine_of_string s with
-    | Some e -> Ok e
-    | None -> Error (`Msg (Printf.sprintf "bad engine %s (incremental|full)" s))
-  in
-  let print ppf e = Format.pp_print_string ppf (Dpm.engine_to_string e) in
-  Arg.conv (parse, print)
-
-let engine_arg =
-  Arg.(
-    value
-    & opt engine_conv Dpm.Incremental
-    & info [ "e"; "engine" ] ~docv:"ENGINE"
-        ~doc:
-          "DCM propagation engine: $(b,incremental) (dirty-seeded restarts \
-           from the persisted box store, the default) or $(b,full) \
-           (from-scratch HC4 after every operation). Both produce identical \
-           design outcomes; the trace records which one ran.")
-
 let seed_arg =
   Arg.(value & opt int 1 & info [ "s"; "seed" ] ~docv:"SEED" ~doc:"Random seed.")
 
@@ -288,7 +268,7 @@ let trace_arg =
            $(b,replay).")
 
 let run_cmd =
-  let action scenario_name mode engine seed latency duration_model faults
+  let action scenario_name mode seed latency duration_model faults
       shifts value_policy verbose csv json trace =
     match find_scenario scenario_name with
     | Error e ->
@@ -299,8 +279,7 @@ let run_cmd =
         validated
           {
             (Config.default ~mode ~seed) with
-            Config.engine;
-            latency;
+            Config.latency;
             duration_model;
             faults;
             shifts;
@@ -355,7 +334,7 @@ let run_cmd =
   in
   let term =
     Term.(
-      const action $ scenario_arg $ mode_arg $ engine_arg $ seed_arg
+      const action $ scenario_arg $ mode_arg $ seed_arg
       $ latency_arg $ duration_arg $ fault_plan_term $ shift_plan_arg
       $ value_policy_arg $ verbose_arg $ csv_arg $ json_arg $ trace_arg)
   in

@@ -33,7 +33,8 @@ let () =
     (Constr.to_string balance);
 
   print_endline "\n=== 2. Propagation computes feasible subspaces ===";
-  let outcome = Propagate.run_and_apply net in
+  let outcome = Propagate.run net in
+  Propagate.apply net outcome;
   List.iter
     (fun (prop, d) ->
       Printf.printf "  feasible %-20s = %s\n" prop (Domain.to_string d))

@@ -11,15 +11,6 @@ let mode_of_string = function
   | "ADPM" | "adpm" -> Some Adpm
   | _ -> None
 
-type engine = Full | Incremental
-
-let engine_to_string = function Full -> "full" | Incremental -> "incremental"
-
-let engine_of_string = function
-  | "full" -> Some Full
-  | "incremental" -> Some Incremental
-  | _ -> None
-
 type history_entry = {
   h_index : int;
   h_op : Operator.t;
@@ -63,7 +54,6 @@ and owned = {
 
 type t = {
   d_mode : mode;
-  mutable d_engine : engine;
   d_max_revisions : int;
   net : Network.t;
   probs : (int, Problem.t) Hashtbl.t;
@@ -110,12 +100,10 @@ let register_problem_internal t parent_id p =
     let parent = Hashtbl.find t.probs pid in
     Problem.link_child ~parent ~child:p
 
-let create ~mode ?(engine = Incremental) ?(max_revisions = 10_000) net ~objects
-    ~top =
+let create ~mode ?(max_revisions = 10_000) net ~objects ~top =
   let t =
     {
       d_mode = mode;
-      d_engine = engine;
       d_max_revisions = max_revisions;
       net;
       probs = Hashtbl.create 16;
@@ -327,19 +315,12 @@ let eval_count t = t.evals
 let spin_count t = t.spins
 let revision_work t = t.d_revision_work
 
-let engine t = t.d_engine
-let set_engine t engine = t.d_engine <- engine
-
 let run_propagation ?max_revisions t =
   let max_revisions =
     match max_revisions with Some n -> n | None -> t.d_max_revisions
   in
   let outcome =
-    match t.d_engine with
-    | Full -> Propagate.run_and_apply ~max_revisions ~tracer:t.d_tracer t.net
-    | Incremental ->
-      Propagate.run_incremental_and_apply ~max_revisions ~tracer:t.d_tracer
-        t.net
+    Propagate.run_incremental_and_apply ~max_revisions ~tracer:t.d_tracer t.net
   in
   t.d_revision_work <- t.d_revision_work + outcome.Propagate.revisions;
   outcome

@@ -33,18 +33,6 @@ val mode_of_string : string -> mode option
 (** Inverse of {!mode_to_string} (also accepts ["adpm"]); used when
     decoding recorded traces. *)
 
-type engine = Full | Incremental
-(** Propagation engine selection. [Full] reruns HC4 from the initial
-    ranges on every operation ({!Adpm_csp.Propagate.run_full}); the default
-    [Incremental] restarts from the box store persisted in the network,
-    seeding the worklist with the constraints of dirty properties only
-    ({!Adpm_csp.Propagate.run_incremental}). Both produce identical
-    feasible subspaces and statuses; they differ only in HC4 revision
-    work (see {!revision_work}) and therefore in the per-engine N_T. *)
-
-val engine_to_string : engine -> string
-val engine_of_string : string -> engine option
-
 type t
 
 type result = {
@@ -71,7 +59,6 @@ type result = {
 
 val create :
   mode:mode ->
-  ?engine:engine ->
   ?max_revisions:int ->
   Network.t ->
   objects:Design_object.t list ->
@@ -124,15 +111,15 @@ val revision_work : t -> int
     implementation-cost counter the incremental engine reduces, separate
     from the paper's evaluation unit N_T. *)
 
-(** {1 Propagation engine} *)
-
-val engine : t -> engine
-val set_engine : t -> engine -> unit
+(** {1 Propagation} *)
 
 val run_propagation : ?max_revisions:int -> t -> Adpm_csp.Propagate.outcome
-(** Run the configured engine over the network and apply the results —
-    the entry point the simulation engine uses for the pre-turn setup
-    propagation. [max_revisions] defaults to the value given at
+(** Propagate over the network and apply the results
+    ({!Adpm_csp.Propagate.run_incremental}: a restart from the box store
+    persisted in the network, seeded with the constraints of dirty
+    properties, falling back to a from-scratch run when that is not
+    sound) — the entry point the simulation engine uses for the pre-turn
+    setup propagation. [max_revisions] defaults to the value given at
     {!create}. *)
 
 (** {1 Tracing} *)

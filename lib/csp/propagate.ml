@@ -302,8 +302,6 @@ let run ?(eps = 0.) ?(max_revisions = 10_000) ?(consistency = `Hull)
     ~empty_marks:(Hashtbl.create 8)
     ~seed:None net
 
-let run_full = run
-
 (* Constraints touching any dirty property, first-seen order, deduplicated. *)
 let dirty_seed net dirty =
   let seen : (int, unit) Hashtbl.t = Hashtbl.create 16 in
@@ -420,11 +418,6 @@ let run_incremental ?(eps = 0.) ?(max_revisions = 10_000)
 let apply net outcome =
   List.iter (fun (name, d) -> Network.set_feasible net name d) outcome.feasible;
   List.iter (fun (id, s) -> Network.set_status net id s) outcome.statuses
-
-let run_and_apply ?eps ?max_revisions ?consistency ?tracer net =
-  let outcome = run ?eps ?max_revisions ?consistency ?tracer net in
-  apply net outcome;
-  outcome
 
 let run_incremental_and_apply ?eps ?max_revisions ?tracer net =
   let outcome = run_incremental ?eps ?max_revisions ?tracer net in

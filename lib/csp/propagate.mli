@@ -59,17 +59,6 @@ val run :
     carries per-wave revision counts of the primary HC4 fixpoint (shaving
     probes are charged to the evaluation total but not waved). *)
 
-val run_full :
-  ?eps:float ->
-  ?max_revisions:int ->
-  ?consistency:[ `Hull | `Shave of int ] ->
-  ?tracer:Adpm_trace.Tracer.t ->
-  Network.t ->
-  outcome
-(** Alias of {!run}: from-scratch propagation seeding the worklist with
-    every constraint. The reference point the incremental engine is checked
-    against. *)
-
 val run_incremental :
   ?eps:float ->
   ?max_revisions:int ->
@@ -98,20 +87,14 @@ val run_incremental :
     cleared; feasible subspaces and statuses are {e not} applied (see
     {!apply}).
 
-    The [evaluations] total still charges one unit per HC4 revision plus
-    the full status sweep, so the paper's cost model is per-engine;
-    [revisions] is where the saving shows. *)
+    The [evaluations] total charges one unit per HC4 revision performed
+    plus the full status sweep, so a seeded restart is charged fewer
+    evaluations than a from-scratch {!run} of the same network; a caller
+    that needs the from-scratch charge drops the persisted state first
+    ({!Network.invalidate_prop_state}). *)
 
 val apply : Network.t -> outcome -> unit
 (** Store feasible subspaces and statuses into the network. *)
-
-val run_and_apply :
-  ?eps:float ->
-  ?max_revisions:int ->
-  ?consistency:[ `Hull | `Shave of int ] ->
-  ?tracer:Adpm_trace.Tracer.t ->
-  Network.t ->
-  outcome
 
 val run_incremental_and_apply :
   ?eps:float ->

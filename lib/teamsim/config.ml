@@ -18,7 +18,6 @@ let value_policy_of_string = function
 
 type t = {
   mode : Dpm.mode;
-  engine : Dpm.engine;
   seed : int;
   max_ops : int;
   max_revisions : int;
@@ -39,7 +38,6 @@ type t = {
 let default ~mode ~seed =
   {
     mode;
-    engine = Dpm.Incremental;
     seed;
     max_ops = 2000;
     max_revisions = 10_000;

@@ -35,9 +35,6 @@ val value_policy_of_string : string -> (value_policy, string) result
 
 type t = {
   mode : Dpm.mode;  (** the paper's lambda *)
-  engine : Dpm.engine;
-      (** DCM propagation engine (default [Incremental]); recorded in the
-          trace header so replay re-selects it *)
   seed : int;
   max_ops : int;  (** safety bound on executed operations *)
   max_revisions : int;  (** propagation fixpoint budget per run *)

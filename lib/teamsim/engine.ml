@@ -22,7 +22,6 @@ type outcome = {
 
 let prepare ~tracer cfg scenario ~record =
   let dpm = scenario.Scenario.sc_build ~mode:cfg.Config.mode in
-  Dpm.set_engine dpm cfg.Config.engine;
   Dpm.set_tracer dpm tracer;
   if Tracer.active tracer then
     Tracer.emit tracer
@@ -31,7 +30,7 @@ let prepare ~tracer cfg scenario ~record =
            scenario = scenario.Scenario.sc_name;
            mode = Dpm.mode_to_string cfg.Config.mode;
            seed = cfg.Config.seed;
-           engine = Dpm.engine_to_string cfg.Config.engine;
+           engine = "incremental";
          });
   let rng = Rng.create cfg.Config.seed in
   let influence = Scenario.influence scenario (Dpm.network dpm) in

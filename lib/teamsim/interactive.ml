@@ -30,7 +30,7 @@ let create ?(tracer = Tracer.null) ~mode ~seed scenario ~designer =
            scenario = scenario.Scenario.sc_name;
            mode = Dpm.mode_to_string mode;
            seed;
-           engine = Dpm.engine_to_string (Dpm.engine dpm);
+           engine = "incremental";
          });
   let rng = Rng.create seed in
   let cfg = Config.default ~mode ~seed in

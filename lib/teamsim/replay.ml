@@ -53,22 +53,29 @@ let run ~resolve events =
     | Some m -> m
     | None -> fail "trace references unknown mode %S" mode_name
   in
-  let engine =
-    match Dpm.engine_of_string engine_name with
-    | Some e -> e
-    | None -> fail "trace references unknown engine %S" engine_name
+  (* Traces recorded by the retired from-scratch engine say "full" (so
+     does a header without the field). That engine charged every
+     propagation a whole HC4 run; dropping the persisted box store before
+     each propagation sends the incremental engine down its from-scratch
+     path, the same fixpoint, so the recorded per-op N_T is reproduced. *)
+  let from_scratch =
+    match engine_name with
+    | "incremental" -> false
+    | "full" -> true
+    | other -> fail "trace references unknown engine %S" other
   in
   let dpm = scenario.Scenario.sc_build ~mode in
-  (* per-engine evaluation totals differ (the incremental engine performs
-     fewer HC4 revisions), so replay must run the same engine the trace was
-     recorded with to reproduce N_T *)
-  Dpm.set_engine dpm engine;
+  let before_propagation () =
+    if from_scratch then Network.invalidate_prop_state (Dpm.network dpm)
+  in
   (* the engine's pre-turn propagation (its cost is recorded separately in
      the run_finished event, so it is checked, not merged into N_T) *)
   let setup_evals =
     match mode with
     | Dpm.Conventional -> 0
-    | Dpm.Adpm -> (Dpm.run_propagation dpm).Propagate.evaluations
+    | Dpm.Adpm ->
+      before_propagation ();
+      (Dpm.run_propagation dpm).Propagate.evaluations
   in
   let mismatches = ref [] in
   let add label expected actual =
@@ -91,6 +98,7 @@ let run ~resolve events =
            outside [Dpm.apply]; re-charge them so N_T is comparable *)
         Dpm.charge_evaluations dpm choose_evaluations;
         let op = Operator.of_trace_spec op in
+        before_propagation ();
         let result = Dpm.apply dpm op in
         incr replayed;
         Hashtbl.replace results result.Dpm.r_index (op, result)
@@ -130,6 +138,7 @@ let run ~resolve events =
         (* re-apply the shift so every later operation executes against
            the moved requirement (and, in ADPM mode, the same propagation
            cost is re-charged) *)
+        before_propagation ();
         match Dpm.shift_requirement dpm ~prop ~value with
         | (_ : (int * Constr.status * Constr.status) list) -> ()
         | exception Invalid_argument msg ->

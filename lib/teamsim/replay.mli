@@ -37,7 +37,7 @@ val converged : report -> bool
 
 exception Replay_error of string
 (** The trace cannot be replayed at all: no [Run_started] event, or it
-    names a scenario / mode unknown to this binary. *)
+    names a scenario / mode / engine unknown to this binary. *)
 
 val run : resolve:(string -> Scenario.t) -> Event.stamped list -> report
 (** Replay a single-run trace, resolving the recorded scenario name
@@ -45,6 +45,9 @@ val run : resolve:(string -> Scenario.t) -> Event.stamped list -> report
     recorded ["gen:<spec>"] names rebuild the identical generated network
     on any process) or {!Scenario.resolver} over a fixture list. An
     [Invalid_argument] from [resolve] becomes a {!Replay_error}.
+    A header whose engine is ["full"] (a trace of the retired
+    from-scratch engine) makes every propagation restart from scratch,
+    which reproduces that engine's evaluation counts.
     Assumes the engine's default revision budget; a run recorded with a
     custom [max_revisions] may diverge.
     @raise Replay_error when the trace header is unusable. *)

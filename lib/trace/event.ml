@@ -62,7 +62,7 @@ type t =
       scenario : string;
       mode : string;
       seed : int;
-      engine : string;  (** propagation engine: "full" or "incremental" *)
+      engine : string;  (** "incremental"; "full" in older traces *)
     }
   | Op_submitted of { op : op_spec; choose_evaluations : int }
   | Op_executed of {

@@ -59,9 +59,10 @@ type t =
       mode : string;
       seed : int;
       engine : string;
-          (** propagation engine the run was configured with ("full" or
-              "incremental"); replay re-selects the same engine so N_T
-              totals match *)
+          (** propagation engine the run used: new runs write
+              "incremental"; "full" marks a trace of the retired
+              from-scratch engine, whose per-operation N_T replay
+              reproduces by propagating from scratch *)
     }
   | Op_submitted of { op : op_spec; choose_evaluations : int }
       (** Emitted by the engine just before the DPM executes the operation.

@@ -272,11 +272,10 @@ let test_propagate_narrows () =
 let test_propagate_detects_violation () =
   let net, c1, c2 = small_net () in
   Network.assign net "x" (Value.Num 1.);
-  let outcome = Propagate.run_and_apply net in
+  Propagate.apply net (Propagate.run net);
   Alcotest.(check status) "xmin violated" Constr.Violated
     (Network.status net c2.Constr.id);
-  ignore c1;
-  ignore outcome
+  ignore c1
 
 let test_propagate_pure_until_applied () =
   let net, _, _ = small_net () in
@@ -396,7 +395,7 @@ let test_incremental_matches_full_after_assign () =
     (Some "incremental") engine;
   let net2, _, _ = small_net () in
   Network.assign net2 "y" (Value.Num 8.);
-  let full = Propagate.run_full net2 in
+  let full = Propagate.run net2 in
   check_outcomes_equal "after assign" full incr
 
 let test_incremental_fallback_on_unassign () =
@@ -408,7 +407,7 @@ let test_incremental_fallback_on_unassign () =
   Alcotest.(check (option string)) "widening falls back to full"
     (Some "full") engine;
   let net2, _, _ = small_net () in
-  let full = Propagate.run_full net2 in
+  let full = Propagate.run net2 in
   check_outcomes_equal "after unassign" full incr
 
 let test_incremental_invalidated_by_add_constraint () =
@@ -424,7 +423,7 @@ let test_incremental_invalidated_by_add_constraint () =
     engine;
   let net2, _, _ = small_net () in
   ignore (Network.add_constraint net2 ~name:"ymax" (v "y") Constr.Le (c 5.));
-  let full = Propagate.run_full net2 in
+  let full = Propagate.run net2 in
   check_outcomes_equal "after add_constraint" full incr
 
 (* Propagation soundness: every ground solution survives propagation. *)

@@ -4,6 +4,11 @@
 
 open Adpm_experiments
 
+(* Exact values, recorded from the implementation they pin: floats are
+   compared through [%h], so any change of a single bit fails. *)
+let check_bits name expected v =
+  Alcotest.(check string) name expected (Printf.sprintf "%h" v)
+
 let test_fig234_walkthrough () =
   let r = Exp_fig234.run () in
   let lo, hi = r.Exp_fig234.freq_ind_window in
@@ -53,9 +58,35 @@ let test_fig8_series () =
   Alcotest.(check bool) "cumulative monotone" true (monotone r.Exp_fig8.rows);
   Alcotest.(check bool) "render works" true (String.length (Exp_fig8.render r) > 0)
 
+(* The nine ratios at 10 seeds. ADPM's sensor runs all take the same
+   number of operations, so its variability ratio is infinite. *)
+let check_fig9_pins label (v : Exp_fig9.verdicts) =
+  List.iter
+    (fun (name, pin, x) -> check_bits (label ^ " " ^ name) pin x)
+    [
+      ("ops_ratio_sensor", "0x1.56eeeeeeeeeefp+3", v.ops_ratio_sensor);
+      ("ops_ratio_receiver", "0x1.147348e691cd2p+4", v.ops_ratio_receiver);
+      ("variability_ratio_sensor", "infinity", v.variability_ratio_sensor);
+      ( "variability_ratio_receiver",
+        "0x1.7e3b8d9d15112p+6",
+        v.variability_ratio_receiver );
+      ("spin_fraction", "0x0p+0", v.spin_fraction);
+      ("eval_penalty_sensor", "0x1.6f1e0387f1e03p+1", v.eval_penalty_sensor);
+      ("eval_penalty_receiver", "0x1.2c541007d1dd1p+1", v.eval_penalty_receiver);
+      ( "per_op_penalty_sensor",
+        "0x1.022dca6ee3814p+5",
+        v.per_op_penalty_sensor );
+      ( "per_op_penalty_receiver",
+        "0x1.47a59358f974ap+5",
+        v.per_op_penalty_receiver );
+    ]
+
 let test_fig9_claims () =
   let r = Exp_fig9.run ~seeds:10 () in
   let v = Exp_fig9.verdicts r in
+  check_fig9_pins "jobs=1" v;
+  (* the domain pool reproduces the sequential cells bit for bit *)
+  check_fig9_pins "jobs=2" (Exp_fig9.verdicts (Exp_fig9.run ~seeds:10 ~jobs:2 ()));
   Alcotest.(check bool) "conventional >= 2x ops (sensor)" true
     (v.Exp_fig9.ops_ratio_sensor >= 2.);
   Alcotest.(check bool) "conventional >= 2x ops (receiver)" true
@@ -141,10 +172,24 @@ let test_adapt_smoke () =
       Alcotest.(check bool) "adpm completes under the shift" true
         (p.Exp_adapt.adpm.Exp_adapt.done_rate > 0.))
     r.Exp_adapt.points;
-  Alcotest.(check bool) "adapt_advantage is finite" true
-    (Float.is_finite r.Exp_adapt.adapt_advantage);
+  check_bits "adapt_advantage" "0x1.01872f22e9802p+1"
+    r.Exp_adapt.adapt_advantage;
   Alcotest.(check bool) "render works" true
     (String.length (Exp_adapt.render r) > 0)
+
+let test_faults_completion () =
+  let v = Exp_faults.verdicts (Exp_faults.run ~seeds:3 ()) in
+  let show (drop, conv, adpm) = Printf.sprintf "%h %h %h" drop conv adpm in
+  Alcotest.(check (list string)) "completion_by_drop (drop, conv, adpm)"
+    [
+      "0x0p+0 0x1p+0 0x1p+0";
+      "0x1.999999999999ap-4 0x1.5555555555555p-1 0x1p+0";
+      "0x1p-2 0x0p+0 0x1p+0";
+      "0x1p-1 0x0p+0 0x1p+0";
+    ]
+    (List.map show v.Exp_faults.completion_by_drop);
+  Alcotest.(check bool) "ADPM degrades slower" true
+    v.Exp_faults.adpm_degrades_slower
 
 let suite =
   [
@@ -156,4 +201,5 @@ let suite =
     ("Fig 10 robustness", `Slow, test_fig10_robustness);
     ("ablations", `Slow, test_ablation);
     ("adaptability smoke", `Slow, test_adapt_smoke);
+    ("fault sweep completion", `Slow, test_faults_completion);
   ]

@@ -75,12 +75,12 @@ let drive scenario seed steps () =
   let net_full = build scenario and net_incr = build scenario in
   let rng = Rng.create seed in
   let props = assignable_props net_full in
-  ignore (Propagate.run_and_apply net_full);
+  Propagate.apply net_full (Propagate.run net_full);
   ignore (Propagate.run_incremental_and_apply net_incr);
   check_networks_equal "setup" net_full net_incr;
   for step = 1 to steps do
     random_op rng props net_full net_incr;
-    ignore (Propagate.run_and_apply net_full);
+    Propagate.apply net_full (Propagate.run net_full);
     ignore (Propagate.run_incremental_and_apply net_incr);
     check_networks_equal (Printf.sprintf "step %d" step) net_full net_incr
   done

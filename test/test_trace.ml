@@ -591,6 +591,64 @@ let test_replay_rejects_unusable_traces () =
   | exception Replay.Replay_error _ -> ()
   | _ -> Alcotest.fail "unknown scenario must raise"
 
+(* A trace recorded by the retired from-scratch engine with
+   [teamsim run simple -m adpm -s 1 -e full --trace]: its header says
+   "full", and every operation was charged a whole HC4 run. Replay
+   reproduces that charge from the header alone. *)
+let full_engine_fixture =
+  Filename.concat
+    (Filename.dirname Sys.executable_name)
+    "fixtures/full_engine_simple_adpm_s1.jsonl"
+
+let fixture_header engine_field =
+  Printf.sprintf
+    {|{"seq":0,"clock":0,"type":"run_started","scenario":"simple","mode":"ADPM","seed":1%s}|}
+    engine_field
+
+(* Replay the fixture with its header line replaced by [header]. *)
+let replay_full_fixture header =
+  let lines =
+    In_channel.with_open_text full_engine_fixture In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.filter (fun l -> l <> "")
+  in
+  Alcotest.(check string) "fixture header" (fixture_header {|,"engine":"full"|})
+    (List.hd lines);
+  let events =
+    List.mapi
+      (fun i line ->
+        match Codec.of_line (if i = 0 then header else line) with
+        | Ok e -> e
+        | Error e -> Alcotest.failf "fixture line %d: %s" (i + 1) e)
+      lines
+  in
+  (events, Replay.run ~resolve:(Scenario.resolver replay_scenarios) events)
+
+let test_replay_full_engine_fixture () =
+  let _, report = replay_full_fixture (fixture_header {|,"engine":"full"|}) in
+  if not (Replay.converged report) then
+    Alcotest.failf "full-engine fixture diverged:\n%s" (Replay.render report);
+  Alcotest.(check int) "every op replayed" 9 report.Replay.rp_operations;
+  (* read as incremental, the same operations are charged less: the
+     from-scratch restarts are what reproduce the recorded N_T *)
+  let _, report =
+    replay_full_fixture (fixture_header {|,"engine":"incremental"|})
+  in
+  let per_op_evaluations m =
+    String.starts_with ~prefix:"op " m.Replay.mm_label
+    && String.ends_with ~suffix:" evaluations" m.Replay.mm_label
+  in
+  Alcotest.(check bool) "incremental header: per-op evaluations diverge" true
+    (List.exists per_op_evaluations report.Replay.rp_mismatches);
+  (* a header from before the engine field decodes as "full" *)
+  let events, report = replay_full_fixture (fixture_header "") in
+  (match (List.hd events).Event.event with
+  | Event.Run_started { engine; _ } ->
+    Alcotest.(check string) "missing engine decodes as full" "full" engine
+  | _ -> Alcotest.fail "fixture starts with run_started");
+  if not (Replay.converged report) then
+    Alcotest.failf "engine-less header diverged:\n%s" (Replay.render report)
+
 let suite =
   [
     Alcotest.test_case "json round-trip" `Quick test_json_roundtrip;
@@ -620,6 +678,8 @@ let suite =
       test_replay_detects_tampering;
     Alcotest.test_case "replay rejects unusable traces" `Quick
       test_replay_rejects_unusable_traces;
+    Alcotest.test_case "replay of a full-engine trace" `Quick
+      test_replay_full_engine_fixture;
     Alcotest.test_case "codec rejects a pool_retry line" `Quick
       test_codec_rejects_pool_retry;
   ]
