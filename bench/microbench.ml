@@ -44,9 +44,10 @@ let hc4_revise_test =
 
 let hc4_revise_kernel_test =
   let k = Hc4.compile ~var_id:hc4_slot hc4_expr ~target:hc4_target in
+  let sc = Hc4.scratch ~nodes:(Hc4.max_nodes k) ~slots:(Hc4.max_slots k) in
   let lo = Array.map fst hc4_boxes and hi = Array.map snd hc4_boxes in
   Test.make ~name:"HC4 revise_kernel (9-node expr)"
-    (Staged.stage (fun () -> Hc4.revise_kernel k ~lo ~hi))
+    (Staged.stage (fun () -> Hc4.revise_kernel k 0 sc ~lo ~hi))
 
 let propagate_test name build =
   let dpm = build () ~mode:Dpm.Adpm in
@@ -92,7 +93,7 @@ let choose_test name spec cfg ~ops =
   let sc = Registry.resolve spec in
   let dpm = sc.Scenario.sc_build ~mode:cfg.Config.mode in
   if cfg.Config.mode = Dpm.Adpm then ignore (Dpm.run_propagation dpm);
-  let influence = Scenario.influence sc (Dpm.network dpm) in
+  let influence = Compiled.influence (Scenario.compiled sc ~mode:cfg.Config.mode) in
   let rng = Rng.create 7 in
   let team =
     List.map
@@ -125,6 +126,14 @@ let choose_test name spec cfg ~ops =
     | None -> invalid_arg ("Microbench.choose_test: nobody acts in " ^ spec)
   in
   Test.make ~name (Staged.stage (fun () -> Designer.choose_operation chooser dpm))
+
+(* The set-up a run pays before its first turn: a copy of the compiled
+   scenario (after the ADPM setup propagation) and the team. The scenario
+   is resolved once, so the template is compiled on the first call and
+   every timed call starts from it. *)
+let prepare_test name spec cfg =
+  let sc = Registry.resolve spec in
+  Test.make ~name (Staged.stage (fun () -> Engine.prepare cfg sc))
 
 let simulation_test name scenario mode =
   let cfg = Config.default ~mode ~seed:7 in
@@ -159,6 +168,12 @@ let tests =
         { (Config.default ~mode:Dpm.Adpm ~seed:7) with
           Config.value_policy = Config.Headroom }
         ~ops:20;
+      prepare_test "engine prepare (sensor, ADPM)" "sensor"
+        (Config.default ~mode:Dpm.Adpm ~seed:7);
+      prepare_test "engine prepare (gen n=16, ADPM headroom)"
+        "gen:n=16,k=3,seed=5,topology=random-0.2,coupling=0.25"
+        { (Config.default ~mode:Dpm.Adpm ~seed:7) with
+          Config.value_policy = Config.Headroom };
       simulation_test "full simulation (sensor, ADPM)" Sensor.scenario Dpm.Adpm;
       simulation_test "full simulation (sensor, conventional)" Sensor.scenario
         Dpm.Conventional;

@@ -122,7 +122,7 @@ let shift_plan_arg =
     & info [ "shift-plan" ] ~docv:"PLAN"
         ~doc:
           "Scheduled requirement shifts, e.g. \
-           $(b,p_budget>=140\\@30;gmin0>=9.5\\@60): at virtual time TICK, \
+           $(b,p_budget>=140@30;gmin0>=9.5@60): at virtual time TICK, \
            re-assign requirement PROP to FLOOR through the DPM. An ADPM \
            team re-propagates immediately; a conventional team discovers \
            the moved requirement only when it next verifies.")
@@ -199,7 +199,7 @@ let crash_plan_arg =
     & opt crashes_conv []
     & info [ "crash-plan" ] ~docv:"PLAN"
         ~doc:
-          "Scheduled designer crashes, e.g. $(b,alice\\@12+5;bob\\@30+10): \
+          "Scheduled designer crashes, e.g. $(b,alice@12+5;bob@30+10): \
            crash NAME at virtual time TIME, restart it RECOVERY ticks \
            later. A restarted designer has lost its believed-status table \
            and queued notifications and rebuilds from later deliveries.")

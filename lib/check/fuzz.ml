@@ -6,6 +6,7 @@ module Fault = Adpm_fault.Fault
 module Config = Adpm_teamsim.Config
 module Engine = Adpm_teamsim.Engine
 module Scenario = Adpm_teamsim.Scenario
+module Compiled = Adpm_teamsim.Compiled
 
 type schedule = {
   fs_seed : int;
@@ -161,7 +162,7 @@ let shrink ?(suite = default_suite) ?max_ops ~mode ~scenario ~prop s =
 
 let fuzz ?(suite = default_suite) ?faults ?max_ops ?(progress = fun _ -> ())
     ~mode ~seed ~count scenario =
-  let roster = Dpm.designers (scenario.Scenario.sc_build ~mode) in
+  let roster = Compiled.designers (Scenario.compiled scenario ~mode) in
   let root = Rng.create seed in
   let rec go i =
     if i > count then { fz_schedules = count; fz_violation = None }

@@ -9,6 +9,8 @@ let make ?(children = []) ~name ~properties () =
   { o_name = name; o_properties = properties; o_children = children;
     o_version = (1, 0, 0) }
 
+let copy t = { t with o_name = t.o_name }
+
 let version_string t =
   let major, minor, patch = t.o_version in
   Printf.sprintf "%d.%d.%d" major minor patch

@@ -17,6 +17,9 @@ type t = private {
 val make :
   ?children:string list -> name:string -> properties:string list -> unit -> t
 
+val copy : t -> t
+(** A fresh record at the same version. *)
+
 val version_string : t -> string
 (** "1.0.1"-style rendering. *)
 

@@ -29,11 +29,11 @@ let mine_prop net name =
   let violated c = Network.status net c = Constr.Violated in
   {
     hi_name = name;
-    hi_assigned = prop.Network.p_assigned;
-    hi_feasible = prop.Network.p_feasible;
+    hi_assigned = Network.assigned_id net prop.Network.p_id;
+    hi_feasible = Network.feasible_id net prop.Network.p_id;
     hi_relative_size =
       Domain.relative_measure ~initial:prop.Network.p_initial
-        prop.Network.p_feasible;
+        (Network.feasible_id net prop.Network.p_id);
     hi_alpha = Network.alpha net name;
     hi_beta = List.length connected;
     hi_up_helps = List.rev up_helps;

@@ -30,6 +30,7 @@ let make ~id ~name ~owner ?(inputs = []) ?(outputs = []) ?(constraints = [])
     pr_object = object_name;
   }
 
+let copy t = { t with pr_id = t.pr_id }
 let set_status t status = t.pr_status <- status
 
 let add_constraint_id t cid =

@@ -35,6 +35,10 @@ val make :
   unit ->
   t
 
+val copy : t -> t
+(** A fresh record in the same state: mutating one leaves the other
+    alone. *)
+
 val set_status : t -> status -> unit
 val add_constraint_id : t -> int -> unit
 val add_dependency : t -> int -> unit

@@ -62,9 +62,9 @@ let status_on_box ?(eps = default_eps) env c =
   | None -> Violated
   | Some d -> range_status ~eps c.rel (Interval.lo d) (Interval.hi d)
 
-let kernel_status c k =
-  let root = Array.length k.Hc4.k_op - 1 in
-  range_status ~eps:default_eps c.rel k.Hc4.k_flo.(root) k.Hc4.k_fhi.(root)
+let kernel_status c ks i sc =
+  let root = Hc4.nodes ks i - 1 in
+  range_status ~eps:default_eps c.rel sc.Hc4.s_flo.(root) sc.Hc4.s_fhi.(root)
 
 let pp_rel ppf rel =
   Format.pp_print_string ppf (match rel with Le -> "<=" | Ge -> ">=" | Eq -> "=")

@@ -47,11 +47,12 @@ val status_on_box : ?eps:float -> (string -> Interval.t) -> t -> status
 (** Status over a box of current argument values. A box on which the
     expressions are undefined everywhere yields [Violated]. *)
 
-val kernel_status : t -> Hc4.kernel -> status
-(** [kernel_status c k]: the {!status_on_box} of [c] (default [eps]) read
-    from the root interval that a successful {!Hc4.eval_kernel} of [c]'s
-    compiled [diff] left in [k]. The same comparisons on the same floats,
-    without boxing an interval. *)
+val kernel_status : t -> Hc4.kernels -> int -> Hc4.scratch -> status
+(** [kernel_status c ks i sc]: the {!status_on_box} of [c] (default
+    [eps]) read from the root interval that a successful
+    {!Hc4.eval_kernel} of kernel [i] of [ks], [c]'s compiled [diff], left
+    in [sc]. The same comparisons on the same floats, without boxing an
+    interval. *)
 
 val pp_rel : Format.formatter -> rel -> unit
 val pp_status : Format.formatter -> status -> unit

@@ -19,7 +19,7 @@ type store = { lo : float array; hi : float array; mask : bool array }
 let store_box st pid = Interval.make st.lo.(pid) st.hi.(pid)
 
 (* A numeric property's feasible subspace on the store. *)
-let feasible_on st p =
+let feasible_on st (p : Network.prop) =
   let pid = p.Network.p_id and initial = p.Network.p_initial in
   if st.mask.(pid) then Domain.refine initial (store_box st pid) else initial
 
@@ -49,16 +49,19 @@ let initial_store net =
     { lo = Array.make n 0.; hi = Array.make n 0.; mask = Array.make n false }
   in
   for pid = 0 to n - 1 do
-    let p = Network.prop_by_id net pid in
-    match p.Network.p_assigned with
+    match Network.assigned_id net pid with
     | Some (Value.Num x) -> set_box st pid (Interval.of_point x)
     | Some (Value.Sym _) -> ()
-    | None -> Option.iter (set_box st pid) (Domain.hull p.Network.p_initial)
+    | None ->
+      Option.iter (set_box st pid)
+        (Domain.hull (Network.prop_by_id net pid).Network.p_initial)
   done;
   st
 
 let copy_store st =
   { lo = Array.copy st.lo; hi = Array.copy st.hi; mask = Array.copy st.mask }
+
+let[@inline] get (a : Network.ints) i = Int32.to_int (Bigarray.Array1.unsafe_get a i)
 
 (* The HC4 fixpoint core, shared by hull propagation and shaving probes.
    Mutates the store; returns the evaluation count, whether some constraint
@@ -75,9 +78,11 @@ let copy_store st =
    is one [Hc4.revise_kernel] call against the float store followed by an
    in-place gate over the kernel's accumulator slots. *)
 let fixpoint ?(eps = 0.) ~max_revisions ?empty_marks ?waves ?seed net st =
-  let kernels = Network.kernel_array net in
-  let adj = Network.adjacency_by_id net in
-  let n_con = Array.length kernels in
+  let kernels = Network.kernels net in
+  let sc = Network.scratch net in
+  let adj = Network.adjacency net in
+  let adj_first = adj.Network.adj_first and adj_cids = adj.Network.adj_cids in
+  let n_con = Hc4.count kernels in
   let queue = Queue.create () in
   let queued = Array.make (max 1 n_con) false in
   let enqueue cid =
@@ -117,18 +122,16 @@ let fixpoint ?(eps = 0.) ~max_revisions ?empty_marks ?waves ?seed net st =
     decr wave_boundary;
     incr this_wave;
     incr evaluations;
-    let k = kernels.(cid) in
-    if not (Hc4.revise_kernel k ~lo:st.lo ~hi:st.hi) then begin
+    if not (Hc4.revise_kernel kernels cid sc ~lo:st.lo ~hi:st.hi) then begin
       any_empty := true;
       match empty_marks with
       | Some marks -> Hashtbl.replace marks cid ()
       | None -> ()
     end
     else begin
-      let kv = k.Hc4.k_vars in
-      let acc_lo = k.Hc4.k_acc_lo and acc_hi = k.Hc4.k_acc_hi in
-      for j = 0 to Array.length kv - 1 do
-        let pid = kv.(j) in
+      let acc_lo = sc.Hc4.s_acc_lo and acc_hi = sc.Hc4.s_acc_hi in
+      for j = 0 to Hc4.arity kernels cid - 1 do
+        let pid = Hc4.var kernels cid j in
         let olo = st.lo.(pid) and ohi = st.hi.(pid) in
         let nlo = acc_lo.(j) and nhi = acc_hi.(j) in
         (* Sub-eps narrowings are discarded, not just left unqueued:
@@ -150,9 +153,8 @@ let fixpoint ?(eps = 0.) ~max_revisions ?empty_marks ?waves ?seed net st =
              a true fixpoint — and therefore independent of revision
              order, which the incremental engine's bit-identical
              equivalence with from-scratch runs rests on. *)
-          let near = adj.(pid) in
-          for i = 0 to Array.length near - 1 do
-            enqueue near.(i)
+          for i = get adj_first pid to get adj_first (pid + 1) - 1 do
+            enqueue (get adj_cids i)
           done
         end
       done
@@ -206,7 +208,7 @@ let shave_bounds ~eps ~max_revisions ~slices net st evaluations =
   let unbound =
     List.filter
       (fun pid ->
-        st.mask.(pid) && (Network.prop_by_id net pid).Network.p_assigned = None)
+        st.mask.(pid) && Network.assigned_id net pid = None)
       (List.init (Network.prop_count net) Fun.id)
   in
   (* one shaving sweep per variable, repeated while it makes progress and
@@ -237,14 +239,14 @@ let shave_bounds ~eps ~max_revisions ~slices net st evaluations =
    both in dense id order — [Network.constraints] and [prop_names] order. *)
 let classify net st empty_marks revisions =
   let carr = Network.constraint_array net in
-  let kernels = Network.kernel_array net in
+  let kernels = Network.kernels net in
+  let sc = Network.scratch net in
   let statuses = ref [] in
   for cid = Array.length carr - 1 downto 0 do
-    let k = kernels.(cid) in
     let s =
       if Hashtbl.mem empty_marks cid then Constr.Violated
-      else if Hc4.eval_kernel k ~lo:st.lo ~hi:st.hi then
-        Constr.kernel_status carr.(cid) k
+      else if Hc4.eval_kernel kernels cid sc ~lo:st.lo ~hi:st.hi then
+        Constr.kernel_status carr.(cid) kernels cid sc
       else Constr.Violated
     in
     statuses := (cid, s) :: !statuses

@@ -1,5 +1,4 @@
 open Adpm_util
-open Adpm_csp
 open Adpm_core
 open Adpm_teamsim
 open Adpm_scenarios
@@ -25,10 +24,9 @@ type result = { points : point list; adapt_advantage : float }
    nominal witness, so the instance stays satisfiable by construction and
    the shift is a re-work event, not an impossibility. *)
 let schedules params scenario =
-  let dpm = scenario.Scenario.sc_build ~mode:Dpm.Adpm in
-  let net = Dpm.network dpm in
+  let compiled = Scenario.compiled scenario ~mode:Dpm.Adpm in
   let req name =
-    match Network.assigned_num net name with
+    match Compiled.assigned_num compiled name with
     | Some v -> v
     | None ->
       invalid_arg

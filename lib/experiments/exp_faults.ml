@@ -43,7 +43,7 @@ let drop_plan rate = { Fault.none with Fault.p_drop = rate }
    ADPM run (sensor completes in ~6 ticks) is still in flight when the
    crash lands, with a recovery window long enough to hurt. *)
 let default_crash_plan scenario =
-  match Dpm.designers (scenario.Scenario.sc_build ~mode:Dpm.Adpm) with
+  match Compiled.designers (Scenario.compiled scenario ~mode:Dpm.Adpm) with
   | [] -> invalid_arg "Exp_faults: scenario has no designers"
   | first :: _ ->
     {

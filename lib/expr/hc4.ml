@@ -178,8 +178,9 @@ let revise ~env e target =
    [revise] above allocates an annotated tree, a narrowings hash table and
    a binding list on every call — and it is called millions of times per
    simulation sweep. The kernel below compiles an expression once into a
-   postorder opcode array plus preallocated scratch, so a revision is two
-   array sweeps over floats that allocate nothing, on every operator.
+   postorder opcode array, revised against preallocated scratch, so a
+   revision is two array sweeps over floats that allocate nothing, on
+   every operator.
    Without flambda that takes care: floats passed to or returned from a
    function that is not inlined are boxed, as are polymorphic [min]/[max]
    arguments. So the float helpers are monomorphic and [@inline], the
@@ -200,22 +201,39 @@ let revise ~env e target =
    allocate. Used as a two-float out-parameter for [div]/[mul]/[pow]. *)
 type fpair = { mutable rlo : float; mutable rhi : float }
 
-type kernel = {
-  k_op : int array;  (** opcode per node, postorder (root last) *)
-  k_a : int array;  (** child index / var slot / constant slot *)
-  k_b : int array;  (** second child index / integer exponent *)
-  k_cval : float array;  (** constant pool *)
-  k_vars : int array;
-      (** distinct variable ids ([var_id] image), {!Expr.vars} order *)
-  k_flo : float array;  (** forward-pass scratch, per node *)
-  k_fhi : float array;
-  k_blo : float array;  (** backward-pass target scratch, per node *)
-  k_bhi : float array;
-  k_acc_lo : float array;  (** per-variable narrowing accumulator, per slot *)
-  k_acc_hi : float array;
-  k_tmp : fpair;
-  k_tlo : float;  (** constraint target *)
-  k_thi : float;
+(* Kernels live as long as their scenario's compiled template, and in
+   the OCaml heap every long-lived word raises the major heap's steady
+   size by several (see [Point]): the programs are off-heap int32 and
+   float64 arrays, one set per constraint network. *)
+type ints = (int32, Bigarray.int32_elt, Bigarray.c_layout) Bigarray.Array1.t
+type floats = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
+
+type kernels = {
+  code : ints;
+      (* per node, postorder within its kernel (root last): opcode, a, b —
+         a: first child (node index within the kernel), variable slot or
+         constant index; b: second child or integer exponent *)
+  consts : floats;  (* the constant pool of every kernel *)
+  vars : ints;  (* per kernel, its distinct variables' store ids *)
+  node_first : ints;  (* kernel -> its first node; [count] -> total *)
+  var_first : ints;  (* kernel -> its first [vars] entry *)
+  targets : floats;  (* 2i, 2i+1: kernel i's target interval *)
+  count : int;
+  max_nodes : int;
+  max_slots : int;
+}
+
+(* The mutable half of a revision, shared by every kernel a domain runs:
+   kernels are used one at a time, so one set of arrays sized for the
+   largest is enough. *)
+type scratch = {
+  s_flo : float array;  (** forward-pass intervals, per node *)
+  s_fhi : float array;
+  s_blo : float array;  (** backward-pass targets, per node *)
+  s_bhi : float array;
+  s_acc_lo : float array;  (** per-variable narrowing accumulator, per slot *)
+  s_acc_hi : float array;
+  s_tmp : fpair;
 }
 
 let op_const = 0
@@ -233,71 +251,124 @@ let op_abs = 11
 let op_min = 12
 let op_max = 13
 
-let compile ~var_id e ~target =
-  let n = Expr.size e in
-  let op = Array.make n 0 and pa = Array.make n 0 and pb = Array.make n 0 in
-  let consts = ref [] and n_consts = ref 0 in
-  let names = Expr.vars e in
-  let n_slots = List.length names in
-  let slot_of : (string, int) Hashtbl.t = Hashtbl.create 8 in
-  List.iteri (fun i x -> Hashtbl.replace slot_of x i) names;
-  let next = ref 0 in
-  let emit o a b =
-    let i = !next in
-    op.(i) <- o;
-    pa.(i) <- a;
-    pb.(i) <- b;
-    incr next;
-    i
-  in
-  let rec go = function
-    | Expr.Const c ->
-      let ci = !n_consts in
-      consts := c :: !consts;
-      incr n_consts;
-      emit op_const ci 0
-    | Expr.Var x -> emit op_var (Hashtbl.find slot_of x) 0
-    | Expr.Neg a -> un op_neg a
-    | Expr.Sqrt a -> un op_sqrt a
-    | Expr.Exp a -> un op_exp a
-    | Expr.Ln a -> un op_ln a
-    | Expr.Abs a -> un op_abs a
-    | Expr.Pow (a, k) ->
-      if k < 0 then invalid_arg "Hc4.compile: negative exponent";
-      let ia = go a in
-      emit op_pow ia k
-    | Expr.Add (a, b) -> bin op_add a b
-    | Expr.Sub (a, b) -> bin op_sub a b
-    | Expr.Mul (a, b) -> bin op_mul a b
-    | Expr.Div (a, b) -> bin op_div a b
-    | Expr.Min (a, b) -> bin op_min a b
-    | Expr.Max (a, b) -> bin op_max a b
-  and un o a =
-    let ia = go a in
-    emit o ia 0
-  and bin o a b =
-    let ia = go a in
-    let ib = go b in
-    emit o ia ib
-  in
-  let root = go e in
-  assert (root = n - 1);
+let int32s a =
+  Bigarray.Array1.init Bigarray.int32 Bigarray.c_layout (Array.length a)
+    (fun i -> Int32.of_int a.(i))
+
+let float64s a = Bigarray.Array1.of_array Bigarray.float64 Bigarray.c_layout a
+
+let[@inline] get (a : ints) i = Int32.to_int (Bigarray.Array1.unsafe_get a i)
+let[@inline] fget (a : floats) i = Bigarray.Array1.unsafe_get a i
+
+let compile_set ~var_id cases =
+  let n = Array.length cases in
+  let code = ref [] and consts = ref [] and n_consts = ref 0 in
+  let vars = ref [] and n_vars = ref 0 and nodes = ref 0 in
+  let node_first = Array.make (n + 1) 0 and var_first = Array.make (n + 1) 0 in
+  let max_nodes = ref 0 and max_slots = ref 0 in
+  Array.iteri
+    (fun i (e, _) ->
+      let first = !nodes in
+      let names = Expr.vars e in
+      let slot_of : (string, int) Hashtbl.t = Hashtbl.create 8 in
+      List.iteri (fun j x -> Hashtbl.replace slot_of x j) names;
+      let emit o a b =
+        code := b :: a :: o :: !code;
+        incr nodes;
+        !nodes - 1 - first
+      in
+      let rec go = function
+        | Expr.Const c ->
+          consts := c :: !consts;
+          incr n_consts;
+          emit op_const (!n_consts - 1) 0
+        | Expr.Var x -> emit op_var (Hashtbl.find slot_of x) 0
+        | Expr.Neg a -> un op_neg a
+        | Expr.Sqrt a -> un op_sqrt a
+        | Expr.Exp a -> un op_exp a
+        | Expr.Ln a -> un op_ln a
+        | Expr.Abs a -> un op_abs a
+        | Expr.Pow (a, k) ->
+          if k < 0 then invalid_arg "Hc4.compile: negative exponent";
+          let ia = go a in
+          emit op_pow ia k
+        | Expr.Add (a, b) -> bin op_add a b
+        | Expr.Sub (a, b) -> bin op_sub a b
+        | Expr.Mul (a, b) -> bin op_mul a b
+        | Expr.Div (a, b) -> bin op_div a b
+        | Expr.Min (a, b) -> bin op_min a b
+        | Expr.Max (a, b) -> bin op_max a b
+      and un o a =
+        let ia = go a in
+        emit o ia 0
+      and bin o a b =
+        let ia = go a in
+        let ib = go b in
+        emit o ia ib
+      in
+      let root = go e in
+      assert (root = Expr.size e - 1);
+      List.iter
+        (fun x ->
+          vars := var_id x :: !vars;
+          incr n_vars)
+        names;
+      node_first.(i + 1) <- !nodes;
+      var_first.(i + 1) <- !n_vars;
+      max_nodes := max !max_nodes (root + 1);
+      max_slots := max !max_slots (List.length names))
+    cases;
   {
-    k_op = op;
-    k_a = pa;
-    k_b = pb;
-    k_cval = Array.of_list (List.rev !consts);
-    k_vars = Array.of_list (List.map var_id names);
-    k_flo = Array.make n 0.;
-    k_fhi = Array.make n 0.;
-    k_blo = Array.make n 0.;
-    k_bhi = Array.make n 0.;
-    k_acc_lo = Array.make (max 1 n_slots) 0.;
-    k_acc_hi = Array.make (max 1 n_slots) 0.;
-    k_tmp = { rlo = 0.; rhi = 0. };
-    k_tlo = Interval.lo target;
-    k_thi = Interval.hi target;
+    code = int32s (Array.of_list (List.rev !code));
+    consts = float64s (Array.of_list (List.rev !consts));
+    vars = int32s (Array.of_list (List.rev !vars));
+    node_first = int32s node_first;
+    var_first = int32s var_first;
+    targets =
+      float64s
+        (Array.init (2 * n) (fun k ->
+             let _, target = cases.(k / 2) in
+             if k mod 2 = 0 then Interval.lo target else Interval.hi target));
+    count = n;
+    max_nodes = !max_nodes;
+    max_slots = !max_slots;
   }
+
+let compile ~var_id e ~target = compile_set ~var_id [| (e, target) |]
+let count ks = ks.count
+let max_nodes ks = ks.max_nodes
+let max_slots ks = ks.max_slots
+let nodes ks i = get ks.node_first (i + 1) - get ks.node_first i
+let arity ks i = get ks.var_first (i + 1) - get ks.var_first i
+let[@inline] var ks i j = get ks.vars (get ks.var_first i + j)
+
+let make_scratch ~nodes ~slots =
+  let nodes = max 1 nodes and slots = max 1 slots in
+  {
+    s_flo = Array.make nodes 0.;
+    s_fhi = Array.make nodes 0.;
+    s_blo = Array.make nodes 0.;
+    s_bhi = Array.make nodes 0.;
+    s_acc_lo = Array.make slots 0.;
+    s_acc_hi = Array.make slots 0.;
+    s_tmp = { rlo = 0.; rhi = 0. };
+  }
+
+let scratch_key =
+  Stdlib.Domain.DLS.new_key (fun () -> make_scratch ~nodes:64 ~slots:16)
+
+let scratch ~nodes ~slots =
+  let sc = Stdlib.Domain.DLS.get scratch_key in
+  if Array.length sc.s_flo >= nodes && Array.length sc.s_acc_lo >= slots then sc
+  else begin
+    let sc =
+      make_scratch
+        ~nodes:(max nodes (Array.length sc.s_flo))
+        ~slots:(max slots (Array.length sc.s_acc_lo))
+    in
+    Stdlib.Domain.DLS.set scratch_key sc;
+    sc
+  end
 
 (* Float mirrors of the [Interval] operations. Branches and operand order
    are copied verbatim so results (including NaN flows and signed zeros)
@@ -396,86 +467,91 @@ let[@inline] odd_root ex x =
   else x
 
 (* Forward sweep: load the variables' boxes from the store into the
-   accumulators, then evaluate every node bottom-up into [k_flo]/[k_fhi]
+   accumulators, then evaluate every node bottom-up into [s_flo]/[s_fhi]
    (the boxed [annotate]). Raises [Empty_projection] where [annotate]
    does: [sqrt] or [ln] of a box with no point in their domain. *)
-let forward k ~lo ~hi =
-  let vars = k.k_vars in
-  let acc_lo = k.k_acc_lo and acc_hi = k.k_acc_hi in
-  for j = 0 to Array.length vars - 1 do
-    let v = vars.(j) in
+let[@inline] op_at code base i = get code (base + (3 * i))
+let[@inline] a_at code base i = get code (base + (3 * i) + 1)
+let[@inline] b_at code base i = get code (base + (3 * i) + 2)
+
+let forward ks kid sc ~lo ~hi =
+  let vars = ks.vars and vf = get ks.var_first kid in
+  let acc_lo = sc.s_acc_lo and acc_hi = sc.s_acc_hi in
+  for j = 0 to get ks.var_first (kid + 1) - vf - 1 do
+    let v = get vars (vf + j) in
     acc_lo.(j) <- lo.(v);
     acc_hi.(j) <- hi.(v)
   done;
-  let op = k.k_op and pa = k.k_a and pb = k.k_b in
-  let flo = k.k_flo and fhi = k.k_fhi in
-  let tmp = k.k_tmp in
-  for i = 0 to Array.length op - 1 do
-    let o = op.(i) in
+  let first = get ks.node_first kid in
+  let code = ks.code and base = 3 * first in
+  let flo = sc.s_flo and fhi = sc.s_fhi in
+  let tmp = sc.s_tmp in
+  for i = 0 to get ks.node_first (kid + 1) - first - 1 do
+    let o = op_at code base i in
     if o = op_const then begin
-      let c = k.k_cval.(pa.(i)) in
+      let c = fget ks.consts (a_at code base i) in
       flo.(i) <- c;
       fhi.(i) <- c
     end
     else if o = op_var then begin
-      let j = pa.(i) in
+      let j = a_at code base i in
       flo.(i) <- acc_lo.(j);
       fhi.(i) <- acc_hi.(j)
     end
     else if o = op_neg then begin
-      let ia = pa.(i) in
+      let ia = a_at code base i in
       flo.(i) <- -.fhi.(ia);
       fhi.(i) <- -.flo.(ia)
     end
     else if o = op_add then begin
-      let ia = pa.(i) and ib = pb.(i) in
+      let ia = a_at code base i and ib = b_at code base i in
       flo.(i) <- flo.(ia) +. flo.(ib);
       fhi.(i) <- fhi.(ia) +. fhi.(ib)
     end
     else if o = op_sub then begin
-      let ia = pa.(i) and ib = pb.(i) in
+      let ia = a_at code base i and ib = b_at code base i in
       flo.(i) <- flo.(ia) -. fhi.(ib);
       fhi.(i) <- fhi.(ia) -. flo.(ib)
     end
     else if o = op_mul then begin
-      let ia = pa.(i) and ib = pb.(i) in
+      let ia = a_at code base i and ib = b_at code base i in
       mul_into tmp flo.(ia) fhi.(ia) flo.(ib) fhi.(ib);
       flo.(i) <- tmp.rlo;
       fhi.(i) <- tmp.rhi
     end
     else if o = op_div then begin
-      let ia = pa.(i) and ib = pb.(i) in
+      let ia = a_at code base i and ib = b_at code base i in
       div_into tmp flo.(ia) fhi.(ia) flo.(ib) fhi.(ib);
       flo.(i) <- tmp.rlo;
       fhi.(i) <- tmp.rhi
     end
     else if o = op_pow then begin
-      let ia = pa.(i) in
+      let ia = a_at code base i in
       tmp.rlo <- flo.(ia);
       tmp.rhi <- fhi.(ia);
-      pow_in_place tmp pb.(i);
+      pow_in_place tmp (b_at code base i);
       flo.(i) <- tmp.rlo;
       fhi.(i) <- tmp.rhi
     end
     else if o = op_sqrt then begin
-      let ia = pa.(i) in
+      let ia = a_at code base i in
       if fhi.(ia) < 0. then raise_notrace Empty_projection;
       flo.(i) <- sqrt (fmax 0. flo.(ia));
       fhi.(i) <- sqrt fhi.(ia)
     end
     else if o = op_exp then begin
-      let ia = pa.(i) in
+      let ia = a_at code base i in
       flo.(i) <- exp flo.(ia);
       fhi.(i) <- exp fhi.(ia)
     end
     else if o = op_ln then begin
-      let ia = pa.(i) in
+      let ia = a_at code base i in
       if fhi.(ia) <= 0. then raise_notrace Empty_projection;
       flo.(i) <- (if flo.(ia) <= 0. then neg_infinity else log flo.(ia));
       fhi.(i) <- log fhi.(ia)
     end
     else if o = op_abs then begin
-      let ia = pa.(i) in
+      let ia = a_at code base i in
       if flo.(ia) >= 0. then begin
         flo.(i) <- flo.(ia);
         fhi.(i) <- fhi.(ia)
@@ -490,161 +566,161 @@ let forward k ~lo ~hi =
       end
     end
     else if o = op_min then begin
-      let ia = pa.(i) and ib = pb.(i) in
+      let ia = a_at code base i and ib = b_at code base i in
       flo.(i) <- fmin flo.(ia) flo.(ib);
       fhi.(i) <- fmin fhi.(ia) fhi.(ib)
     end
     else begin
       (* op_max *)
-      let ia = pa.(i) and ib = pb.(i) in
+      let ia = a_at code base i and ib = b_at code base i in
       flo.(i) <- fmax flo.(ia) flo.(ib);
       fhi.(i) <- fmax fhi.(ia) fhi.(ib)
     end
   done
 
-(* [meet k i plo phi]: widen the projected target and intersect it with
+(* [meet sc i plo phi]: widen the projected target and intersect it with
    node [i]'s forward interval into the backward scratch, exactly as the
    boxed [meet]. *)
-let[@inline] meet k i plo phi =
+let[@inline] meet sc i plo phi =
   let wl = wlo_f plo and wh = whi_f phi in
-  let nl = fmax k.k_flo.(i) wl and nh = fmin k.k_fhi.(i) wh in
+  let nl = fmax sc.s_flo.(i) wl and nh = fmin sc.s_fhi.(i) wh in
   if nl > nh then raise_notrace Empty_projection;
-  k.k_blo.(i) <- nl;
-  k.k_bhi.(i) <- nh
+  sc.s_blo.(i) <- nl;
+  sc.s_bhi.(i) <- nh
 
 (* Backward sweep from node [i], whose target is already in
-   [k_blo]/[k_bhi]: project onto the children (a before b, as the boxed
+   [s_blo]/[s_bhi]: project onto the children (a before b, as the boxed
    [back]) down to the variables' accumulators. *)
-let rec back k i =
-  let op = k.k_op and pa = k.k_a and pb = k.k_b in
-  let flo = k.k_flo and fhi = k.k_fhi in
-  let blo = k.k_blo and bhi = k.k_bhi in
-  let tmp = k.k_tmp in
-  let o = op.(i) in
+let rec back code base sc i =
+  let flo = sc.s_flo and fhi = sc.s_fhi in
+  let blo = sc.s_blo and bhi = sc.s_bhi in
+  let tmp = sc.s_tmp in
+  let o = op_at code base i in
   if o = op_const then ()
   else if o = op_var then begin
     (* boxed [record]: widen, then intersect with the accumulator *)
-    let j = pa.(i) in
+    let j = a_at code base i in
     let wl = wlo_f blo.(i) and wh = whi_f bhi.(i) in
-    let nl = fmax k.k_acc_lo.(j) wl and nh = fmin k.k_acc_hi.(j) wh in
+    let nl = fmax sc.s_acc_lo.(j) wl and nh = fmin sc.s_acc_hi.(j) wh in
     if nl > nh then raise_notrace Empty_projection;
-    k.k_acc_lo.(j) <- nl;
-    k.k_acc_hi.(j) <- nh
+    sc.s_acc_lo.(j) <- nl;
+    sc.s_acc_hi.(j) <- nh
   end
   else if o = op_neg then begin
-    let ia = pa.(i) in
-    meet k ia (-.bhi.(i)) (-.blo.(i));
-    back k ia
+    let ia = a_at code base i in
+    meet sc ia (-.bhi.(i)) (-.blo.(i));
+    back code base sc ia
   end
   else if o = op_add then begin
-    let ia = pa.(i) and ib = pb.(i) in
-    meet k ia (blo.(i) -. fhi.(ib)) (bhi.(i) -. flo.(ib));
-    back k ia;
-    meet k ib (blo.(i) -. fhi.(ia)) (bhi.(i) -. flo.(ia));
-    back k ib
+    let ia = a_at code base i and ib = b_at code base i in
+    meet sc ia (blo.(i) -. fhi.(ib)) (bhi.(i) -. flo.(ib));
+    back code base sc ia;
+    meet sc ib (blo.(i) -. fhi.(ia)) (bhi.(i) -. flo.(ia));
+    back code base sc ib
   end
   else if o = op_sub then begin
-    let ia = pa.(i) and ib = pb.(i) in
-    meet k ia (blo.(i) +. flo.(ib)) (bhi.(i) +. fhi.(ib));
-    back k ia;
-    meet k ib (flo.(ia) -. bhi.(i)) (fhi.(ia) -. blo.(i));
-    back k ib
+    let ia = a_at code base i and ib = b_at code base i in
+    meet sc ia (blo.(i) +. flo.(ib)) (bhi.(i) +. fhi.(ib));
+    back code base sc ia;
+    meet sc ib (flo.(ia) -. bhi.(i)) (fhi.(ia) -. blo.(i));
+    back code base sc ib
   end
   else if o = op_mul then begin
-    let ia = pa.(i) and ib = pb.(i) in
+    let ia = a_at code base i and ib = b_at code base i in
     div_into tmp blo.(i) bhi.(i) flo.(ib) fhi.(ib);
-    meet k ia tmp.rlo tmp.rhi;
-    back k ia;
+    meet sc ia tmp.rlo tmp.rhi;
+    back code base sc ia;
     div_into tmp blo.(i) bhi.(i) flo.(ia) fhi.(ia);
-    meet k ib tmp.rlo tmp.rhi;
-    back k ib
+    meet sc ib tmp.rlo tmp.rhi;
+    back code base sc ib
   end
   else if o = op_div then begin
-    let ia = pa.(i) and ib = pb.(i) in
+    let ia = a_at code base i and ib = b_at code base i in
     mul_into tmp blo.(i) bhi.(i) flo.(ib) fhi.(ib);
-    meet k ia tmp.rlo tmp.rhi;
-    back k ia;
+    meet sc ia tmp.rlo tmp.rhi;
+    back code base sc ia;
     div_into tmp flo.(ia) fhi.(ia) blo.(i) bhi.(i);
-    meet k ib tmp.rlo tmp.rhi;
-    back k ib
+    meet sc ib tmp.rlo tmp.rhi;
+    back code base sc ib
   end
   else if o = op_pow then begin
-    let ia = pa.(i) and ex = pb.(i) in
+    let ia = a_at code base i and ex = b_at code base i in
     let zlo = blo.(i) and zhi = bhi.(i) in
-    if ex = 0 then meet k ia neg_infinity infinity
-    else if ex mod 2 = 1 then meet k ia (odd_root ex zlo) (odd_root ex zhi)
+    if ex = 0 then meet sc ia neg_infinity infinity
+    else if ex mod 2 = 1 then meet sc ia (odd_root ex zlo) (odd_root ex zhi)
     else if zhi < 0. then raise_notrace Empty_projection
     else begin
       let r =
         if Float.is_finite zhi then zhi ** (1. /. float_of_int ex)
         else infinity
       in
-      meet k ia (-.r) r
+      meet sc ia (-.r) r
     end;
-    back k ia
+    back code base sc ia
   end
   else if o = op_sqrt then begin
-    let ia = pa.(i) in
+    let ia = a_at code base i in
     if bhi.(i) < 0. then raise_notrace Empty_projection;
     let l = fmax 0. blo.(i) in
     let phi = if Float.is_finite bhi.(i) then bhi.(i) *. bhi.(i) else infinity in
-    meet k ia (l *. l) phi;
-    back k ia
+    meet sc ia (l *. l) phi;
+    back code base sc ia
   end
   else if o = op_exp then begin
-    let ia = pa.(i) in
+    let ia = a_at code base i in
     if bhi.(i) <= 0. then raise_notrace Empty_projection;
     let plo = if blo.(i) <= 0. then neg_infinity else log blo.(i) in
     let phi = if Float.is_finite bhi.(i) then log bhi.(i) else infinity in
-    meet k ia plo phi;
-    back k ia
+    meet sc ia plo phi;
+    back code base sc ia
   end
   else if o = op_ln then begin
-    let ia = pa.(i) in
+    let ia = a_at code base i in
     let plo = if Float.is_finite blo.(i) then exp blo.(i) else 0. in
     let phi = if Float.is_finite bhi.(i) then exp bhi.(i) else infinity in
-    meet k ia plo phi;
-    back k ia
+    meet sc ia plo phi;
+    back code base sc ia
   end
   else if o = op_abs then begin
-    let ia = pa.(i) in
+    let ia = a_at code base i in
     let h = fmax 0. bhi.(i) in
-    meet k ia (-.h) h;
-    back k ia
+    meet sc ia (-.h) h;
+    back code base sc ia
   end
   else if o = op_min then begin
-    let ia = pa.(i) and ib = pb.(i) in
+    let ia = a_at code base i and ib = b_at code base i in
     (* an argument is bounded above only when the other certainly
        exceeds the target (boxed A_min case) *)
-    if flo.(ib) > bhi.(i) then meet k ia blo.(i) bhi.(i)
-    else meet k ia blo.(i) infinity;
-    back k ia;
-    if flo.(ia) > bhi.(i) then meet k ib blo.(i) bhi.(i)
-    else meet k ib blo.(i) infinity;
-    back k ib
+    if flo.(ib) > bhi.(i) then meet sc ia blo.(i) bhi.(i)
+    else meet sc ia blo.(i) infinity;
+    back code base sc ia;
+    if flo.(ia) > bhi.(i) then meet sc ib blo.(i) bhi.(i)
+    else meet sc ib blo.(i) infinity;
+    back code base sc ib
   end
   else begin
     (* op_max *)
-    let ia = pa.(i) and ib = pb.(i) in
-    if fhi.(ib) < blo.(i) then meet k ia blo.(i) bhi.(i)
-    else meet k ia neg_infinity bhi.(i);
-    back k ia;
-    if fhi.(ia) < blo.(i) then meet k ib blo.(i) bhi.(i)
-    else meet k ib neg_infinity bhi.(i);
-    back k ib
+    let ia = a_at code base i and ib = b_at code base i in
+    if fhi.(ib) < blo.(i) then meet sc ia blo.(i) bhi.(i)
+    else meet sc ia neg_infinity bhi.(i);
+    back code base sc ia;
+    if fhi.(ia) < blo.(i) then meet sc ib blo.(i) bhi.(i)
+    else meet sc ib neg_infinity bhi.(i);
+    back code base sc ib
   end
 
-let revise_kernel k ~lo ~hi =
+let revise_kernel ks kid sc ~lo ~hi =
   match
-    forward k ~lo ~hi;
-    let r = Array.length k.k_op - 1 in
-    meet k r k.k_tlo k.k_thi;
-    back k r
+    forward ks kid sc ~lo ~hi;
+    let first = get ks.node_first kid in
+    let r = get ks.node_first (kid + 1) - first - 1 in
+    meet sc r (fget ks.targets (2 * kid)) (fget ks.targets ((2 * kid) + 1));
+    back ks.code (3 * first) sc r
   with
   | () -> true
   | exception Empty_projection -> false
 
-let eval_kernel k ~lo ~hi =
-  match forward k ~lo ~hi with
+let eval_kernel ks kid sc ~lo ~hi =
+  match forward ks kid sc ~lo ~hi with
   | () -> true
   | exception Empty_projection -> false

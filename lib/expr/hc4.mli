@@ -31,57 +31,84 @@ val revise :
 (** {1 Compiled flat kernel}
 
     The allocation-free fast path for the propagation inner loop: an
-    expression is {!compile}d once into a postorder opcode program with
-    preallocated scratch, then {!revise_kernel} revises it directly
-    against a struct-of-arrays box store ([lo]/[hi] float arrays indexed
-    by a dense property id). Results are bit-identical to {!revise} —
-    every float formula mirrors the boxed [Interval] operations branch
-    for branch, and the backward sweep recurses in the same order.
-    In native code neither {!revise_kernel} nor {!eval_kernel} allocates
-    on the OCaml heap. *)
+    expression is {!compile}d once into a postorder opcode program, then
+    {!revise_kernel} revises it directly against a struct-of-arrays box
+    store ([lo]/[hi] float arrays indexed by a dense property id), working
+    in a {!scratch}. Results are bit-identical to {!revise} — every float
+    formula mirrors the boxed [Interval] operations branch for branch,
+    and the backward sweep recurses in the same order. In native code
+    neither {!revise_kernel} nor {!eval_kernel} allocates on the OCaml
+    heap. *)
 
 type fpair = { mutable rlo : float; mutable rhi : float }
 
-type kernel = {
-  k_op : int array;
-  k_a : int array;
-  k_b : int array;
-  k_cval : float array;
-  k_vars : int array;
-      (** dense ids of the expression's distinct variables, {!Expr.vars}
-          order; slot [j] of the accumulators belongs to [k_vars.(j)] *)
-  k_flo : float array;
-  k_fhi : float array;
-  k_blo : float array;
-  k_bhi : float array;
-  k_acc_lo : float array;
+type kernels
+(** The compiled programs of a set of expressions (a network's
+    constraints), kernel [i] enforcing [e_i IN target_i]. Immutable and
+    off the OCaml heap, so one set serves any number of networks and
+    domains and costs a long-lived scenario only its bytes. *)
+
+type scratch = private {
+  s_flo : float array;
+      (** after {!eval_kernel} (or the forward half of {!revise_kernel}):
+          each node's interval; the root is at [nodes ks i - 1] *)
+  s_fhi : float array;
+  s_blo : float array;
+  s_bhi : float array;
+  s_acc_lo : float array;
       (** after a successful {!revise_kernel}: narrowed lower bound per
           variable slot *)
-  k_acc_hi : float array;
-  k_tmp : fpair;
-  k_tlo : float;
-  k_thi : float;
+  s_acc_hi : float array;
+  s_tmp : fpair;
 }
-(** Treat as read-only outside {!revise_kernel} and {!eval_kernel}; the
-    scratch arrays make a kernel single-threaded — share it only within
-    one domain. *)
+(** The mutable working arrays of a revision. *)
 
-val compile : var_id:(string -> int) -> Expr.t -> target:Interval.t -> kernel
-(** [compile ~var_id e ~target] builds the kernel enforcing
-    [e IN target]. [var_id] maps each variable of [e] to its dense store
-    index. @raise Invalid_argument on a negative exponent. *)
+val compile_set :
+  var_id:(string -> int) -> (Expr.t * Interval.t) array -> kernels
+(** [compile_set ~var_id cases] compiles kernel [i] enforcing
+    [fst cases.(i) IN snd cases.(i)]. [var_id] maps each variable to its
+    dense store index. @raise Invalid_argument on a negative exponent. *)
 
-val revise_kernel : kernel -> lo:float array -> hi:float array -> bool
-(** One HC4 revision against the flat store. Returns [false] when the
+val compile : var_id:(string -> int) -> Expr.t -> target:Interval.t -> kernels
+(** A set of one: kernel [0]. *)
+
+val count : kernels -> int
+
+val nodes : kernels -> int -> int
+(** Kernel [i]'s node count; its root's interval sits at [nodes - 1] of
+    the scratch after an evaluation. *)
+
+val arity : kernels -> int -> int
+(** Kernel [i]'s distinct variables: its accumulator slots. *)
+
+val var : kernels -> int -> int -> int
+(** [var ks i j]: the store id of kernel [i]'s slot [j] ({!Expr.vars}
+    order). *)
+
+val max_nodes : kernels -> int
+val max_slots : kernels -> int
+(** The scratch the set needs. *)
+
+val scratch : nodes:int -> slots:int -> scratch
+(** The calling domain's own scratch, grown to at least these sizes: one
+    per domain, so kernels are never revised on scratch another domain
+    is using. Valid until the next call from the same domain with larger
+    sizes. *)
+
+val revise_kernel :
+  kernels -> int -> scratch -> lo:float array -> hi:float array -> bool
+(** [revise_kernel ks i sc]: one HC4 revision of kernel [i] against the
+    flat store, in a scratch sized for the set. Returns [false] when the
     constraint is certainly unsatisfiable on the box (the boxed [Empty]);
     on [true] the narrowed per-variable intervals are left in
-    [k_acc_lo]/[k_acc_hi] (slot order [k_vars]). The store itself is not
-    written. *)
+    [s_acc_lo]/[s_acc_hi] (slot [j] for {!var}[ ks i j]). The store itself
+    is not written. *)
 
-val eval_kernel : kernel -> lo:float array -> hi:float array -> bool
+val eval_kernel :
+  kernels -> int -> scratch -> lo:float array -> hi:float array -> bool
 (** The forward half of {!revise_kernel} alone: evaluate the expression
     over the store's box, as {!Expr.eval_interval} does. Returns [false]
     where {!Expr.eval_interval} returns [None] ([sqrt] or [ln] of a box
     outside their domain); on [true] the root's interval is left in
-    [k_flo]/[k_fhi] at index [Array.length k_op - 1]. The store is not
+    [s_flo]/[s_fhi] at index [nodes ks i - 1]. The store is not
     written. *)

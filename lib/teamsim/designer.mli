@@ -41,9 +41,8 @@ type delivery = { dv_own : bool; dv_op : Operator.t; dv_result : Dpm.result }
 
 val create : Config.t -> rng:Rng.t -> influence:Influence.t -> string -> t
 (** A designer deciding with the scenario's shared influence table (which
-    also carries the tool models, {!Influence.models}). Should the network
-    change structurally under it, the designer re-analyses privately
-    ({!Influence.refresh}). *)
+    also carries the tool models, compiled). Its scratch is sized for the
+    table's network, whose structure a run cannot change. *)
 
 val name : t -> string
 

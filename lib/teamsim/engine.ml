@@ -15,13 +15,16 @@ type outcome = {
 
 (* {2 Run scaffolding}
 
-   Everything outside the turn-taking discipline: scenario build,
-   [Run_started], Rng stream layout (one split per designer, in designer
-   order), the ADPM setup propagation with its charged setup record, and
-   the closing summary. *)
+   Everything outside the turn-taking discipline: the run's copy of the
+   compiled scenario, [Run_started], Rng stream layout (one split per
+   designer, in designer order), the ADPM setup propagation's charged
+   setup record and events, and the closing summary. *)
 
-let prepare ~tracer cfg scenario ~record =
-  let dpm = scenario.Scenario.sc_build ~mode:cfg.Config.mode in
+let scaffold ~tracer cfg scenario ~record =
+  let compiled = Scenario.compiled scenario ~mode:cfg.Config.mode in
+  let dpm, setup =
+    Compiled.start ~max_revisions:cfg.Config.max_revisions compiled
+  in
   Dpm.set_tracer dpm tracer;
   if Tracer.active tracer then
     Tracer.emit tracer
@@ -33,34 +36,29 @@ let prepare ~tracer cfg scenario ~record =
            engine = "incremental";
          });
   let rng = Rng.create cfg.Config.seed in
-  let influence = Scenario.influence scenario (Dpm.network dpm) in
+  let influence = Compiled.influence compiled in
   let designers =
     List.map
       (fun name -> Designer.create cfg ~rng:(Rng.split rng) ~influence name)
       (Dpm.designers dpm)
   in
   let setup_evals =
-    match cfg.Config.mode with
-    | Dpm.Conventional -> 0
-    | Dpm.Adpm ->
-      let outcome =
-        Dpm.run_propagation ~max_revisions:cfg.Config.max_revisions dpm
-      in
+    match setup with
+    | None -> 0
+    | Some s ->
+      Compiled.trace_setup s tracer;
+      let evaluations = Compiled.setup_evaluations s in
       record
         {
           Metrics.m_index = 0;
           m_designer = "<setup>";
           m_kind = "setup";
-          m_evaluations = outcome.Propagate.evaluations;
-          m_new_violations =
-            List.length
-              (List.filter
-                 (fun (_, s) -> s = Constr.Violated)
-                 outcome.Propagate.statuses);
+          m_evaluations = evaluations;
+          m_new_violations = Compiled.setup_violated s;
           m_known_violations = List.length (Dpm.known_violations dpm);
           m_spin = false;
         };
-      outcome.Propagate.evaluations
+      evaluations
   in
   (* the project kickoff: everyone leaves setup with the same picture of
      the constraint network (matters only under a nonzero latency, where
@@ -68,6 +66,12 @@ let prepare ~tracer cfg scenario ~record =
   let statuses = Dpm.known_statuses dpm in
   List.iter (fun d -> Designer.learn_statuses d statuses) designers;
   (dpm, rng, designers, setup_evals)
+
+let prepare cfg scenario =
+  let dpm, _, designers, _ =
+    scaffold ~tracer:Tracer.null cfg scenario ~record:ignore
+  in
+  (dpm, designers)
 
 let finish ~tracer cfg scenario dpm ~setup_evals ~profile ~makespan ~faults =
   let completed = Dpm.solved dpm && Dpm.ground_truth_solved dpm in
@@ -175,7 +179,7 @@ let run ?(on_op = fun _ -> ()) ?(tracer = Tracer.null) cfg scenario =
     profile := r :: !profile;
     on_op r
   in
-  let dpm, rng, designers, setup_evals = prepare ~tracer cfg scenario ~record in
+  let dpm, rng, designers, setup_evals = scaffold ~tracer cfg scenario ~record in
   let injector =
     if Fault.is_none cfg.Config.faults then None
     else Some (Fault.create ~rng:(Rng.split rng) cfg.Config.faults)
@@ -432,7 +436,8 @@ let run ?(on_op = fun _ -> ()) ?(tracer = Tracer.null) cfg scenario =
       }
 
 (* Parallelism never changes a number: each seed's run draws from its own
-   Rng stream and builds its own network, whichever domain executes it. So
+   Rng stream and starts from its own copy of the compiled scenario,
+   whichever domain executes it (the template is never written). So
    the only contract the pool must keep is order and loudness: results
    come back in seed order, and a raising run names its seed. *)
 let run_many ?(jobs = 1) cfg scenario ~seeds =

@@ -38,7 +38,10 @@ val run :
 (** Execute one simulation on the discrete-event scheduler. In ADPM mode an
     initial propagation runs before the first designer turn (constraints
     are propagated "beginning when these constraints are generated"); its
-    evaluations are charged to the run as a setup record.
+    evaluations are charged to the run as a setup record. The run starts
+    from the scenario's {!Compiled} template, so that propagation is
+    computed once per scenario and budget and copied (with its events)
+    into every run.
 
     With an active [tracer] the engine emits the run lifecycle
     ([Run_started], one [Op_submitted] per accepted operation carrying its
@@ -51,6 +54,11 @@ val run :
     @raise Invalid_argument if the configuration fails
     {!Config.validate}. *)
 
+val prepare : Config.t -> Scenario.t -> Dpm.t * Designer.t list
+(** What {!run} does before the first designer turn, untraced: the run's
+    copy of the compiled scenario (after the ADPM setup propagation) and
+    its designers, kickoff statuses learned. For benchmarks and tests. *)
+
 val run_many :
   ?jobs:int -> Config.t -> Scenario.t -> seeds:int list -> Metrics.run_summary list
 (** One run per seed (via {!run}), same configuration otherwise.
@@ -59,8 +67,8 @@ val run_many :
     {!Adpm_parallel.Dpool}; with [jobs <= 1] or a single seed the calling
     domain runs every seed and nothing is spawned. The result is
     {b bit-identical} for any [jobs] — same summaries, same seed order —
-    because each seed's run owns its Rng stream and builds its own
-    network.
+    because each seed's run owns its Rng stream and its copy of the
+    compiled scenario ({!Scenario.compiled}).
 
     @raise Failure naming the lowest failing seed if a run raises, at any
     [jobs] (no silent partial aggregates). *)

@@ -11,8 +11,6 @@ type ints = (int32, Bigarray.int32_elt, Bigarray.c_layout) Bigarray.Array1.t
 type floats = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
 
 type t = {
-  models : (string * Expr.t) list;
-  digest : int;
   n_props : int;
   n_constraints : int;
   first : ints;
@@ -165,8 +163,6 @@ let analyse ~models net =
         | None -> if k mod 2 = 0 then neg_infinity else infinity)
   in
   {
-    models;
-    digest = Network.structure_digest net;
     n_props;
     n_constraints = Network.constraint_count net;
     first = ints first;
@@ -177,7 +173,6 @@ let analyse ~models net =
     hull = Bigarray.Array1.of_array Bigarray.float64 Bigarray.c_layout hull;
   }
 
-let models t = t.models
 let prop_count t = t.n_props
 let constraint_count t = t.n_constraints
 let programs t = t.programs
@@ -190,12 +185,6 @@ let clamp t pid raw =
 let lhs cid = 2 * cid
 let rhs cid = (2 * cid) + 1
 
-let fits t net =
-  t.digest = Network.structure_digest net
-  && t.n_props = Network.prop_count net
-  && t.n_constraints = Network.constraint_count net
-
-let refresh t net = if fits t net then t else analyse ~models:t.models net
 let reach_count t pid = get t.first (pid + 1) - get t.first pid
 
 let touching t pid =

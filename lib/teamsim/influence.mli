@@ -7,8 +7,9 @@
     helps each of them depends only on a scenario's structure: its
     constraints, its immutable initial ranges E_i, its declared
     monotonicity and its models. None of that changes while a simulation
-    runs, so the table is built once per scenario ({!Scenario.influence})
-    and shared, read-only, by every designer of every run of it.
+    runs, so the table is built once per scenario, with its {!Compiled}
+    template, and shared, read-only, by every designer of every run of
+    it.
 
     Layout: three off-heap int32 arrays, indexed through dense property
     ids ({!Adpm_csp.Network.prop}). [entries] holds, property after
@@ -36,19 +37,6 @@ val analyse : models:(string * Expr.t) list -> Network.t -> t
     {!Network.helps_direction} for a constraint's own arguments and from
     {!Monotone.direction} over the initial-range hulls for a model in one
     of its inputs. *)
-
-val models : t -> (string * Expr.t) list
-
-val fits : t -> Network.t -> bool
-(** The table describes this network: same {!Network.structure_digest},
-    property count and constraint count as the network it was built
-    from. *)
-
-val refresh : t -> Network.t -> t
-(** The table itself when it {!fits} the network, otherwise a fresh
-    analysis of the network with the same models: a network changed
-    structurally after analysis is re-analysed, never served stale
-    data. *)
 
 val prop_count : t -> int
 val constraint_count : t -> int

@@ -17,11 +17,13 @@ type t = {
 }
 
 let create ?(tracer = Tracer.null) ~mode ~seed scenario ~designer =
-  let dpm = scenario.Scenario.sc_build ~mode in
-  if not (List.mem designer (Dpm.designers dpm)) then
+  let compiled = Scenario.compiled scenario ~mode in
+  let team = Compiled.designers compiled in
+  if not (List.mem designer team) then
     invalid_arg
       (Printf.sprintf "Interactive.create: no designer %s (team: %s)" designer
-         (String.concat ", " (Dpm.designers dpm)));
+         (String.concat ", " team));
+  let dpm, setup = Compiled.start compiled in
   Dpm.set_tracer dpm tracer;
   if Tracer.active tracer then
     Tracer.emit tracer
@@ -34,18 +36,20 @@ let create ?(tracer = Tracer.null) ~mode ~seed scenario ~designer =
          });
   let rng = Rng.create seed in
   let cfg = Config.default ~mode ~seed in
-  let influence = Scenario.influence scenario (Dpm.network dpm) in
+  let influence = Compiled.influence compiled in
   let mk name = Designer.create cfg ~rng:(Rng.split rng) ~influence name in
   let player_model = mk designer in
   let teammates =
     List.filter_map
       (fun name -> if String.equal name designer then None else Some (mk name))
-      (Dpm.designers dpm)
+      team
   in
   let setup_evals =
-    match mode with
-    | Dpm.Conventional -> 0
-    | Dpm.Adpm -> (Dpm.run_propagation dpm).Propagate.evaluations
+    match setup with
+    | None -> 0
+    | Some s ->
+      Compiled.trace_setup s tracer;
+      Compiled.setup_evaluations s
   in
   { dpm; player = designer; player_model; teammates;
     models = scenario.Scenario.sc_models; setup_evals;

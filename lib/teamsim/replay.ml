@@ -64,18 +64,14 @@ let run ~resolve events =
     | "full" -> true
     | other -> fail "trace references unknown engine %S" other
   in
-  let dpm = scenario.Scenario.sc_build ~mode in
+  (* the engine's pre-turn propagation (its cost is recorded separately in
+     the run_finished event, so it is checked, not merged into N_T); it
+     starts from no persisted box store, so it is the from-scratch run
+     either engine made *)
+  let dpm, setup = Compiled.start (Scenario.compiled scenario ~mode) in
+  let setup_evals = Option.fold ~none:0 ~some:Compiled.setup_evaluations setup in
   let before_propagation () =
     if from_scratch then Network.invalidate_prop_state (Dpm.network dpm)
-  in
-  (* the engine's pre-turn propagation (its cost is recorded separately in
-     the run_finished event, so it is checked, not merged into N_T) *)
-  let setup_evals =
-    match mode with
-    | Dpm.Conventional -> 0
-    | Dpm.Adpm ->
-      before_propagation ();
-      (Dpm.run_propagation dpm).Propagate.evaluations
   in
   let mismatches = ref [] in
   let add label expected actual =

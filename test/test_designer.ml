@@ -99,7 +99,7 @@ let disagreements spec =
     let dpm = sc.Scenario.sc_build ~mode in
     let net = Dpm.network dpm in
     scramble rng sc dpm trial;
-    let influence = Scenario.influence sc net in
+    let influence = Compiled.influence (Scenario.compiled sc ~mode) in
     List.iter
       (fun name ->
         let d = designer influence name in
@@ -131,8 +131,8 @@ let disagreements spec =
             | Some x -> check_run (Some (prop, x))
             | None -> ());
             let dom =
-              if Domain.is_empty p.Network.p_feasible then p.Network.p_initial
-              else p.Network.p_feasible
+              let feasible = Network.feasible_id net p.Network.p_id in
+              if Domain.is_empty feasible then p.Network.p_initial else feasible
             in
             let want, evals =
               Oracle.headroom ~models net ~targets:derived ~infl:influence
@@ -299,7 +299,7 @@ let test_headroom_charges_skipped () =
    the same choice, and the warm designer's outputs must be the fresh
    ones. *)
 let same_choice what sc dpm ~warm ~rng ~change =
-  let influence = Scenario.influence sc (Dpm.network dpm) in
+  let influence = Compiled.influence (Scenario.compiled sc ~mode:(Dpm.mode dpm)) in
   let cfg = Config.default ~mode:(Dpm.mode dpm) ~seed:1 in
   let before = Designer.outputs warm dpm in
   change ();
@@ -317,7 +317,7 @@ let test_view_follows_problems mode () =
   let sc = Adpm_scenarios.Registry.resolve "simple" in
   let dpm = sc.Scenario.sc_build ~mode in
   ignore (Dpm.run_propagation dpm);
-  let influence = Scenario.influence sc (Dpm.network dpm) in
+  let influence = Compiled.influence (Scenario.compiled sc ~mode) in
   let rng = Rng.create 9 in
   let warm =
     Designer.create (Config.default ~mode ~seed:1) ~rng ~influence "alice"

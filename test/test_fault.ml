@@ -262,7 +262,7 @@ let test_restart_loses_believed_statuses () =
   let dpm = scenario.Scenario.sc_build ~mode:Dpm.Adpm in
   ignore (Dpm.run_propagation dpm);
   let c = Config.default ~mode:Dpm.Adpm ~seed:5 in
-  let influence = Scenario.influence scenario (Dpm.network dpm) in
+  let influence = Compiled.influence (Scenario.compiled scenario ~mode:Dpm.Adpm) in
   let designers =
     List.map
       (fun name ->

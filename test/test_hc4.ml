@@ -225,6 +225,7 @@ let kernel_matches_boxed =
       let env = env_of [ ("x", Interval.make xl xh); ("y", Interval.make yl yh) ] in
       let target = Interval.make tl th in
       let k = Hc4.compile ~var_id:var_id_xy expr ~target in
+      let sc = Hc4.scratch ~nodes:(Hc4.max_nodes k) ~slots:(Hc4.max_slots k) in
       let lo = [| xl; yl |] and hi = [| xh; yh |] in
       match Hc4.revise ~env expr target with
       | exception Invalid_argument _ ->
@@ -232,23 +233,23 @@ let kernel_matches_boxed =
            division) and refuses; there is nothing to compare against *)
         QCheck.assume_fail ()
       | boxed -> (
-        match (boxed, Hc4.revise_kernel k ~lo ~hi) with
+        match (boxed, Hc4.revise_kernel k 0 sc ~lo ~hi) with
         | Hc4.Empty, false -> true
         | Hc4.Empty, true | Hc4.Narrowed _, false -> false
         | Hc4.Narrowed bs, true ->
-          (* the accumulators are indexed by position in [k_vars] (the
+          (* the accumulators are indexed by slot ([Hc4.var]: the
              expression's variable order), and must hold the exact same
              floats as the boxed result *)
           let pos name =
             let id = var_id_xy name in
-            let rec find j = if k.Hc4.k_vars.(j) = id then j else find (j + 1) in
+            let rec find j = if Hc4.var k 0 j = id then j else find (j + 1) in
             find 0
           in
           List.for_all
             (fun (name, iv') ->
               let j = pos name in
-              same_float k.Hc4.k_acc_lo.(j) (Interval.lo iv')
-              && same_float k.Hc4.k_acc_hi.(j) (Interval.hi iv'))
+              same_float sc.Hc4.s_acc_lo.(j) (Interval.lo iv')
+              && same_float sc.Hc4.s_acc_hi.(j) (Interval.hi iv'))
             bs))
 
 (* {2 Kernel-based classification} *)
@@ -279,16 +280,17 @@ let kernel_status_matches_boxed =
       let k =
         Hc4.compile ~var_id:var_id_xy (Constr.diff c) ~target:(Constr.target c)
       in
-      let defined = Hc4.eval_kernel k ~lo:[| xl; yl |] ~hi:[| xh; yh |] in
-      let root = Array.length k.Hc4.k_op - 1 in
+      let sc = Hc4.scratch ~nodes:(Hc4.max_nodes k) ~slots:(Hc4.max_slots k) in
+      let defined = Hc4.eval_kernel k 0 sc ~lo:[| xl; yl |] ~hi:[| xh; yh |] in
+      let root = Hc4.nodes k 0 - 1 in
       (match Expr.eval_interval env (Constr.diff c) with
       | None -> not defined
       | Some d ->
         defined
-        && same_float k.Hc4.k_flo.(root) (Interval.lo d)
-        && same_float k.Hc4.k_fhi.(root) (Interval.hi d))
+        && same_float sc.Hc4.s_flo.(root) (Interval.lo d)
+        && same_float sc.Hc4.s_fhi.(root) (Interval.hi d))
       &&
-      let kernel = if defined then Constr.kernel_status c k else Constr.Violated in
+      let kernel = if defined then Constr.kernel_status c k 0 sc else Constr.Violated in
       kernel = Constr.status_on_box env c)
 
 let test_kernel_status_undefined () =
@@ -301,7 +303,9 @@ let test_kernel_status_undefined () =
         Hc4.compile ~var_id:var_id_xy (Constr.diff c) ~target:(Constr.target c)
       in
       Alcotest.(check bool) (name ^ ": the kernel finds no value") false
-        (Hc4.eval_kernel k ~lo:[| -3.; 0. |] ~hi:[| -1.; 1. |]);
+        (Hc4.eval_kernel k 0
+           (Hc4.scratch ~nodes:(Hc4.max_nodes k) ~slots:(Hc4.max_slots k))
+           ~lo:[| -3.; 0. |] ~hi:[| -1.; 1. |]);
       Alcotest.(check string) (name ^ ": boxed status") "Violated"
         (Constr.status_to_string (Constr.status_on_box env c)))
     Expr.
@@ -358,11 +362,12 @@ let test_kernels_allocate_nothing () =
         List.iter
           (fun target ->
             let k = Hc4.compile ~var_id e ~target in
+            let sc = Hc4.scratch ~nodes:(Hc4.max_nodes k) ~slots:(Hc4.max_slots k) in
             let name = Printf.sprintf "%s in %s" name (Interval.to_string target) in
             Alcotest.(check (float 0.)) (name ^ ": revise_kernel words") 0.
-              (words (fun () -> Hc4.revise_kernel k ~lo ~hi));
+              (words (fun () -> Hc4.revise_kernel k 0 sc ~lo ~hi));
             Alcotest.(check (float 0.)) (name ^ ": eval_kernel words") 0.
-              (words (fun () -> Hc4.eval_kernel k ~lo ~hi)))
+              (words (fun () -> Hc4.eval_kernel k 0 sc ~lo ~hi)))
           [ Interval.make (-0.5) 0.5; Interval.make 50. 60. ])
       per_opcode
   end

@@ -17,6 +17,7 @@ let () =
       ("domains", Test_domains.suite);
       ("parallel", Test_parallel.suite);
       ("influence", Test_influence.suite);
+      ("compiled", Test_compiled.suite);
       ("designer", Test_designer.suite);
       ("relaxed", Test_relaxed.suite);
       ("transition", Test_transition.suite);

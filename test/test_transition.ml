@@ -316,7 +316,7 @@ let run_sequence scenario mode seed =
   | Dpm.Conventional -> ());
   check_knowledge "start" dpm m;
   let cfg = Config.default ~mode ~seed in
-  let influence = Scenario.influence scenario (Dpm.network dpm) in
+  let influence = Compiled.influence (Scenario.compiled scenario ~mode) in
   let team =
     List.map
       (fun name -> Designer.create cfg ~rng:(Rng.split rng) ~influence name)
