@@ -385,6 +385,10 @@ let decl p =
 
 let source p = Adpm_dddl.Emit.checked (decl p)
 
+(* The builder regenerates the declaration instead of keeping the parsed
+   one alive beside the compiled scenario: the parameters are a few
+   words, a declaration tens of kilobytes, and [source] checked that the
+   two elaborate alike. *)
 let scenario p =
   let base = Adpm_dddl.Elaborate.load_string (source p) in
   {
@@ -394,6 +398,7 @@ let scenario p =
         "generated %s scenario: %d subsystems, %d parameters each, seed %d"
         (topology_to_string p.g_topology)
         p.g_subsystems p.g_vars_per_subsystem p.g_seed;
+    sc_build = (fun ~mode -> Adpm_dddl.Elaborate.build (decl p) ~mode);
   }
 
 let build p ~mode = (scenario p).Scenario.sc_build ~mode

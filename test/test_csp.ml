@@ -190,14 +190,19 @@ let test_flat_views_dense () =
   Alcotest.(check int) "constraint_array dense" 2 (Array.length carr);
   Alcotest.(check int) "slot 0 is its id" c1.Constr.id carr.(0).Constr.id;
   Alcotest.(check int) "slot 1 is its id" c2.Constr.id carr.(1).Constr.id;
-  let adj = Network.adjacency_by_id net in
-  Alcotest.(check int) "one row per prop" (Network.prop_count net)
-    (Array.length adj);
-  let xid = Network.prop_id net "x" and yid = Network.prop_id net "y" in
+  let adj = Network.adjacency net in
+  let get = Bigarray.Array1.get and first = adj.Network.adj_first in
+  Alcotest.(check int) "one row per prop" (Network.prop_count net + 1)
+    (Bigarray.Array1.dim first);
+  let row pid =
+    List.init
+      (Int32.to_int (get first (pid + 1)) - Int32.to_int (get first pid))
+      (fun i -> Int32.to_int (get adj.Network.adj_cids (Int32.to_int (get first pid) + i)))
+  in
   Alcotest.(check (list int)) "x row, insertion order"
     [ c1.Constr.id; c2.Constr.id ]
-    (Array.to_list adj.(xid));
-  Alcotest.(check (list int)) "y row" [ c1.Constr.id ] (Array.to_list adj.(yid))
+    (row (Network.prop_id net "x"));
+  Alcotest.(check (list int)) "y row" [ c1.Constr.id ] (row (Network.prop_id net "y"))
 
 let test_network_assign () =
   let net, _, _ = small_net () in
