@@ -1,10 +1,14 @@
 (* teamsimd end-to-end smoke, run from @check:
 
-     spawn daemon -> hello -> open -> exec ops -> checkpoint
-       -> SIGKILL the daemon -> spawn a fresh daemon -> resume
+     spawn daemon (with a journal dir) -> hello -> open -> exec ops
+       -> checkpoint -> SIGKILL the daemon -> spawn a fresh daemon
+       -> the journaled session is back, fingerprint-exact, its journal
+          bytes untouched -> resume
        -> verify the resumed state matches the checkpoint fingerprint
        -> hostile-input probes (garbage, unknown op, bad shape, oversize)
-       -> shutdown (clean daemon exit)
+       -> shutdown (clean daemon exit) -> restart once more with no new
+          commands: identical fingerprints, unchanged journal bytes
+       -> shutdown
 
    Also replays the same command script through an in-process
    Interactive session and requires byte-identical operation reports:
@@ -34,12 +38,31 @@ let tmpdir =
   base
 
 let sock = Filename.concat tmpdir "teamsimd.sock"
+let journal_dir = Filename.concat tmpdir "journal"
 let devnull = Unix.openfile "/dev/null" [ Unix.O_RDWR ] 0
 
 let spawn () =
   Unix.create_process exe
-    [| exe; "serve"; "--socket"; sock; "--checkpoint-dir"; tmpdir |]
+    [|
+      exe; "serve"; "--socket"; sock; "--checkpoint-dir"; tmpdir;
+      "--journal-dir"; journal_dir;
+    |]
     devnull devnull Unix.stderr
+
+(* Every journal file with its bytes, sorted by name. *)
+let journals () =
+  Sys.readdir journal_dir |> Array.to_list
+  |> List.filter (fun n -> Filename.check_suffix n ".journal.jsonl")
+  |> List.sort compare
+  |> List.map (fun n ->
+         (n, In_channel.with_open_bin (Filename.concat journal_dir n) In_channel.input_all))
+
+let rec rm_rf p =
+  if Sys.is_directory p then begin
+    Array.iter (fun n -> rm_rf (Filename.concat p n)) (Sys.readdir p);
+    Unix.rmdir p
+  end
+  else Sys.remove p
 
 let wait_for_socket () =
   let deadline = Unix.gettimeofday () +. 10. in
@@ -124,13 +147,22 @@ let () =
   let fingerprint = Client.body_str ckpt "fingerprint" in
   check "checkpoint reports a fingerprint" (fingerprint <> None);
 
-  (* hard-kill the daemon: sessions must survive via the artifact *)
+  (* hard-kill the daemon: sessions must survive via the journal and the
+     artifact *)
+  let journaled = journals () in
   Unix.kill pid Sys.sigkill;
   ignore (Unix.waitpid [] pid);
   Client.close c;
 
   let pid2 = spawn () in
   let c2 = wait_for_socket () in
+  let recovered =
+    expect_ok "status of the recovered session"
+      (Client.rpc c2 (Wire.Status { session = sid }))
+  in
+  check "journal recovery restores the fingerprint"
+    (Client.body_str recovered "fingerprint" = fingerprint);
+  check "recovery keeps the intact journal's bytes" (journals () = journaled);
   let resumed =
     expect_ok "resume" (Client.rpc c2 (Wire.Resume { path = ckpt_path }))
   in
@@ -170,14 +202,33 @@ let () =
   Client.close c3;
 
   ignore (expect_ok "hello still served" (Client.rpc c2 Wire.Hello));
-  ignore (expect_ok "shutdown" (Client.rpc c2 Wire.Shutdown));
-  let _, exit_status = Unix.waitpid [] pid2 in
-  check "daemon exits cleanly on shutdown" (exit_status = Unix.WEXITED 0);
-  Client.close c2;
+  let fingerprints c =
+    List.map
+      (fun s ->
+        Client.body_str
+          (expect_ok ("status " ^ s) (Client.rpc c (Wire.Status { session = s })))
+          "fingerprint")
+      [ sid; sid2 ]
+  in
+  let before = fingerprints c2 in
+  let journaled = journals () in
+  let shutdown pid c =
+    ignore (expect_ok "shutdown" (Client.rpc c Wire.Shutdown));
+    let _, exit_status = Unix.waitpid [] pid in
+    check "daemon exits cleanly on shutdown" (exit_status = Unix.WEXITED 0);
+    Client.close c
+  in
+  shutdown pid2 c2;
 
-  (try Sys.remove ckpt_path with Sys_error _ -> ());
-  (try Sys.remove sock with Sys_error _ -> ());
-  (try Unix.rmdir tmpdir with Unix.Unix_error _ -> ());
+  (* a restart with no new commands: both sessions come back as they
+     were, and recovery leaves every intact journal as it found it *)
+  let pid3 = spawn () in
+  let c4 = wait_for_socket () in
+  check "second restart keeps the fingerprints" (fingerprints c4 = before);
+  check "second restart keeps the journal bytes" (journals () = journaled);
+  shutdown pid3 c4;
+
+  (try rm_rf tmpdir with Sys_error _ | Unix.Unix_error _ -> ());
   if !failures > 0 then (
     Printf.eprintf "daemon-smoke: %d failure(s)\n" !failures;
     exit 1)

@@ -683,9 +683,9 @@ let serve_cmd =
       & info [ "journal-dir" ] ~docv:"DIR"
           ~doc:
             "Write-ahead journal directory. Every accepted open/exec/resume \
-             is journaled (fsync'd before execution); a restarted daemon \
-             pointed at the same $(docv) rebuilds every in-flight session \
-             automatically.")
+             is journaled (written before execution, fsync'd before its \
+             reply is sent); a restarted daemon pointed at the same $(docv) \
+             rebuilds every in-flight session automatically.")
   in
   let checkpoint_every_arg =
     Arg.(

@@ -52,12 +52,28 @@ type conn = {
   mutable cn_dead : bool;
 }
 
+(* The journal directory and the pool its fsyncs go through. *)
+type wal = { dir : string; pool : Sync_pool.t }
+
+(* A reply that may leave the daemon only once [p_upto], the last fsync
+   submitted when its request had been handled, is durable. *)
+type pending = {
+  p_reply : Json.t;
+  p_id : Json.t option;
+  p_session : string option;  (* the session the request named or opened *)
+  p_cache : (string * string) option;  (* its reply-cache key *)
+  p_upto : int;
+}
+
 type t = {
   cfg : config;
   listen_fd : Unix.file_descr;
   mutable conns : conn list;
+  mutable held : (conn * pending) list;  (* newest first *)
   sessions : (string, Session.t) Hashtbl.t;
+  resolved : (string, Scenario.t * int ref) Hashtbl.t;
   journals : (string, Journal.t) Hashtbl.t;
+  wal : wal option;
   lock : Journal.lock option;
   reply_cache : (string, (string * Json.t) list ref) Hashtbl.t;
   cache_order : string Queue.t;  (* client tokens, first-seen order *)
@@ -143,33 +159,99 @@ let seed_cache_from t json =
     | None -> ())
   | _ -> ()
 
+(* {2 Sessions and the scenarios they share}
+
+   A [gen:] reference is resolved once while any session uses it, so its
+   sessions share one compiled template (Scenario.compiled is cached per
+   scenario value). A [file:] reference is resolved afresh each time: the
+   file may have changed. Plain names already resolve to shared values. *)
+
+let resolve t name =
+  match Hashtbl.find_opt t.resolved name with
+  | Some (sc, _) -> Ok sc
+  | None -> t.cfg.dc_resolve name
+
+let add_session t sid s =
+  Hashtbl.replace t.sessions sid s;
+  let name = Session.reference s in
+  if String.starts_with ~prefix:"gen:" name then
+    match Hashtbl.find_opt t.resolved name with
+    | Some (_, users) -> incr users
+    | None -> Hashtbl.replace t.resolved name (Session.scenario s, ref 1)
+
+let remove_session t sid =
+  match Hashtbl.find_opt t.sessions sid with
+  | None -> ()
+  | Some s -> (
+    Hashtbl.remove t.sessions sid;
+    let name = Session.reference s in
+    match Hashtbl.find_opt t.resolved name with
+    | Some (_, users) ->
+      decr users;
+      if !users = 0 then Hashtbl.remove t.resolved name
+    | None -> ())
+
+let pool t = Option.map (fun w -> w.pool) t.wal
+
+(* A recovered session whose journal cannot be made durable is not
+   served; its journal file stays for the next start. *)
+let unserve t w sid msg =
+  remove_session t sid;
+  Option.iter
+    (fun j ->
+      Hashtbl.remove t.journals sid;
+      Journal.close ~sync:w.pool j)
+    (Hashtbl.find_opt t.journals sid);
+  warn t "journal %s: %s (session not served)" sid msg
+
+(* Drop a session and its journal file: the session ended (close, or a
+   throwing exec tore it down), so there is nothing left to recover. *)
+let drop_session t sid =
+  remove_session t sid;
+  match Hashtbl.find_opt t.journals sid with
+  | Some j ->
+    Hashtbl.remove t.journals sid;
+    Journal.remove ?sync:(pool t) j
+  | None -> ()
+
 (* Replay one journal back into a live session. The header rebuilds the
-   state at the last compaction (fingerprint-gated); each tail entry is
+   state it records (fingerprint-gated); each tail entry is
    fingerprint-checked against the state it was appended over, executed,
    and its reply re-cached so a client resend after the crash is answered
    without double-execution. Any damage stops the tail replay at the last
-   consistent point — never the whole recovery. *)
-let recover_one t ~dir (sc : Journal.scanned) =
+   consistent point — never the whole recovery.
+
+   An intact journal is kept as it is and reopened for appending: the
+   rebuild re-issues the header's whole command log either way, so
+   folding the tail into a fresh header would save no replay. A damaged
+   one (dropped lines, or a tail replay that stopped early) is repaired:
+   rewritten from the rebuilt session. Either way its fsync is submitted
+   to the pool, and [Some (sid, replayed, seq)] names the last fsync the
+   session's durability waits on. *)
+let recover_one t w (sc : Journal.scanned) =
   let sid = sc.Journal.sc_sid in
   match Session.header_of_json ~marker:journal_marker sc.Journal.sc_header with
   | Error msg ->
     Journal.quarantine sc.Journal.sc_path;
-    warn t "journal %s: %s (quarantined)" sid msg
+    warn t "journal %s: %s (quarantined)" sid msg;
+    None
   | Ok header -> (
-    match Session.rebuild ~resolve:t.cfg.dc_resolve ~id:sid header with
+    match Session.rebuild ~resolve:(resolve t) ~id:sid header with
     | Error err ->
       Journal.quarantine sc.Journal.sc_path;
       let msg =
         match err with
         | Session.Rs_io m | Session.Rs_corrupt m | Session.Rs_mismatch m -> m
       in
-      warn t "journal %s: cannot rebuild session: %s (quarantined)" sid msg
-    | Ok (s, replayed) ->
+      warn t "journal %s: cannot rebuild session: %s (quarantined)" sid msg;
+      None
+    | Ok (s, replayed) -> (
       if sc.Journal.sc_dropped > 0 then
         warn t "journal %s: dropped %d damaged trailing line(s)" sid
           sc.Journal.sc_dropped;
       seed_cache_from t sc.Journal.sc_header;
       let executed = ref 0 in
+      let repair = ref (sc.Journal.sc_dropped > 0) in
       (try
          List.iter
            (fun entry ->
@@ -202,30 +284,80 @@ let recover_one t ~dir (sc : Journal.scanned) =
                    line (Printexc.to_string e);
                  raise Exit))
            sc.Journal.sc_entries
-       with Exit -> ());
-      Hashtbl.replace t.sessions sid s;
-      t.recovered <- t.recovered @ [ (sid, replayed + !executed) ];
+       with Exit -> repair := true);
+      add_session t sid s;
       (* keep "s%d" ids monotone across the restart *)
       (match int_of_string_opt (String.sub sid 1 (String.length sid - 1)) with
       | Some n when String.length sid > 1 && sid.[0] = 's' ->
         if n > t.next_session then t.next_session <- n
       | _ -> ());
-      (* compact: the rebuilt session's own header (full command log,
-         current fingerprint) replaces the whole journal atomically *)
-      (match Journal.reopen ~dir ~sid with
-      | Error msg -> warn t "journal %s: cannot reopen: %s" sid msg
+      match Journal.reopen ~dir:w.dir ~sid with
+      | Error msg ->
+        unserve t w sid ("cannot reopen: " ^ msg);
+        None
       | Ok j -> (
-        match Journal.rewrite j (journal_header ~sid s) with
-        | Ok () -> Hashtbl.replace t.journals sid j
+        Hashtbl.replace t.journals sid j;
+        match
+          if !repair then Journal.rewrite ~sync:w.pool j (journal_header ~sid s)
+          else Journal.sync w.pool j
+        with
+        | Ok () -> Some (sid, replayed + !executed, Sync_pool.submitted w.pool)
         | Error msg ->
-          Journal.close j;
-          warn t "journal %s: cannot compact: %s" sid msg)))
+          unserve t w sid
+            ((if !repair then "cannot repair: " else "cannot sync: ") ^ msg);
+          None)))
+
+(* A daemon killed mid-run may have written journal lines it never
+   fsync'd, and recovery executed them: every kept journal, and the
+   directory (renames by repairs and quarantines), is made durable in one
+   concurrent batch before the daemon serves. A journal whose fsync fails
+   is not served; it stays on disk for the next start. *)
+let recover t w =
+  let scanned, scan_warnings = Journal.scan ~dir:w.dir in
+  List.iter (fun m -> warn t "%s" m) scan_warnings;
+  let kept = List.filter_map (recover_one t w) scanned in
+  let dir_seq =
+    if scanned = [] && scan_warnings = [] then Sync_pool.submitted w.pool
+    else Sync_pool.submit w.pool (Sync_pool.Dir w.dir)
+  in
+  Sync_pool.wait w.pool dir_seq;
+  List.iter
+    (fun (sid, replayed, upto) ->
+      match Sync_pool.take_failures w.pool ~upto with
+      | [] -> t.recovered <- t.recovered @ [ (sid, replayed) ]
+      | (_, msg) :: _ -> unserve t w sid msg)
+    kept;
+  match Sync_pool.take_failures w.pool ~upto:dir_seq with
+  | [] -> ()
+  | (_, msg) :: _ -> failwith (Printf.sprintf "cannot sync journal dir: %s" msg)
+
+(* Journal files deliberately survive [stop]: they are the crash-recovery
+   state, and a restarted daemon pointed at the same --journal-dir will
+   rebuild every session from them. Only [close] (the op) and session
+   teardown delete a session's journal. *)
+let stop t =
+  List.iter
+    (fun c -> try Unix.close c.cn_fd with Unix.Unix_error _ -> ())
+    t.conns;
+  t.conns <- [];
+  t.held <- [];
+  (try Unix.close t.listen_fd with Unix.Unix_error _ -> ());
+  (match t.cfg.dc_addr with
+  | Unix_path p -> ( try Unix.unlink p with Unix.Unix_error _ | Sys_error _ -> ())
+  | Tcp _ -> ());
+  Option.iter (fun w -> Sync_pool.stop w.pool) t.wal;
+  Hashtbl.iter (fun _ j -> Journal.close j) t.journals;
+  Hashtbl.reset t.journals;
+  (match t.lock with Some l -> Journal.release l | None -> ());
+  Hashtbl.reset t.sessions;
+  Hashtbl.reset t.resolved
 
 (* Concurrency story (see DESIGN.md §14): a single-threaded non-blocking
    event loop — no Domain.spawn, so a process hosting a daemon may still
    [Unix.fork] (the OCaml 5 runtime forbids forking once a domain has
    been spawned). Session work is CPU-cheap (one propagation per op), so
-   multiplexing beats per-session domains at this granularity. *)
+   multiplexing beats per-session domains at this granularity. The only
+   other threads are the journal's fsync pool (§14.2). *)
 let create cfg =
   Wire.ignore_sigpipe ();
   let lock =
@@ -269,8 +401,14 @@ let create cfg =
       cfg;
       listen_fd = fd;
       conns = [];
+      held = [];
       sessions = Hashtbl.create 64;
+      resolved = Hashtbl.create 8;
       journals = Hashtbl.create 64;
+      wal =
+        Option.map
+          (fun dir -> { dir; pool = Sync_pool.create () })
+          cfg.dc_journal_dir;
       lock;
       reply_cache = Hashtbl.create 64;
       cache_order = Queue.create ();
@@ -280,12 +418,11 @@ let create cfg =
       stopping = false;
     }
   in
-  (match cfg.dc_journal_dir with
-  | None -> ()
-  | Some dir ->
-    let scanned, scan_warnings = Journal.scan ~dir in
-    List.iter (fun w -> warn t "%s" w) scan_warnings;
-    List.iter (recover_one t ~dir) scanned);
+  (match Option.iter (recover t) t.wal with
+  | () -> ()
+  | exception e ->
+    stop t;
+    raise e);
   t
 
 let session_count t = Hashtbl.length t.sessions
@@ -313,16 +450,6 @@ let with_session t ?id name k =
       (Printf.sprintf "no session %s" name)
   | Some s -> k s
 
-(* Drop a session and its journal file: the session ended (close, or a
-   throwing exec tore it down), so there is nothing left to recover. *)
-let drop_session t sid =
-  Hashtbl.remove t.sessions sid;
-  match Hashtbl.find_opt t.journals sid with
-  | Some j ->
-    Hashtbl.remove t.journals sid;
-    Journal.remove j
-  | None -> ()
-
 (* Start journaling a session the moment it exists. The header snapshots
    creation parameters (and, for [resume], the already-replayed command
    log); [reply_client]/[reply_id]/[reply] stash the response verbatim so
@@ -331,9 +458,9 @@ let drop_session t sid =
    running a session the daemon has promised to recover but cannot is
    worse than an [io] error frame. *)
 let start_journal t ~sid ~s ?client ?id reply =
-  match t.cfg.dc_journal_dir with
+  match t.wal with
   | None -> reply
-  | Some dir -> (
+  | Some w -> (
     let extras =
       (match client with
       | Some c -> [ ("reply_client", Json.Str c) ]
@@ -343,12 +470,15 @@ let start_journal t ~sid ~s ?client ?id reply =
         | Some _, Some _ -> [ ("reply", reply) ]
         | _ -> []
     in
-    match Journal.create ~dir ~sid (journal_header ~extras ~sid s) with
+    match
+      Journal.create ~sync:w.pool ~dir:w.dir ~sid
+        (journal_header ~extras ~sid s)
+    with
     | Ok j ->
       Hashtbl.replace t.journals sid j;
       reply
     | Error msg ->
-      Hashtbl.remove t.sessions sid;
+      remove_session t sid;
       Wire.error_frame ?id ~code:Wire.Io
         (Printf.sprintf "cannot journal session: %s" msg))
 
@@ -359,23 +489,24 @@ let exec_entry ?client ?id ~s line =
     @ match id with Some v -> [ ("id", v) ] | None -> [])
 
 (* WAL: the command line (and the fingerprint of the state it runs over)
-   hits stable storage before execution. *)
+   is written before execution, and its fsync submitted; the reply waits
+   for that fsync. *)
 let journal_exec t ~sid ~s ?client ?id line =
-  match (t.cfg.dc_journal_dir, Hashtbl.find_opt t.journals sid) with
+  match (t.wal, Hashtbl.find_opt t.journals sid) with
   | None, _ -> Ok ()
-  | Some dir, None -> (
+  | Some w, None -> (
     (* self-heal: a session whose journal died gets a fresh compacted one *)
-    match Journal.create ~dir ~sid (journal_header ~sid s) with
+    match Journal.create ~sync:w.pool ~dir:w.dir ~sid (journal_header ~sid s) with
     | Error msg -> Error msg
     | Ok j -> (
-      match Journal.append j (exec_entry ?client ?id ~s line) with
+      match Journal.write ~sync:w.pool j (exec_entry ?client ?id ~s line) with
       | Ok () ->
         Hashtbl.replace t.journals sid j;
         Ok ()
       | Error _ as e ->
-        Journal.close j;
+        Journal.close ~sync:w.pool j;
         e))
-  | Some _, Some j -> Journal.append j (exec_entry ?client ?id ~s line)
+  | Some w, Some j -> Journal.write ~sync:w.pool j (exec_entry ?client ?id ~s line)
 
 (* Periodic compaction: every [dc_checkpoint_every] executed commands,
    fold the journal tail back into its header. *)
@@ -385,11 +516,18 @@ let maybe_compact t ~sid ~s =
     match Hashtbl.find_opt t.journals sid with
     | None -> ()
     | Some j -> (
-      match Journal.rewrite j (journal_header ~sid s) with
+      match Journal.rewrite ?sync:(pool t) j (journal_header ~sid s) with
       | Ok () -> ()
       | Error msg -> warn t "journal %s: compaction failed: %s" sid msg)
 
-let handle t req_json =
+let submitted t =
+  match t.wal with None -> 0 | Some w -> Sync_pool.submitted w.pool
+
+let held_reply ?id ?session ?cache t reply =
+  { p_reply = reply; p_id = id; p_session = session; p_cache = cache; p_upto = submitted t }
+
+(* Dispatch one request. Its reply is held: see [release]. *)
+let serve t req_json =
   let id = Wire.request_id req_json in
   let client = Wire.request_client req_json in
   let dispatch () =
@@ -411,17 +549,17 @@ let handle t req_json =
         (* resolution failures (unknown name, malformed gen: spec,
            unreadable file:) are command-level errors: the daemon answers
            with a frame and keeps serving, never a failed session *)
-        match t.cfg.dc_resolve scenario with
+        match resolve t scenario with
         | Error msg -> Wire.error_frame ?id ~code:Wire.Unknown_scenario msg
-        | Ok _ -> (
+        | Ok sc -> (
           let sid = fresh_session_id t in
           match
-            Session.create ~resolve:t.cfg.dc_resolve ~id:sid ~scenario ~mode
+            Session.create ~resolve:(fun _ -> Ok sc) ~id:sid ~scenario ~mode
               ~seed ~designer
           with
           | Error msg -> Wire.error_frame ?id ~code:Wire.Bad_request msg
           | Ok s ->
-            Hashtbl.replace t.sessions sid s;
+            add_session t sid s;
             let reply =
               Wire.ok_frame ?id
                 [
@@ -485,9 +623,9 @@ let handle t req_json =
           (Printf.sprintf "session limit %d reached" t.cfg.dc_max_sessions)
       else begin
         let sid = fresh_session_id t in
-        match Session.resume ~resolve:t.cfg.dc_resolve ~id:sid ~path with
+        match Session.resume ~resolve:(resolve t) ~id:sid ~path with
         | Ok (s, replayed) ->
-          Hashtbl.replace t.sessions sid s;
+          add_session t sid s;
           let reply =
             Wire.ok_frame ?id
               [
@@ -520,25 +658,67 @@ let handle t req_json =
     | Some c, Some i -> Some (c, cache_key i)
     | _ -> None
   in
-  match key with
-  | Some (client, key) when cache_find t ~client ~key <> None ->
-    Option.get (cache_find t ~client ~key)
-  | _ -> (
-    let resp =
-      match dispatch () with
-      | resp -> resp
-      | exception e ->
-        Wire.error_frame ?id ~code:Wire.Internal (Printexc.to_string e)
-    in
-    (match key with
-    | Some (client, key) -> cache_store t ~client ~key resp
-    | None -> ());
-    resp)
+  let resp =
+    match key with
+    | Some (client, key) when cache_find t ~client ~key <> None ->
+      Option.get (cache_find t ~client ~key)
+    | _ ->
+      let resp =
+        match dispatch () with
+        | resp -> resp
+        | exception e ->
+          Wire.error_frame ?id ~code:Wire.Internal (Printexc.to_string e)
+      in
+      (match key with
+      | Some (client, key) -> cache_store t ~client ~key resp
+      | None -> ());
+      resp
+  in
+  let named json = Option.bind (Json.member "session" json) Json.to_str in
+  let session =
+    match named req_json with Some s -> Some s | None -> named resp
+  in
+  held_reply ?id ?session ?cache:key t resp
 
-let handle_line t line =
+let serve_line t line =
   match Json.parse line with
-  | Ok j -> handle t j
-  | Error msg -> Wire.error_frame ~code:Wire.Parse msg
+  | Ok j -> serve t j
+  | Error msg -> held_reply t (Wire.error_frame ~code:Wire.Parse msg)
+
+(* Replies leave in the order their requests were handled, each once
+   every fsync submitted before it is durable. A failed fsync closes the
+   session whose journal it covered, and turns that reply, and every
+   later one naming the session, into an [io] frame: the daemon never
+   answers with state it could not recover. *)
+let release t pendings =
+  match t.wal with
+  | None -> List.map (fun p -> p.p_reply) pendings
+  | Some w ->
+    let failed = Hashtbl.create 1 in
+    List.map
+      (fun p ->
+        Sync_pool.wait w.pool p.p_upto;
+        (match (Sync_pool.take_failures w.pool ~upto:p.p_upto, p.p_session) with
+        | (_, msg) :: _, Some sid ->
+          Hashtbl.replace failed sid msg;
+          drop_session t sid
+        | _ -> ());
+        match p.p_session with
+        | Some sid when Hashtbl.mem failed sid ->
+          let resp =
+            Wire.error_frame ?id:p.p_id ~code:Wire.Io
+              (Printf.sprintf
+                 "journal of session %s is not durable; the session was \
+                  closed: %s"
+                 sid (Hashtbl.find failed sid))
+          in
+          Option.iter (fun (client, key) -> cache_store t ~client ~key resp) p.p_cache;
+          resp
+        | _ -> p.p_reply)
+      pendings
+
+let handle t req_json = List.hd (release t [ serve t req_json ])
+let handle_line t line = List.hd (release t [ serve_line t line ])
 
 (* Back-pressure: a peer that stops reading while the daemon keeps
    producing would otherwise grow cn_out without bound. Past
@@ -550,18 +730,20 @@ let enqueue t conn resp =
   if Buffer.length conn.cn_out > t.cfg.dc_max_write_buf then conn.cn_dead <- true
 
 let read_conn t conn =
+  let hold conn p = t.held <- (conn, p) :: t.held in
   let chunk = Bytes.create 4096 in
   let rec drain_frames () =
     match Wire.Reader.next conn.cn_reader with
     | `Pending -> ()
     | `Oversize ->
-      enqueue t conn
-        (Wire.error_frame ~code:Wire.Oversize
-           (Printf.sprintf "frame exceeds %d bytes; closing connection"
-              t.cfg.dc_max_frame));
+      hold conn
+        (held_reply t
+           (Wire.error_frame ~code:Wire.Oversize
+              (Printf.sprintf "frame exceeds %d bytes; closing connection"
+                 t.cfg.dc_max_frame)));
       conn.cn_closing <- true
     | `Frame line ->
-      enqueue t conn (handle_line t line);
+      hold conn (serve_line t line);
       drain_frames ()
   in
   match Unix.read conn.cn_fd chunk 0 (Bytes.length chunk) with
@@ -660,6 +842,12 @@ let step ?(timeout = 0.05) t =
         (fun c ->
           if (not c.cn_dead) && List.memq c.cn_fd readable then read_conn t c)
         t.conns;
+      let held = List.rev t.held in
+      t.held <- [];
+      List.iter2
+        (fun (c, _) resp -> enqueue t c resp)
+        held
+        (release t (List.map snd held));
       List.iter
         (fun c ->
           if
@@ -670,24 +858,6 @@ let step ?(timeout = 0.05) t =
     reap t;
     not (t.stopping && not (pending_output t))
   end
-
-(* Journal files deliberately survive [stop]: they are the crash-recovery
-   state, and a restarted daemon pointed at the same --journal-dir will
-   rebuild every session from them. Only [close] (the op) and session
-   teardown delete a session's journal. *)
-let stop t =
-  List.iter
-    (fun c -> try Unix.close c.cn_fd with Unix.Unix_error _ -> ())
-    t.conns;
-  t.conns <- [];
-  (try Unix.close t.listen_fd with Unix.Unix_error _ -> ());
-  (match t.cfg.dc_addr with
-  | Unix_path p -> ( try Unix.unlink p with Unix.Unix_error _ | Sys_error _ -> ())
-  | Tcp _ -> ());
-  Hashtbl.iter (fun _ j -> Journal.close j) t.journals;
-  Hashtbl.reset t.journals;
-  (match t.lock with Some l -> Journal.release l | None -> ());
-  Hashtbl.reset t.sessions
 
 let run t =
   while step t do

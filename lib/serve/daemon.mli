@@ -11,7 +11,10 @@
     been spawned), and per-op work (one propagation) is far too small to amortize
     domain handoff. Isolation comes from exception boundaries instead of
     address spaces: a throwing session is torn down and answered with a
-    [session_failed] frame; the accept loop never stalls.
+    [session_failed] frame; the accept loop never stalls. With a journal
+    directory, journal fsyncs run on a {!Sync_pool} of system threads;
+    the replies of one loop iteration leave once every fsync submitted
+    while handling them is done.
 
     {b Driving it.} [run] blocks until a [shutdown] frame arrives.
     [step] runs one bounded iteration, so tests and benches can host a
@@ -39,9 +42,10 @@ type config = {
   dc_checkpoint_dir : string;  (** default directory for [checkpoint] files *)
   dc_journal_dir : string option;
       (** when set, every accepted [open]/[exec]/[resume] is written to a
-          per-session write-ahead journal (fsync'd {e before} execution)
-          in this directory, and [create] rebuilds every journaled
-          session found there — see {!Journal} *)
+          per-session write-ahead journal in this directory, written
+          before execution and fsync'd before any later reply leaves,
+          and [create] rebuilds every journaled session found there —
+          see {!Journal} *)
   dc_checkpoint_every : int;
       (** auto-compact a session's journal every N executed commands
           (0 = never): the tail folds back into a fresh header *)
@@ -78,20 +82,25 @@ val create : config -> t
     rebuild every recoverable session by replaying its journal —
     fingerprint-gated at the header and at every tail entry, with
     damaged journals quarantined ([*.corrupt]) and reported via
-    {!warnings} rather than wedging startup. Each recovered journal is
-    compacted, and replies for journaled (client, id) requests are
-    re-cached so a client resend from before the crash is answered
-    without double-execution.
+    {!warnings} rather than wedging startup. An intact journal is kept
+    as it is; one with a damaged tail is rewritten from the rebuilt
+    session. Every kept journal and the directory are fsync'd in one
+    concurrent batch before [create] returns (a session whose journal
+    cannot be is not served). Replies for journaled (client, id)
+    requests are re-cached so a client resend from before the crash is
+    answered without double-execution.
     @raise Unix.Unix_error when the address cannot be bound.
     @raise Failure when another live daemon holds the journal dir. *)
 
 val handle : t -> Json.t -> Json.t
 (** Dispatch one parsed request frame to its response frame. Total: any
     exception becomes an error frame ([session_failed] with teardown for
-    a throwing session's [exec], [internal] otherwise). A frame carrying
-    both a ["client"] token and an ["id"] is idempotent: a duplicate
-    (client, id) pair is answered from the bounded reply cache instead
-    of re-executed. *)
+    a throwing session's [exec], [internal] otherwise). Returns once the
+    journal writes the request made are durable; if one cannot be made
+    durable, the session is closed and the reply is an [io] frame. A
+    frame carrying both a ["client"] token and an ["id"] is idempotent:
+    a duplicate (client, id) pair is answered from the bounded reply
+    cache instead of re-executed. *)
 
 val handle_line : t -> string -> Json.t
 (** [handle] after parsing; unparseable input yields a [parse] error
@@ -107,9 +116,10 @@ val run : t -> unit
 
 val stop : t -> unit
 (** Close every connection and the listener, unlink a unix-socket path,
-    drop all sessions, release the journal lock. Journal {e files} are
-    deliberately kept: they are the crash-recovery state a restarted
-    daemon rebuilds from. *)
+    finish the journal fsyncs and join their threads, drop all sessions,
+    release the journal lock. Journal {e files} are deliberately kept:
+    they are the crash-recovery state a restarted daemon rebuilds
+    from. *)
 
 val session_count : t -> int
 

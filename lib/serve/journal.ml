@@ -68,15 +68,12 @@ let release lock =
 let suffix = ".journal.jsonl"
 let path ~dir ~sid = Filename.concat dir (sid ^ suffix)
 
-type t = { j_path : string; mutable j_fd : Unix.file_descr option }
+type t = { j_path : string; j_dir : string; mutable j_fd : Unix.file_descr option }
 
 let fd_error fn err =
   Error (Printf.sprintf "%s: %s" fn (Unix.error_message err))
 
-(* Durability contract: every line is written and fsync'd before the
-   command it records is executed, so a crash at any instant loses at
-   most the in-flight (unexecuted, unanswered) command. *)
-let write_line fd line =
+let write_all fd line =
   let s = line ^ "\n" in
   let b = Bytes.unsafe_of_string s in
   let n = Bytes.length b in
@@ -85,78 +82,105 @@ let write_line fd line =
     match Unix.write fd b !off (n - !off) with
     | written -> off := !off + written
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-  done;
-  Unix.fsync fd
+  done
 
-let create ~dir ~sid header =
+(* Submitted to [sync] (the caller then waits on its watermark), or
+   fsync'd in place. *)
+let durable ?sync target =
+  match sync with
+  | Some pool -> ignore (Sync_pool.submit pool target : int)
+  | None -> Sync_pool.fsync target
+
+
+let close ?sync t =
+  match t.j_fd with
+  | None -> ()
+  | Some fd ->
+    t.j_fd <- None;
+    Option.iter (fun pool -> Sync_pool.quiesce pool fd) sync;
+    (try Unix.close fd with Unix.Unix_error _ -> ())
+
+let remove ?sync t =
+  close ?sync t;
+  try Unix.unlink t.j_path with Unix.Unix_error _ -> ()
+
+let create ?sync ~dir ~sid header =
   ensure_dir dir;
   let p = path ~dir ~sid in
   match
     Unix.openfile p [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644
   with
   | fd -> (
-    match write_line fd (Json.to_string header) with
-    | () -> Ok { j_path = p; j_fd = Some fd }
+    let t = { j_path = p; j_dir = dir; j_fd = Some fd } in
+    (* a new entry is durable only once its directory is fsync'd *)
+    match
+      write_all fd (Json.to_string header);
+      durable ?sync (Sync_pool.File fd);
+      durable ?sync (Sync_pool.Dir dir)
+    with
+    | () -> Ok t
     | exception Unix.Unix_error (err, fn, _) ->
-      (try Unix.close fd with Unix.Unix_error _ -> ());
-      (try Unix.unlink p with Unix.Unix_error _ -> ());
+      remove ?sync t;
       fd_error fn err)
   | exception Unix.Unix_error (err, fn, _) -> fd_error fn err
 
-let append t entry =
+(* A failing journal is dead: later writes must not pretend. *)
+let write_entry ?sync t entry =
   match t.j_fd with
   | None -> Error (Printf.sprintf "journal %s is closed" t.j_path)
   | Some fd -> (
-    match write_line fd (Json.to_string entry) with
+    match
+      write_all fd (Json.to_string entry);
+      durable ?sync (Sync_pool.File fd)
+    with
     | () -> Ok ()
     | exception Unix.Unix_error (err, fn, _) ->
-      (* a failing journal is dead: further appends must not pretend *)
-      (try Unix.close fd with Unix.Unix_error _ -> ());
-      t.j_fd <- None;
+      close ?sync t;
       fd_error fn err)
+
+let append t entry = write_entry t entry
+let write ~sync t entry = write_entry ~sync t entry
+
+let sync pool t =
+  match t.j_fd with
+  | None -> Error (Printf.sprintf "journal %s is closed" t.j_path)
+  | Some fd -> Ok (durable ~sync:pool (Sync_pool.File fd))
 
 (* Compaction: replace the whole journal with a fresh header (which
    carries the full command log and current fingerprint) via
    write-to-temp + atomic rename, so a crash mid-compaction leaves either
-   the old journal or the new one, never a torn file. *)
-let rewrite t header =
+   the old journal or the new one, never a torn file. The temp file is
+   fsync'd before the rename, and the rename is durable once the
+   directory is. *)
+let rewrite ?sync t header =
   let tmp = t.j_path ^ ".tmp" in
   match
     let fd =
       Unix.openfile tmp [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644
     in
-    (match write_line fd (Json.to_string header) with
+    (match
+       write_all fd (Json.to_string header);
+       Unix.fsync fd
+     with
     | () -> Unix.close fd
     | exception e ->
       (try Unix.close fd with Unix.Unix_error _ -> ());
       raise e);
     Unix.rename tmp t.j_path;
-    (match t.j_fd with
-    | Some old -> ( try Unix.close old with Unix.Unix_error _ -> ())
-    | None -> ());
-    t.j_fd <- Some (Unix.openfile t.j_path [ Unix.O_WRONLY; Unix.O_APPEND ] 0o644)
+    close ?sync t;
+    t.j_fd <- Some (Unix.openfile t.j_path [ Unix.O_WRONLY; Unix.O_APPEND ] 0o644);
+    durable ?sync (Sync_pool.Dir t.j_dir)
   with
   | () -> Ok ()
   | exception Unix.Unix_error (err, fn, _) ->
     (try Unix.unlink tmp with Unix.Unix_error _ -> ());
     fd_error fn err
 
-let close t =
-  match t.j_fd with
-  | None -> ()
-  | Some fd ->
-    t.j_fd <- None;
-    (try Unix.close fd with Unix.Unix_error _ -> ())
-
-let remove t =
-  close t;
-  try Unix.unlink t.j_path with Unix.Unix_error _ -> ()
-
 (* Reopen a scanned journal for appending (recovery path). *)
 let reopen ~dir ~sid =
   let p = path ~dir ~sid in
   match Unix.openfile p [ Unix.O_WRONLY; Unix.O_APPEND ] 0o644 with
-  | fd -> Ok { j_path = p; j_fd = Some fd }
+  | fd -> Ok { j_path = p; j_dir = dir; j_fd = Some fd }
   | exception Unix.Unix_error (err, fn, _) -> fd_error fn err
 
 (* {2 Startup scan} *)

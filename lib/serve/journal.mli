@@ -2,12 +2,16 @@
 
     One JSONL file per session under the daemon's [--journal-dir]:
     line 1 is a {!Session.header_fields} object (marker
-    ["teamsimd_journal"]) describing the session at its last compaction,
-    followed by one entry object per accepted mutating command since.
-    Every line is fsync'd {e before} the command it records executes, so
-    after a crash the journal is a complete prefix of the daemon's
-    actual history: the only thing ever lost is a command that was never
-    executed and never answered.
+    ["teamsimd_journal"]) describing the session when the file was
+    created or last compacted, followed by one entry object per accepted
+    mutating command since. A line is written before the command it
+    records executes, and made durable (fsync'd, with the directory
+    entry for a new or renamed file) before any reply that follows it
+    leaves the daemon. So after a crash the journal holds every command
+    whose effects a client could have seen; the only thing ever lost is
+    a command whose reply was never sent. Writes that name a
+    {!Sync_pool} submit their fsyncs to it, and the caller waits on the
+    pool's watermark; the others fsync in place.
 
     Tail corruption (a torn final line from a crash mid-append, or any
     unparseable record) is dropped at the last valid entry; a journal
@@ -39,8 +43,10 @@ type t
 val path : dir:string -> sid:string -> string
 (** [dir/<sid>.journal.jsonl]. *)
 
-val create : dir:string -> sid:string -> Json.t -> (t, string) result
-(** Create (truncating any leftover) and write + fsync the header line. *)
+val create :
+  ?sync:Sync_pool.t -> dir:string -> sid:string -> Json.t -> (t, string) result
+(** Create (truncating any leftover), write the header line, and fsync
+    the file and the directory: in place, or submitted to [sync]. *)
 
 val reopen : dir:string -> sid:string -> (t, string) result
 (** Open an existing journal for appending (the recovery path, after
@@ -50,13 +56,24 @@ val append : t -> Json.t -> (unit, string) result
 (** Write + fsync one entry line. On failure the journal is marked dead:
     later appends keep failing rather than silently losing durability. *)
 
-val rewrite : t -> Json.t -> (unit, string) result
-(** Compaction: atomically replace the whole file with a single fresh
-    header line (write-to-temp + rename), then reopen for appending. A
-    crash mid-compaction leaves either the old journal or the new one. *)
+val write : sync:Sync_pool.t -> t -> Json.t -> (unit, string) result
+(** {!append} with the fsync submitted to [sync] instead of made in
+    place. *)
 
-val close : t -> unit
-val remove : t -> unit
+val sync : Sync_pool.t -> t -> (unit, string) result
+(** Submit an fsync of everything written to the journal so far. *)
+
+val rewrite : ?sync:Sync_pool.t -> t -> Json.t -> (unit, string) result
+(** Compaction: atomically replace the whole file with a single fresh
+    header line (write + fsync a temp file, rename it over the journal,
+    fsync the directory — in place, or submitted to [sync]), then reopen
+    for appending. A crash mid-compaction leaves either the old journal
+    or the new one. *)
+
+val close : ?sync:Sync_pool.t -> t -> unit
+(** Close the file, once no fsync submitted to [sync] still uses it. *)
+
+val remove : ?sync:Sync_pool.t -> t -> unit
 (** [close] then unlink — for sessions that ended cleanly. *)
 
 (** {2 Startup scan} *)

@@ -6,6 +6,7 @@ module Json = Adpm_trace.Json
 type t = {
   ss_id : string;
   ss_scenario : string;
+  ss_sc : Scenario.t;
   ss_mode : Dpm.mode;
   ss_seed : int;
   ss_designer : string;
@@ -16,6 +17,8 @@ type t = {
 }
 
 let id t = t.ss_id
+let reference t = t.ss_scenario
+let scenario t = t.ss_sc
 let interactive t = t.ss_session
 let commands t = List.rev t.ss_commands
 let command_count t = List.length t.ss_commands
@@ -32,6 +35,7 @@ let create ~resolve ~id ~scenario ~mode ~seed ~designer =
         {
           ss_id = id;
           ss_scenario = scenario;
+          ss_sc = sc;
           ss_mode = mode;
           ss_seed = seed;
           ss_designer = designer;

@@ -32,6 +32,13 @@ val create :
     (typically {!Adpm_scenarios.Registry.resolve_result}). *)
 
 val id : t -> string
+
+val reference : t -> string
+(** The scenario reference the session was opened with. *)
+
+val scenario : t -> Scenario.t
+(** The scenario [reference] resolved to. *)
+
 val interactive : t -> Interactive.t
 
 val commands : t -> string list

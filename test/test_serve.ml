@@ -772,6 +772,344 @@ let test_checkpoint_io_errors () =
       try_path "/nonexistent-dir-adpm/ck.jsonl";
       if Sys.file_exists "/dev/full" then try_path "/dev/full")
 
+(* {2 Recovery keeps intact journals and repairs damaged ones} *)
+
+let read_file p = In_channel.with_open_bin p In_channel.input_all
+
+let journal_lines ~dir sid =
+  read_file (journal_path ~dir sid)
+  |> String.split_on_char '\n'
+  |> List.filter (fun l -> l <> "")
+
+(* An intact journal is reopened as it is: recovery neither compacts nor
+   touches its bytes, and commands appended after it still recover
+   fingerprint-exact. *)
+let test_journal_intact_kept () =
+  with_dir (fun dir ->
+      let d1 = Daemon.create (journal_config ~dir ()) in
+      let sid = open_simple d1 ~seed:9 in
+      List.iter (fun l -> ignore (exec_ok d1 sid l)) [ "auto"; "step"; "auto" ];
+      let fp = status_fp d1 sid in
+      Daemon.stop d1;
+      let bytes = read_file (journal_path ~dir sid) in
+      let d2 = Daemon.create (journal_config ~dir ()) in
+      let fp2 =
+        Fun.protect
+          ~finally:(fun () -> Daemon.stop d2)
+          (fun () ->
+            Alcotest.(check string) "journal bytes unchanged by recovery" bytes
+              (read_file (journal_path ~dir sid));
+            Alcotest.(check (list string)) "no warnings" [] (Daemon.warnings d2);
+            Alcotest.(check string) "fingerprint-exact" fp (status_fp d2 sid);
+            ignore (exec_ok d2 sid "auto");
+            Alcotest.(check int) "the next command is appended, not compacted"
+              (4 + 1)
+              (List.length (journal_lines ~dir sid));
+            status_fp d2 sid)
+      in
+      let d3 = Daemon.create (journal_config ~dir ()) in
+      Fun.protect
+        ~finally:(fun () -> Daemon.stop d3)
+        (fun () ->
+          Alcotest.(check (list (pair string int)))
+            "all four commands recovered" [ (sid, 4) ]
+            (Daemon.recovered_sessions d3);
+          Alcotest.(check string) "second restart fingerprint-exact" fp2
+            (status_fp d3 sid)))
+
+(* Damage a journal, restart (the recovery repairs it with a rewrite),
+   run more commands, restart again: the commands executed after the
+   repaired recovery must survive. *)
+let repaired_survives ~damage ~expect_replayed () =
+  with_dir (fun dir ->
+      let d1 = Daemon.create (journal_config ~dir ()) in
+      let sid = open_simple d1 ~seed:6 in
+      ignore (exec_ok d1 sid "auto");
+      ignore (exec_ok d1 sid "auto");
+      Daemon.stop d1;
+      damage (journal_path ~dir sid);
+      let d2 = Daemon.create (journal_config ~dir ()) in
+      let fp2 =
+        Fun.protect
+          ~finally:(fun () -> Daemon.stop d2)
+          (fun () ->
+            Alcotest.(check (list (pair string int)))
+              "replay stops at the damage" [ (sid, expect_replayed) ]
+              (Daemon.recovered_sessions d2);
+            Alcotest.(check int) "repaired into a single header line" 1
+              (List.length (journal_lines ~dir sid));
+            ignore (exec_ok d2 sid "step");
+            ignore (exec_ok d2 sid "auto");
+            status_fp d2 sid)
+      in
+      let d3 = Daemon.create (journal_config ~dir ()) in
+      Fun.protect
+        ~finally:(fun () -> Daemon.stop d3)
+        (fun () ->
+          Alcotest.(check (list (pair string int)))
+            "commands after the repair recovered"
+            [ (sid, expect_replayed + 2) ]
+            (Daemon.recovered_sessions d3);
+          Alcotest.(check (list string)) "the repaired journal is clean" []
+            (Daemon.warnings d3);
+          Alcotest.(check string) "fingerprint-exact after the repair" fp2
+            (status_fp d3 sid)))
+
+let append_torn p =
+  let oc = open_out_gen [ Open_append ] 0o644 p in
+  output_string oc "{\"cmd\":\"auto\",\"fp\":\"torn mid-wri";
+  close_out oc
+
+(* Tamper the last entry's fingerprint. *)
+let diverge_last p =
+  let lines =
+    read_file p |> String.split_on_char '\n' |> List.filter (fun l -> l <> "")
+  in
+  let last = List.length lines - 1 in
+  Out_channel.with_open_bin p (fun oc ->
+      List.iteri
+        (fun i l ->
+          let l =
+            if i <> last then l
+            else
+              match Json.parse l with
+              | Ok (Json.Obj fields) ->
+                Json.to_string
+                  (Json.Obj
+                     (List.map
+                        (function
+                          | "fp", _ -> ("fp", Json.Str "ops=999 tampered")
+                          | kv -> kv)
+                        fields))
+              | _ -> l
+          in
+          output_string oc (l ^ "\n"))
+        lines)
+
+let test_torn_repair_survives =
+  repaired_survives ~damage:append_torn ~expect_replayed:2
+
+let test_diverged_repair_survives =
+  repaired_survives ~damage:diverge_last ~expect_replayed:1
+
+(* Two opens of one [gen:] reference resolve it once and share one
+   compiled template; so do their recovered sessions. *)
+let test_gen_resolution_shared () =
+  with_dir (fun dir ->
+      let spec = "gen:n=3,k=2" in
+      let calls = ref 0 in
+      let config () =
+        {
+          (journal_config ~dir ()) with
+          Daemon.dc_resolve =
+            (fun name ->
+              if name = spec then incr calls;
+              Adpm_scenarios.Registry.resolve_result name);
+        }
+      in
+      let designer =
+        List.hd
+          (Dpm.designers
+             ((Adpm_scenarios.Registry.resolve spec).Scenario.sc_build
+                ~mode:Dpm.Adpm))
+      in
+      let open_gen d seed =
+        str_field "session"
+          (expect_ok
+             (Daemon.handle d
+                (op "open"
+                   [
+                     ("scenario", Json.Str spec);
+                     ("designer", Json.Str designer);
+                     ("mode", Json.Str "adpm");
+                     ("seed", Json.Num (float_of_int seed));
+                   ])))
+      in
+      let shared d a b =
+        let sc sid = Session.scenario (Option.get (Daemon.find_session d sid)) in
+        Alcotest.(check bool) "one scenario value" true (sc a == sc b);
+        Alcotest.(check bool) "one compiled template" true
+          (Scenario.compiled (sc a) ~mode:Dpm.Adpm
+          == Scenario.compiled (sc b) ~mode:Dpm.Adpm)
+      in
+      let d1 = Daemon.create (config ()) in
+      let a = open_gen d1 1 and b = open_gen d1 2 in
+      ignore (exec_ok d1 a "auto");
+      Alcotest.(check int) "resolved once for two opens" 1 !calls;
+      shared d1 a b;
+      Daemon.stop d1;
+      calls := 0;
+      let d2 = Daemon.create (config ()) in
+      Fun.protect
+        ~finally:(fun () -> Daemon.stop d2)
+        (fun () ->
+          Alcotest.(check int) "both sessions recovered" 2
+            (List.length (Daemon.recovered_sessions d2));
+          Alcotest.(check int) "resolved once for two recoveries" 1 !calls;
+          shared d2 a b;
+          (* released with its last session: the next open resolves again *)
+          List.iter
+            (fun sid ->
+              ignore
+                (expect_ok
+                   (Daemon.handle d2 (op "close" [ ("session", Json.Str sid) ]))))
+            [ a; b ];
+          ignore (open_gen d2 3);
+          Alcotest.(check int) "resolved again after the last close" 2 !calls))
+
+(* {2 The sync pool} *)
+
+(* Jobs finish below the watermark; a failed fsync (a pipe cannot be
+   fsync'd) is reported once, for its own sequence number only. *)
+let test_sync_pool () =
+  with_dir (fun dir ->
+      let pool = Sync_pool.create () in
+      Fun.protect
+        ~finally:(fun () -> Sync_pool.stop pool)
+        (fun () ->
+          let fd =
+            Unix.openfile (Filename.concat dir "f") [ Unix.O_WRONLY; Unix.O_CREAT ] 0o600
+          in
+          let r, w = Unix.pipe ~cloexec:true () in
+          let seqs =
+            List.init 6 (fun i ->
+                ignore (Unix.write_substring fd "x\n" 0 2);
+                Sync_pool.submit pool
+                  (if i = 3 then Sync_pool.File w
+                   else if i = 4 then Sync_pool.Dir dir
+                   else Sync_pool.File fd))
+          in
+          Alcotest.(check (list int)) "sequence numbers" [ 1; 2; 3; 4; 5; 6 ] seqs;
+          Alcotest.(check int) "submitted" 6 (Sync_pool.submitted pool);
+          Sync_pool.wait pool 3;
+          Alcotest.(check (list int)) "no failure up to 3" []
+            (List.map fst (Sync_pool.take_failures pool ~upto:3));
+          Sync_pool.wait pool 6;
+          Alcotest.(check (list int)) "the pipe's fsync failed" [ 4 ]
+            (List.map fst (Sync_pool.take_failures pool ~upto:6));
+          Alcotest.(check (list int)) "reported once" []
+            (List.map fst (Sync_pool.take_failures pool ~upto:6));
+          Sync_pool.quiesce pool fd;
+          List.iter Unix.close [ fd; r; w ]))
+
+(* {2 The serve loop holds replies until their journal lines are durable} *)
+
+let with_request_id n req =
+  match Wire.request_to_json req with
+  | Json.Obj fields -> Json.Obj (("id", Json.Num (float_of_int n)) :: fields)
+  | j -> j
+
+(* Two real connections through [Daemon.step], pipelining bursts of
+   exec/props/status over 16 sessions: each connection's replies come
+   back in request order and byte-identical to [Daemon.handle] on a twin
+   daemon, and every exec's journal line is in the file by the time its
+   reply is read. *)
+let test_serve_loop_matches_handle () =
+  with_dir (fun dir ->
+      let twin_dir = Filename.concat dir "twin" in
+      Unix.mkdir twin_dir 0o700;
+      let d = Daemon.create (journal_config ~dir ()) in
+      let twin = Daemon.create (journal_config ~dir:twin_dir ()) in
+      Fun.protect
+        ~finally:(fun () ->
+          Daemon.stop d;
+          Daemon.stop twin)
+        (fun () ->
+          let pump () = ignore (Daemon.step ~timeout:0. d : bool) in
+          let sock = Filename.concat dir "d.sock" in
+          let conns =
+            Array.init 2 (fun _ ->
+                let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+                Unix.connect fd (Unix.ADDR_UNIX sock);
+                (fd, Wire.Reader.create ()))
+          in
+          let next_id = ref 0 in
+          let send c req =
+            incr next_id;
+            let frame = with_request_id !next_id req in
+            Wire.write_all (fst conns.(c)) (Json.to_string frame ^ "\n");
+            (!next_id, req, Json.to_string (Daemon.handle twin frame))
+          in
+          let chunk = Bytes.create 4096 in
+          let deadline = Unix.gettimeofday () +. 60. in
+          let rec recv c =
+            let fd, reader = conns.(c) in
+            match Wire.Reader.next reader with
+            | `Frame line -> line
+            | `Oversize -> Alcotest.fail "oversize reply"
+            | `Pending ->
+              if Unix.gettimeofday () > deadline then
+                Alcotest.fail "no reply within 60 s";
+              pump ();
+              (match Unix.select [ fd ] [] [] 0.01 with
+              | [], _, _ -> ()
+              | _ -> (
+                match Unix.read fd chunk 0 (Bytes.length chunk) with
+                | 0 -> Alcotest.fail "daemon hung up"
+                | n -> Wire.Reader.feed reader (Bytes.sub_string chunk 0 n)));
+              recv c
+          in
+          let journaled sid id =
+            List.exists
+              (fun l ->
+                match Json.parse l with
+                | Ok j ->
+                  Option.bind (Json.member "id" j) Json.to_int = Some id
+                  && Json.member "cmd" j <> None
+                | Error _ -> false)
+              (journal_lines ~dir sid)
+          in
+          let check_reply c (id, req, expected) =
+            let got = recv c in
+            Alcotest.(check string)
+              (Printf.sprintf "reply %d on connection %d" id c)
+              expected got;
+            match req with
+            | Wire.Exec { session; _ } ->
+              Alcotest.(check bool)
+                (Printf.sprintf "exec %d journaled before its reply" id)
+                true (journaled session id)
+            | _ -> ()
+          in
+          (* sessions s1..s16; session k is served by connection k mod 2 *)
+          let sids =
+            List.init 16 (fun k ->
+                let c = k mod 2 in
+                let sent =
+                  send c
+                    (Wire.Open
+                       {
+                         scenario = "simple";
+                         mode = Dpm.Adpm;
+                         seed = 100 + k;
+                         designer = (if k mod 4 < 2 then "alice" else "bob");
+                       })
+                in
+                check_reply c sent;
+                (c, Printf.sprintf "s%d" (k + 1)))
+          in
+          for round = 0 to 5 do
+            let bursts =
+              Array.map
+                (fun c ->
+                  List.filter_map
+                    (fun (c', sid) ->
+                      if c' <> c then None
+                      else
+                        let k = int_of_string (String.sub sid 1 (String.length sid - 1)) in
+                        Some
+                          (send c
+                             (match (round + k) mod 3 with
+                             | 0 -> Wire.Exec { session = sid; line = "auto" }
+                             | 1 -> Wire.Exec { session = sid; line = "props" }
+                             | _ -> Wire.Status { session = sid })))
+                    sids)
+                [| 0; 1 |]
+            in
+            Array.iteri (fun c burst -> List.iter (check_reply c) burst) bursts
+          done;
+          Array.iter (fun (fd, _) -> Unix.close fd) conns))
+
 (* {2 Idempotent requests: the (client, id) reply cache} *)
 
 let with_id ?(client = "c1") idv fields frame_op =
@@ -1033,6 +1371,18 @@ let suite =
     ("corrupt journal header quarantined", `Quick, test_journal_corrupt_header);
     ("journal fingerprint gate", `Quick, test_journal_fingerprint_gate);
     ("journal auto-compaction", `Quick, test_journal_compaction);
+    ("intact journal kept as it is", `Quick, test_journal_intact_kept);
+    ( "torn journal repaired, later commands survive",
+      `Quick,
+      test_torn_repair_survives );
+    ( "diverged journal repaired, later commands survive",
+      `Quick,
+      test_diverged_repair_survives );
+    ("gen: resolution shared by sessions", `Quick, test_gen_resolution_shared);
+    ("sync pool watermark and failures", `Quick, test_sync_pool);
+    ( "serve loop replies match handle, journaled first",
+      `Quick,
+      test_serve_loop_matches_handle );
     ("journal dir lockfile", `Quick, test_journal_lockfile);
     ("unusable journal dir refused", `Quick, test_journal_dir_unusable);
     ( "journal write failure refuses open",
