@@ -1,7 +1,8 @@
 (* teamsimd end-to-end smoke, run from @check:
 
-     spawn daemon (with a journal dir) -> hello -> open -> exec ops
-       -> checkpoint -> SIGKILL the daemon -> spawn a fresh daemon
+     spawn daemon (with a journal dir) -> hello -> open -> exec ops,
+       views and a rejected set -> checkpoint -> SIGKILL the daemon
+       -> spawn a fresh daemon
        -> the journaled session is back, fingerprint-exact, its journal
           bytes untouched -> resume
        -> verify the resumed state matches the checkpoint fingerprint
@@ -91,7 +92,14 @@ let expect_err name code (resp : Wire.response) =
     (Printf.sprintf "%s yields %s" name code)
     ((not resp.Wire.r_ok) && resp.Wire.r_code = Some code)
 
-let script = [ "auto"; "auto"; "step"; "auto"; "suggest"; "auto" ]
+(* Views and a [set] the network rejects (xa1 lies far outside its range)
+   among the moves: the restart has to rebuild the session through
+   both, from the journal and from the checkpoint. *)
+let script =
+  [
+    "auto"; "props"; "auto"; "set xa1 1e308"; "status"; "step"; "conflicts";
+    "auto"; "suggest"; "auto";
+  ]
 
 let () =
   let pid = spawn () in
@@ -113,22 +121,22 @@ let () =
   let sid = Option.value ~default:"?" (Client.body_str opened "session") in
 
   (* same commands through the in-process Interactive loop: the reports
-     must match the daemon's byte for byte *)
+     and the error messages must match the daemon's byte for byte *)
   let reference =
     Adpm_teamsim.Interactive.create ~mode:Adpm_core.Dpm.Adpm ~seed:3
       Adpm_scenarios.Simple.scenario ~designer:"alice"
   in
   List.iter
     (fun line ->
-      let resp =
-        expect_ok ("exec " ^ line)
-          (Client.rpc c (Wire.Exec { session = sid; line }))
+      let resp = Client.rpc c (Wire.Exec { session = sid; line }) in
+      let daemon_out =
+        if resp.Wire.r_ok then Ok (Client.body_str resp "output")
+        else Error (Client.body_str resp "error")
       in
-      let daemon_out = Client.body_str resp "output" in
       let local_out =
         match Adpm_teamsim.Interactive.execute reference line with
-        | Ok s -> Some s
-        | Error _ -> None
+        | Ok s -> Ok (Some s)
+        | Error m -> Error (Some m)
       in
       check
         (Printf.sprintf "exec %s matches CLI loop" line)

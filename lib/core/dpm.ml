@@ -664,7 +664,7 @@ let check_cid t what cid =
   if cid < 0 || cid >= Network.constraint_count t.net then
     invalid_arg (Printf.sprintf "Dpm.apply: unknown constraint id %d in %s" cid what)
 
-let validate t op =
+let check_op t op =
   let p =
     match Hashtbl.find_opt t.probs op.Operator.op_problem with
     | Some p -> p
@@ -711,6 +711,8 @@ let validate t op =
           spec.Operator.sp_depends_on_names)
       specs;
     Split specs
+
+let validate t op = ignore (check_op t op : checked)
 
 (* {2 The transition} *)
 
@@ -771,7 +773,7 @@ let apply_decompose t op specs =
         (spec, p))
       specs
   in
-  (* resolve sibling dependency names (checked by [validate]) *)
+  (* resolve sibling dependency names (checked by [check_op]) *)
   List.iter
     (fun (spec, p) ->
       List.iter
@@ -807,7 +809,7 @@ let trace_status_changes t changes =
       changes
 
 let apply t op =
-  let checked = validate t op in
+  let checked = check_op t op in
   let l = layout t in
   t.ops <- t.ops + 1;
   let idx = t.ops in

@@ -247,6 +247,11 @@ val apply : t -> Operator.t -> result
     rejected operation leaves the DPM, its network and its trace as they
     were. *)
 
+val validate : t -> Operator.t -> unit
+(** Only the checks {!apply} makes before it changes anything: a caller
+    can validate an operation before recording that it was submitted.
+    @raise Invalid_argument for a malformed operation, as {!apply} does. *)
+
 val shift_requirement :
   t -> prop:string -> value:float -> (int * Constr.status * Constr.status) list
 (** Re-assign a requirement property mid-run — the adaptability workload's

@@ -216,9 +216,12 @@ let drop_session t sid =
 
 (* Replay one journal back into a live session. The header rebuilds the
    state it records (fingerprint-gated); each tail entry is
-   fingerprint-checked against the state it was appended over, executed,
-   and its reply re-cached so a client resend after the crash is answered
-   without double-execution. Any damage stops the tail replay at the last
+   fingerprint-checked against the state it was appended over, then
+   replayed. An entry tagged with a (client, id) pair is executed in full
+   and its reply re-cached, so a client resend after the crash is
+   answered byte-identically without double-execution; an untagged one
+   has no reader for its reply, so only its effects are replayed
+   ([Session.replay]). Any damage stops the tail replay at the last
    consistent point — never the whole recovery.
 
    An intact journal is kept as it is and reopened for appending: the
@@ -268,17 +271,16 @@ let recover_one t w (sc : Journal.scanned) =
                    sid;
                  raise Exit
                | _ -> ());
-               match Session.exec s line with
-               | result ->
-                 incr executed;
-                 let id = Json.member "id" entry in
-                 (match
-                    (Option.bind (Json.member "client" entry) Json.to_str, id)
-                  with
+               let id = Json.member "id" entry in
+               let client = Option.bind (Json.member "client" entry) Json.to_str in
+               match
+                 (match (client, id) with
                  | Some client, Some idv ->
                    cache_store t ~client ~key:(cache_key idv)
-                     (exec_reply ?id s result)
-                 | _ -> ())
+                     (exec_reply ?id s (Session.exec s line))
+                 | _ -> Session.replay s line)
+               with
+               | () -> incr executed
                | exception e ->
                  warn t "journal %s: replay of %S raised %s; dropping rest" sid
                    line (Printexc.to_string e);

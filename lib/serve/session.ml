@@ -14,6 +14,7 @@ type t = {
   ss_buf : Sink.Collect.buffer;
   ss_tracer : Tracer.t;
   mutable ss_commands : string list;  (* newest first *)
+  mutable ss_command_count : int;  (* [List.length ss_commands] *)
 }
 
 let id t = t.ss_id
@@ -21,7 +22,7 @@ let reference t = t.ss_scenario
 let scenario t = t.ss_sc
 let interactive t = t.ss_session
 let commands t = List.rev t.ss_commands
-let command_count t = List.length t.ss_commands
+let command_count t = t.ss_command_count
 
 let create ~resolve ~id ~scenario ~mode ~seed ~designer =
   match (resolve scenario : (Scenario.t, string) result) with
@@ -43,15 +44,24 @@ let create ~resolve ~id ~scenario ~mode ~seed ~designer =
           ss_buf = buf;
           ss_tracer = tracer;
           ss_commands = [];
+          ss_command_count = 0;
         }
     | exception Invalid_argument msg -> Error msg)
 
-let exec t line =
-  (* Log the line before running it: replay-on-resume must re-issue every
-     command (including rejected ones) so the designer models' RNG and
-     tabu state advance identically. *)
+(* Log the line before running it: replay-on-resume must re-issue every
+   command (including rejected ones) so the designer models' RNG and tabu
+   state advance identically. *)
+let log_command t line =
   t.ss_commands <- line :: t.ss_commands;
+  t.ss_command_count <- t.ss_command_count + 1
+
+let exec t line =
+  log_command t line;
   Interactive.execute t.ss_session line
+
+let replay t line =
+  log_command t line;
+  Interactive.replay t.ss_session line
 
 let prompt t = Interactive.prompt t.ss_session
 let finished t = Interactive.finished t.ss_session
@@ -90,7 +100,7 @@ let status_fields t =
            (fun cid -> Json.Num (float_of_int cid))
            (List.sort compare (Dpm.known_violations (Interactive.dpm t.ss_session))))
     );
-    ("commands", Json.Num (float_of_int (List.length t.ss_commands)));
+    ("commands", Json.Num (float_of_int t.ss_command_count));
     ("events", Json.Num (float_of_int (Sink.Collect.length t.ss_buf)));
   ]
 
@@ -222,9 +232,10 @@ let header_of_json ~marker meta =
   in
   Ok { h_scenario; h_mode; h_seed; h_designer; h_commands; h_fingerprint }
 
-(* Re-issuing the command log regenerates the designer-model state (RNG,
+(* Replaying the command log regenerates the designer-model state (RNG,
    tabu memory) and the trace buffer, so the rebuilt session can itself
-   be checkpointed or journaled again. *)
+   be checkpointed or journaled again. It renders no reply: nobody reads
+   them, and the fingerprint gate checks the state the effects left. *)
 let rebuild ~resolve ~id header =
   match
     create ~resolve ~id ~scenario:header.h_scenario ~mode:header.h_mode
@@ -233,7 +244,7 @@ let rebuild ~resolve ~id header =
   | Error msg ->
     Error (Rs_corrupt (Printf.sprintf "cannot rebuild session: %s" msg))
   | Ok fresh -> (
-    match List.iter (fun line -> ignore (exec fresh line)) header.h_commands with
+    match List.iter (replay fresh) header.h_commands with
     | () ->
       let fp = fingerprint fresh in
       if String.equal fp header.h_fingerprint then

@@ -52,6 +52,10 @@ val exec : t -> string -> (string, string) result
     [Invalid_argument]s {!Interactive.execute} absorbs do propagate —
     the daemon treats them as a wedged session and tears it down. *)
 
+val replay : t -> string -> unit
+(** {!exec} without the reply: log the line and make its state effects
+    through {!Interactive.replay}. Raises as {!exec} does. *)
+
 val prompt : t -> string
 val finished : t -> bool
 
@@ -102,7 +106,7 @@ val rebuild :
   header ->
   (t * int, resume_error) result
 (** Rebuild a live session from a parsed header alone: create a fresh
-    engine, re-issue the command log, and gate on the recorded
+    engine, {!replay} the command log, and gate on the recorded
     fingerprint. This is the shared replay path under both {!resume}
     (checkpoint artifacts, which additionally validate their recorded
     trace) and the daemon's journal recovery. *)

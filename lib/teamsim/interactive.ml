@@ -64,11 +64,45 @@ let prompt t =
 
 let finished t = Dpm.solved t.dpm
 
-let describe_op t op =
-  ignore t;
-  Format.asprintf "%a" Operator.pp op
+let describe_op op = Format.asprintf "%a" Operator.pp op
 
-let apply_and_report t op =
+(* {2 Commands: parse, run, render}
+
+   Every command line takes one path: [parse] turns it into a [command],
+   [run] makes the command's state effects and returns an [outcome], and
+   [render] turns the outcome into reply text. [execute] renders what
+   [run] returns; [replay] only runs, so a rebuilt session skips the
+   views and the operation reports its clients already saw. *)
+
+type view = Blank | Help | Status | Props | Conflicts
+
+type command =
+  | View of view
+  | Browse of string
+  | Set of string * float
+  | Verify
+  | Suggest
+  | Auto
+  | Step
+  | Invalid of string  (* an unknown command or an unparseable [set] *)
+
+(* One applied operation and whether the top-level problem was solved
+   right after it. *)
+type applied = { a_op : Operator.t; a_result : Dpm.result; a_finished : bool }
+
+type outcome =
+  | Viewed of view  (* read nothing mutable: rendered from the state *)
+  | Browsed of string
+  | Suggested of Operator.t option
+  | Applied of applied
+  | Idle
+  | Stepped of (string * applied option) list  (* per teammate *)
+  | Failed of string
+
+let apply t op =
+  (* a rejected operation must leave no [Op_submitted] behind: the trace
+     has to stay replayable *)
+  Dpm.validate t.dpm op;
   let tracer = Dpm.tracer t.dpm in
   if Tracer.active tracer then
     Tracer.emit tracer
@@ -88,10 +122,13 @@ let apply_and_report t op =
   in
   feed t.player_model;
   List.iter feed t.teammates;
+  { a_op = op; a_result = result; a_finished = finished t }
+
+let report t { a_op = op; a_result = result; a_finished } =
   let net = Dpm.network t.dpm in
   let cname cid = (Network.find_constraint net cid).Constr.name in
   let buf = Buffer.create 256 in
-  Buffer.add_string buf (Printf.sprintf "executed: %s\n" (describe_op t op));
+  Buffer.add_string buf (Printf.sprintf "executed: %s\n" (describe_op op));
   Buffer.add_string buf
     (Printf.sprintf "evaluations: %d\n" result.Dpm.r_evaluations);
   List.iter
@@ -109,7 +146,7 @@ let apply_and_report t op =
       (Printf.sprintf "skipped (not eligible): %s\n"
          (String.concat ", " (List.map cname skipped))));
   if result.Dpm.r_spin then Buffer.add_string buf "this operation was a design spin\n";
-  if finished t then
+  if a_finished then
     Buffer.add_string buf "\nThe top-level problem is SOLVED. Congratulations.\n";
   Buffer.contents buf
 
@@ -166,76 +203,108 @@ let help =
   quit                leave the session (handled by the client)
 |}
 
-let execute_command t line =
+let parse line =
   let words =
     String.split_on_char ' ' (String.trim line)
     |> List.filter (fun w -> w <> "")
   in
   match words with
-  | [] -> Ok ""
-  | [ "help" ] -> Ok help
-  | [ "status" ] -> Ok (status t)
-  | [ "browse"; obj ] -> (
+  | [] -> View Blank
+  | [ "help" ] -> View Help
+  | [ "status" ] -> View Status
+  | [ "browse"; obj ] -> Browse obj
+  | [ "props" ] -> View Props
+  | [ "conflicts" ] -> View Conflicts
+  | [ "set"; prop; value ] -> (
+    match float_of_string_opt value with
+    | None -> Invalid (Printf.sprintf "%s is not a number" value)
+    | Some v -> Set (prop, v))
+  | [ "verify" ] -> Verify
+  | [ "suggest" ] -> Suggest
+  | [ "auto" ] -> Auto
+  | [ "step" ] -> Step
+  | cmd :: _ -> Invalid (Printf.sprintf "unknown command %s (try 'help')" cmd)
+
+(* Every designer choice (RNG draws, tabu memory) and every apply happens
+   here. [browse] is the one view that runs: its relaxed-feasibility
+   queries are charged to the evaluation counter, and its text comes out
+   of the same pass. *)
+let run t = function
+  | View v -> Viewed v
+  | Browse obj -> (
     match Dpm.find_object t.dpm obj with
-    | Some _ -> Ok (Browser.object_browser t.dpm obj)
+    | Some _ -> Browsed (Browser.object_browser t.dpm obj)
     | None ->
-      Error
+      Failed
         (Printf.sprintf "unknown object %s (known: %s)" obj
            (String.concat ", "
               (List.map
                  (fun o -> o.Design_object.o_name)
                  (Dpm.objects t.dpm)))))
-  | [ "props" ] -> Ok (Browser.property_browser t.dpm ~props:(my_properties t))
-  | [ "conflicts" ] -> Ok (Browser.conflict_browser t.dpm ~props:(my_properties t))
-  | [ "set"; prop; value ] -> (
-    match float_of_string_opt value with
-    | None -> Error (Printf.sprintf "%s is not a number" value)
-    | Some _ when List.mem_assoc prop t.models ->
-      Error
-        (Printf.sprintf
-           "%s is a performance property the tool computes (model: %s)" prop
-           (Adpm_expr.Expr.to_string (List.assoc prop t.models)))
-    | Some v -> (
-      match Designer.synthesis_with_tools t.player_model t.dpm prop v with
-      | None ->
-        Error
-          (Printf.sprintf "%s is not an output of one of your problems" prop)
-      | Some op -> Ok (apply_and_report t op)))
-  | [ "verify" ] -> (
+  | Set (prop, _) when List.mem_assoc prop t.models ->
+    Failed
+      (Printf.sprintf
+         "%s is a performance property the tool computes (model: %s)" prop
+         (Adpm_expr.Expr.to_string (List.assoc prop t.models)))
+  | Set (prop, v) -> (
+    match Designer.synthesis_with_tools t.player_model t.dpm prop v with
+    | None ->
+      Failed (Printf.sprintf "%s is not an output of one of your problems" prop)
+    | Some op -> Applied (apply t op))
+  | Verify -> (
     match Designer.request_verification t.player_model t.dpm with
-    | None -> Error "nothing to verify right now"
-    | Some op -> Ok (apply_and_report t op))
-  | [ "suggest" ] -> (
+    | None -> Failed "nothing to verify right now"
+    | Some op -> Applied (apply t op))
+  | Suggest -> Suggested (Designer.choose_operation t.player_model t.dpm)
+  | Auto -> (
     match Designer.choose_operation t.player_model t.dpm with
-    | None -> Ok "the designer model would idle (nothing to do)\n"
-    | Some op -> Ok (Printf.sprintf "suggested: %s\n" (describe_op t op)))
-  | [ "auto" ] -> (
-    match Designer.choose_operation t.player_model t.dpm with
-    | None -> Ok "nothing to do\n"
-    | Some op -> Ok (apply_and_report t op))
-  | [ "step" ] ->
-    let buf = Buffer.create 256 in
-    List.iter
-      (fun teammate ->
-        match Designer.choose_operation teammate t.dpm with
-        | None ->
-          Buffer.add_string buf
-            (Printf.sprintf "%s idles\n" (Designer.name teammate))
-        | Some op -> Buffer.add_string buf (apply_and_report t op))
-      t.teammates;
-    Ok (Buffer.contents buf)
-  | cmd :: _ -> Error (Printf.sprintf "unknown command %s (try 'help')" cmd)
+    | None -> Idle
+    | Some op -> Applied (apply t op))
+  | Step ->
+    Stepped
+      (List.map
+         (fun teammate ->
+           ( Designer.name teammate,
+             Option.map (apply t) (Designer.choose_operation teammate t.dpm) ))
+         t.teammates)
+  | Invalid msg -> Failed msg
+
+let render t = function
+  | Viewed Blank -> Ok ""
+  | Viewed Help -> Ok help
+  | Viewed Status -> Ok (status t)
+  | Viewed Props -> Ok (Browser.property_browser t.dpm ~props:(my_properties t))
+  | Viewed Conflicts ->
+    Ok (Browser.conflict_browser t.dpm ~props:(my_properties t))
+  | Browsed text -> Ok text
+  | Suggested None -> Ok "the designer model would idle (nothing to do)\n"
+  | Suggested (Some op) -> Ok (Printf.sprintf "suggested: %s\n" (describe_op op))
+  | Applied a -> Ok (report t a)
+  | Idle -> Ok "nothing to do\n"
+  | Stepped turns ->
+    Ok
+      (String.concat ""
+         (List.map
+            (function
+              | name, None -> Printf.sprintf "%s idles\n" name
+              | _, Some a -> report t a)
+            turns))
+  | Failed msg -> Error msg
 
 (* Every command is caught uniformly: [Invalid_argument] can surface from
    choose time (e.g. a problem referencing a constraint the network does
-   not know) as well as from [Dpm.apply] inside [apply_and_report], on
-   the [verify]/[auto]/[step] paths just as on [set]. A long-lived
-   session loop (the teamsimd daemon) must get [Error], not a killed
-   session. *)
+   not know) as well as from [Dpm.validate] inside [apply], on the
+   [verify]/[auto]/[step] paths just as on [set]. A long-lived session
+   loop (the teamsimd daemon) must get [Error], not a killed session. *)
 let execute t line =
-  match execute_command t line with
-  | result -> result
+  match render t (run t (parse line)) with
+  | reply -> reply
   | exception Invalid_argument msg -> Error msg
+
+let replay t line =
+  match run t (parse line) with
+  | (_ : outcome) -> ()
+  | exception Invalid_argument _ -> ()
 
 let dpm t = t.dpm
 let setup_evaluations t = t.setup_evals

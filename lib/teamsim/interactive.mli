@@ -24,7 +24,8 @@ val create :
     [?tracer] (default disabled) is attached to the DPM and additionally
     receives the engine-level framing events — [Run_started] up front and
     [Op_submitted] (with decision-time evaluation deltas) before every
-    applied operation — so the recorded stream is replayable by the stock
+    applied operation, none for an operation the DPM rejects — so the
+    recorded stream is replayable by the stock
     [Replay] driver once a closing [Run_finished] is appended (the
     teamsimd checkpoint writer does exactly that).
     @raise Invalid_argument if the scenario has no such designer. *)
@@ -56,6 +57,16 @@ val execute : t -> string -> (string, string) result
     decision or a [Dpm.apply] (on any command path, not just [set])
     comes back as [Error msg], so a daemon session loop survives
     hostile or unlucky input. *)
+
+val replay : t -> string -> unit
+(** Make the state effects of one command line and nothing else: exactly
+    those {!execute} makes on the same line — every designer choice (RNG
+    draws, tabu memory), every applied operation, every evaluation
+    [browse] charges and every trace event — without building the reply.
+    Views with nothing to compute ([help], [status], [props],
+    [conflicts], blank lines, unknown commands, unparseable [set]) cost
+    nothing. For rebuilding a session from its command log; never raises
+    on a command, like {!execute}. *)
 
 val dpm : t -> Dpm.t
 (** The session's underlying DPM (read-mostly: for status frames and

@@ -95,7 +95,13 @@ let run ~resolve events =
         Dpm.charge_evaluations dpm choose_evaluations;
         let op = Operator.of_trace_spec op in
         before_propagation ();
-        let result = Dpm.apply dpm op in
+        let result =
+          match Dpm.apply dpm op with
+          | r -> r
+          | exception Invalid_argument msg ->
+            fail "trace submits an inapplicable operation %d: %s"
+              (!replayed + 1) msg
+        in
         incr replayed;
         Hashtbl.replace results result.Dpm.r_index (op, result)
       | Event.Op_executed

@@ -36,8 +36,9 @@ val converged : report -> bool
 (** Complete trace and zero mismatches. *)
 
 exception Replay_error of string
-(** The trace cannot be replayed at all: no [Run_started] event, or it
-    names a scenario / mode / engine unknown to this binary. *)
+(** The trace cannot be replayed at all: no [Run_started] event, it
+    names a scenario / mode / engine unknown to this binary, or it
+    submits an operation (or a shift) the DPM rejects as malformed. *)
 
 val run : resolve:(string -> Scenario.t) -> Event.stamped list -> report
 (** Replay a single-run trace, resolving the recorded scenario name
@@ -50,7 +51,8 @@ val run : resolve:(string -> Scenario.t) -> Event.stamped list -> report
     which reproduces that engine's evaluation counts.
     Assumes the engine's default revision budget; a run recorded with a
     custom [max_revisions] may diverge.
-    @raise Replay_error when the trace header is unusable. *)
+    @raise Replay_error when the trace header is unusable or an event
+    cannot be applied. *)
 
 val render : report -> string
 (** Human-readable verdict, one line per mismatch. *)

@@ -1349,6 +1349,237 @@ let test_eintr_storm () =
       done;
       Client.close c)
 
+(* {2 Rebuilding a session without its replies}
+
+   Recovery and resume rebuild a session through [Session.replay], which
+   makes every command's effects but renders no reply. A session rebuilt
+   that way must be indistinguishable from one driven through [exec]. *)
+
+let builtin_scenarios =
+  Adpm_scenarios.[ Simple.scenario; Lna.scenario; Sensor.scenario; Receiver.scenario ]
+
+(* The numeric outputs of [designer]'s problems, with their initial
+   ranges (a fresh build: the compiled template is never touched). *)
+let numeric_outputs sc ~mode ~designer =
+  let dpm = sc.Scenario.sc_build ~mode in
+  let net = Dpm.network dpm in
+  List.concat_map Problem.properties (Dpm.problems_owned_by dpm designer)
+  |> List.sort_uniq compare
+  |> List.filter_map (fun prop ->
+         let dom = Adpm_csp.Network.initial_domain net prop in
+         match (Adpm_interval.Domain.lowest dom, Adpm_interval.Domain.highest dom) with
+         | Some lo, Some hi when Float.is_finite lo && Float.is_finite hi ->
+           Some (prop, lo, hi)
+         | _ -> None)
+
+(* A [set] the network rejects: the value lies outside the range. *)
+let rejected_set sc ~mode ~designer =
+  match numeric_outputs sc ~mode ~designer with
+  | (prop, _, _) :: _ -> Printf.sprintf "set %s 1e308" prop
+  | [] -> "set nothing 1e308"
+
+let resolve_builtin = Adpm_scenarios.Registry.resolve_result
+
+let create_session ~id sc ~mode ~seed ~designer =
+  match
+    Session.create ~resolve:resolve_builtin ~id ~scenario:sc.Scenario.sc_name
+      ~mode ~seed ~designer
+  with
+  | Ok s -> s
+  | Error msg -> Alcotest.failf "cannot open %s: %s" sc.Scenario.sc_name msg
+
+let resume_error_message = function
+  | Session.Rs_io m | Session.Rs_corrupt m | Session.Rs_mismatch m -> m
+
+(* A [set] the network rejects must leave no [Op_submitted] in the
+   session's trace: a checkpoint taken after it resumes, fingerprint-exact,
+   instead of failing the trace replay. *)
+let test_rejected_set_checkpoint_resumes () =
+  with_dir (fun dir ->
+      let sc = Adpm_scenarios.Lna.scenario in
+      let s = create_session ~id:"s1" sc ~mode:Dpm.Adpm ~seed:1 ~designer:"circuit" in
+      (match Session.exec s "set Diff-pair-W 1e308" with
+      | Error msg ->
+        Alcotest.(check bool) "the network names the range" true
+          (contains msg "outside")
+      | Ok out -> Alcotest.failf "an out-of-range set was applied: %s" out);
+      ignore (Session.exec s "auto");
+      ignore (Session.exec s "step");
+      let path = Filename.concat dir "s1.checkpoint.jsonl" in
+      (match Session.checkpoint s ~path with
+      | Ok _ -> ()
+      | Error msg -> Alcotest.failf "checkpoint: %s" msg);
+      match Session.resume ~resolve:resolve_builtin ~id:"s2" ~path with
+      | Ok (resumed, replayed) ->
+        Alcotest.(check int) "every command replayed" 3 replayed;
+        Alcotest.(check string) "fingerprint-exact" (Session.fingerprint s)
+          (Session.fingerprint resumed)
+      | Error err -> Alcotest.failf "resume: %s" (resume_error_message err))
+
+(* One random command log: the session it runs in and its lines, built
+   from small integers so QCheck can shrink them. *)
+type log_case = {
+  lc_scenario : Scenario.t;
+  lc_mode : Dpm.mode;
+  lc_seed : int;
+  lc_designer : string;
+  lc_lines : string list;
+}
+
+let print_case c =
+  Printf.sprintf "%s %s seed %d as %s: [%s]" c.lc_scenario.Scenario.sc_name
+    (Dpm.mode_to_string c.lc_mode) c.lc_seed c.lc_designer
+    (String.concat "; " (List.map (Printf.sprintf "%S") c.lc_lines))
+
+let case_of (sc_i, adpm, seed, designer_i, forms) =
+  let sc = List.nth builtin_scenarios sc_i in
+  let mode = if adpm then Dpm.Adpm else Dpm.Conventional in
+  let dpm = sc.Scenario.sc_build ~mode in
+  let team = Dpm.designers dpm in
+  let designer = List.nth team (designer_i mod List.length team) in
+  let objects = List.map (fun o -> o.Design_object.o_name) (Dpm.objects dpm) in
+  let outputs = numeric_outputs sc ~mode ~designer in
+  let nth l k = List.nth l (k mod List.length l) in
+  let line (form, k) =
+    match form with
+    | 0 -> "auto"
+    | 1 -> "step"
+    | 2 -> "suggest"
+    | 3 -> "verify"
+    | 4 -> "props"
+    | 5 -> "status"
+    | 6 -> "conflicts"
+    | 7 -> "browse " ^ nth objects k
+    | 8 -> "browse no-such-object"
+    | 9 when outputs <> [] ->
+      (* a value inside the initial range *)
+      let prop, lo, hi = nth outputs k in
+      Printf.sprintf "set %s %.17g" prop (lo +. (hi -. lo) *. float_of_int (k mod 10) /. 9.)
+    | 9 | 10 -> rejected_set sc ~mode ~designer
+    | 11 -> Printf.sprintf "set %s not-a-number" (match outputs with (p, _, _) :: _ -> p | [] -> "x")
+    | 12 -> "frobnicate"
+    | 13 -> "   "
+    | _ -> "help"
+  in
+  { lc_scenario = sc; lc_mode = mode; lc_seed = seed; lc_designer = designer;
+    lc_lines = List.map line forms }
+
+let arb_log_case =
+  let open QCheck.Gen in
+  let gen =
+    map case_of
+      (tup5 (int_bound 3) bool (int_range 1 50) (int_bound 7)
+         (list_size (int_range 1 16)
+            (pair
+               (* mostly moves, so the views and sets land on varied states *)
+               (frequency [ (4, return 0); (4, return 1); (6, int_bound 14) ])
+               (int_bound 20))))
+  in
+  QCheck.make ~print:print_case gen
+
+(* The checkpoint file holds the header (command log, fingerprint) and
+   every collected trace event as its [Codec] line. *)
+let checkpoint_bytes ~dir s name =
+  let path = Filename.concat dir name in
+  match Session.checkpoint s ~path with
+  | Ok _ -> read_file path
+  | Error msg -> Alcotest.failf "checkpoint: %s" msg
+
+let replay_matches_exec =
+  QCheck.Test.make ~name:"replay = exec on random command logs" ~count:100
+    arb_log_case (fun c ->
+      let fresh id =
+        create_session ~id c.lc_scenario ~mode:c.lc_mode ~seed:c.lc_seed
+          ~designer:c.lc_designer
+      in
+      let live = fresh "s1" and rebuilt = fresh "s2" in
+      let prefixes f s = List.map (fun l -> f s l; Session.fingerprint s) c.lc_lines in
+      let live_fps = prefixes (fun s l -> ignore (Session.exec s l)) live in
+      let rebuilt_fps = prefixes Session.replay rebuilt in
+      if live_fps <> rebuilt_fps then
+        QCheck.Test.fail_reportf "fingerprints differ:\n%s\n%s"
+          (String.concat "\n" live_fps) (String.concat "\n" rebuilt_fps);
+      with_dir (fun dir ->
+          if checkpoint_bytes ~dir live "a" <> checkpoint_bytes ~dir rebuilt "b" then
+            QCheck.Test.fail_report "collected trace lines differ";
+          (* the live trace stays replayable, even after a rejected set *)
+          match
+            Session.resume ~resolve:resolve_builtin ~id:"s3"
+              ~path:(Filename.concat dir "a")
+          with
+          | Ok (resumed, _) when Session.fingerprint resumed = Session.fingerprint live -> ()
+          | Ok _ -> QCheck.Test.fail_report "resume lands on another fingerprint"
+          | Error err -> QCheck.Test.fail_reportf "resume: %s" (resume_error_message err));
+      List.for_all
+        (fun l -> Session.exec live l = Session.exec rebuilt l)
+        [ "auto"; "suggest" ])
+
+(* A journal tail of tagged and untagged entries, views among both.
+   Recovery executes the tagged ones (their replies are re-cached) and
+   only replays the rest; either way the state is exact. *)
+let test_mixed_tail_recovery () =
+  with_dir (fun dir ->
+      let sc = Adpm_scenarios.Simple.scenario in
+      let rejected = rejected_set sc ~mode:Dpm.Adpm ~designer:"alice" in
+      let script =
+        [
+          (Some "r1", "props"); (None, "auto"); (None, "status");
+          (Some "r2", "auto"); (None, rejected); (Some "r3", "conflicts");
+          (None, "props"); (Some "r4", "step"); (None, "suggest");
+          (Some "r5", rejected); (None, "conflicts"); (Some "r6", "auto");
+          (None, "browse no-such-object"); (None, "step");
+        ]
+      in
+      let exec_frame sid (tag, line) =
+        let fields = [ ("session", Json.Str sid); ("line", Json.Str line) ] in
+        match tag with
+        | Some idv -> with_id idv fields "exec"
+        | None -> op "exec" fields
+      in
+      let d1 = Daemon.create (journal_config ~dir ()) in
+      let sid = open_simple d1 ~seed:5 in
+      let tagged =
+        List.filter_map
+          (fun ((tag, _) as entry) ->
+            let reply = Daemon.handle d1 (exec_frame sid entry) in
+            Option.map (fun _ -> (exec_frame sid entry, Json.to_string reply)) tag)
+          script
+      in
+      let fp = status_fp d1 sid in
+      Daemon.stop d1;
+      let bytes = read_file (journal_path ~dir sid) in
+      let d2 = Daemon.create (journal_config ~dir ()) in
+      Fun.protect
+        ~finally:(fun () -> Daemon.stop d2)
+        (fun () ->
+          Alcotest.(check (list string)) "every entry fingerprint passed" []
+            (Daemon.warnings d2);
+          Alcotest.(check (list (pair string int)))
+            "every command recovered" [ (sid, List.length script) ]
+            (Daemon.recovered_sessions d2);
+          Alcotest.(check string) "fingerprint-exact" fp (status_fp d2 sid);
+          Alcotest.(check string) "journal bytes unchanged" bytes
+            (read_file (journal_path ~dir sid));
+          List.iter
+            (fun (frame, reply) ->
+              Alcotest.(check string) "tagged resend answered from the cache"
+                reply (Json.to_string (Daemon.handle d2 frame)))
+            tagged;
+          Alcotest.(check int) "no resend re-executed" (List.length script)
+            (command_count d2 sid);
+          (* and the session goes on as an uninterrupted one would *)
+          let local =
+            Interactive.create ~mode:Dpm.Adpm ~seed:5 sc ~designer:"alice"
+          in
+          List.iter (fun (_, l) -> ignore (Interactive.execute local l)) script;
+          List.iter
+            (fun l ->
+              Alcotest.(check string)
+                (Printf.sprintf "post-recovery %S" l)
+                (Result.get_ok (Interactive.execute local l))
+                (exec_ok d2 sid l))
+            [ "auto"; "suggest" ]))
+
 let suite =
   [
     ("reader framing", `Quick, test_reader_framing);
@@ -1393,6 +1624,11 @@ let suite =
       `Quick,
       test_duplicate_id_answered_from_cache );
     ("reply cache survives restart", `Quick, test_reply_cache_survives_restart);
+    ( "rejected set leaves the checkpoint resumable",
+      `Quick,
+      test_rejected_set_checkpoint_resumes );
+    QCheck_alcotest.to_alcotest replay_matches_exec;
+    ("mixed journal tail recovers exactly", `Quick, test_mixed_tail_recovery);
     ("op budget refused as overloaded", `Quick, test_op_budget_overloaded);
     ("connection limit refused as overloaded", `Quick, test_conn_limit_overloaded);
     ("slow client disconnected", `Quick, test_slow_client_disconnected);

@@ -591,6 +591,39 @@ let test_replay_rejects_unusable_traces () =
   | exception Replay.Replay_error _ -> ()
   | _ -> Alcotest.fail "unknown scenario must raise"
 
+(* An operation the DPM rejects (here an assignment outside the
+   property's range) is a trace that cannot be replayed: [Replay_error],
+   not the DPM's [Invalid_argument]. *)
+let test_replay_rejects_inapplicable_op () =
+  let _, events = capture Dpm.Adpm 1 Lna.scenario in
+  let out_of_range = ref false in
+  let tampered =
+    List.map
+      (fun s ->
+        match s.Event.event with
+        | Event.Op_submitted
+            { op = { Event.op_kind = Event.Synthesis (_ :: _ as assigns); _ } as op;
+              choose_evaluations }
+          when not !out_of_range ->
+          out_of_range := true;
+          let assigns = List.map (fun (p, _) -> (p, Event.Vnum 1e308)) assigns in
+          {
+            s with
+            Event.event =
+              Event.Op_submitted
+                { op = { op with Event.op_kind = Event.Synthesis assigns };
+                  choose_evaluations };
+          }
+        | _ -> s)
+      events
+  in
+  Alcotest.(check bool) "the trace has a synthesis to tamper" true !out_of_range;
+  match Replay.run ~resolve:(Scenario.resolver replay_scenarios) tampered with
+  | exception Replay.Replay_error msg ->
+    Alcotest.(check bool) "the error names the operation" true
+      (contains ~sub:"inapplicable operation 1" msg)
+  | _ -> Alcotest.fail "an inapplicable operation must raise Replay_error"
+
 (* A trace recorded by the retired from-scratch engine with
    [teamsim run simple -m adpm -s 1 -e full --trace]: its header says
    "full", and every operation was charged a whole HC4 run. Replay
@@ -678,6 +711,8 @@ let suite =
       test_replay_detects_tampering;
     Alcotest.test_case "replay rejects unusable traces" `Quick
       test_replay_rejects_unusable_traces;
+    Alcotest.test_case "replay rejects an inapplicable op" `Quick
+      test_replay_rejects_inapplicable_op;
     Alcotest.test_case "replay of a full-engine trace" `Quick
       test_replay_full_engine_fixture;
     Alcotest.test_case "codec rejects a pool_retry line" `Quick
