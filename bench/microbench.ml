@@ -72,7 +72,7 @@ let repropagate_test name =
    checked constraints are fresh and the rest ineligible, so every run
    measures the transition's own bookkeeping — validation, the known and
    feasible snapshots, problem statuses, the status diff and NM routing —
-   beside the HC4 kernel above. (Each run appends one history entry.) *)
+   beside the HC4 kernel above. *)
 let dpm_apply_test =
   let dpm = Receiver.build () ~mode:Dpm.Conventional in
   let top = Dpm.top_problem dpm in

@@ -1,11 +1,13 @@
 (* Crash-recovery chaos smoke, run from @check:
 
-     spawn daemon (--journal-dir, --checkpoint-every)
+     spawn daemon (--journal-dir)
        -> in-process chaos proxy between clients and daemon
        -> 8 reconnecting clients drive scripted sessions through the
           proxy (cuts, dribbles, delays, partial writes; one fixed seed)
        -> SIGKILL the daemon mid-run, respawn it on the same journal dir
-       -> clients reconnect; the daemon auto-resumes every session
+       -> clients reconnect; the daemon auto-resumes every session from
+          its journal (header plus a tail of (client, id)-tagged execs,
+          which it re-executes to rebuild the reply cache)
        -> every exec output must be byte-identical to an undisturbed
           in-process Interactive run, and every final fingerprint must
           match the local reference — chaos and the crash must be
@@ -44,7 +46,7 @@ let spawn () =
   Unix.create_process exe
     [|
       exe; "serve"; "--socket"; daemon_sock; "--checkpoint-dir"; tmpdir;
-      "--journal-dir"; journal_dir; "--checkpoint-every"; "4";
+      "--journal-dir"; journal_dir;
     |]
     devnull devnull Unix.stderr
 

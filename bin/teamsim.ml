@@ -687,15 +687,6 @@ let serve_cmd =
              reply is sent); a restarted daemon pointed at the same $(docv) \
              rebuilds every in-flight session automatically.")
   in
-  let checkpoint_every_arg =
-    Arg.(
-      value
-      & opt int 0
-      & info [ "checkpoint-every" ] ~docv:"N"
-          ~doc:
-            "Auto-compact a session's journal every $(docv) executed \
-             commands (0 disables compaction).")
-  in
   let max_conns_arg =
     Arg.(
       value
@@ -714,8 +705,8 @@ let serve_cmd =
             "Per-session exec budget (0 = unlimited); past it every exec is \
              refused with `overloaded'.")
   in
-  let action socket tcp checkpoint_dir max_sessions journal_dir checkpoint_every
-      max_conns max_ops =
+  let action socket tcp checkpoint_dir max_sessions journal_dir max_conns
+      max_ops =
     let addr =
       match (socket, tcp) with
       | Some p, None -> Ok (Adpm_serve.Daemon.Unix_path p)
@@ -745,7 +736,6 @@ let serve_cmd =
           dc_checkpoint_dir = checkpoint_dir;
           dc_max_sessions = max_sessions;
           dc_journal_dir = journal_dir;
-          dc_checkpoint_every = checkpoint_every;
           dc_max_conns = max_conns;
           dc_max_ops = max_ops;
         }
@@ -777,8 +767,7 @@ let serve_cmd =
   let term =
     Term.(
       const action $ socket_arg $ tcp_arg $ checkpoint_dir_arg
-      $ max_sessions_arg $ journal_dir_arg $ checkpoint_every_arg
-      $ max_conns_arg $ max_ops_arg)
+      $ max_sessions_arg $ journal_dir_arg $ max_conns_arg $ max_ops_arg)
   in
   Cmd.v
     (Cmd.info "serve"

@@ -43,8 +43,11 @@ let () =
 
   print_endline "\n=== 3. Heuristic-support data (Section 2.3) ===";
   List.iter
-    (fun info -> Format.printf "  %a@." Heuristic_data.pp_prop_info info)
-    (Heuristic_data.mine net);
+    (fun prop ->
+      Printf.printf "  %s: v_F=%s, alpha=%d, beta=%d\n" prop
+        (Domain.to_string (Network.feasible net prop))
+        (Network.alpha net prop) (Network.beta net prop))
+    (Network.prop_names net);
 
   print_endline "\n=== 4. The same design process, simulated both ways ===";
   let scenario = Adpm_scenarios.Simple.scenario in

@@ -19,8 +19,4 @@ let bump_patch t =
   let major, minor, patch = t.o_version in
   t.o_version <- (major, minor, patch + 1)
 
-let bump_minor t =
-  let major, minor, _ = t.o_version in
-  t.o_version <- (major, minor + 1, 0)
-
 let owns t prop = List.mem prop t.o_properties

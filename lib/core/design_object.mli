@@ -26,8 +26,5 @@ val version_string : t -> string
 val bump_patch : t -> unit
 (** Record a property-value revision. *)
 
-val bump_minor : t -> unit
-(** Record a structural revision (e.g. re-decomposition). *)
-
 val owns : t -> string -> bool
 (** Does the object directly contain the property? *)

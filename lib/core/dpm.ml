@@ -11,15 +11,6 @@ let mode_of_string = function
   | "ADPM" | "adpm" -> Some Adpm
   | _ -> None
 
-type history_entry = {
-  h_index : int;
-  h_op : Operator.t;
-  h_evaluations : int;
-  h_new_violations : int;
-  h_known_violations : int;
-  h_spin : bool;
-}
-
 type result = {
   r_index : int;
   r_evaluations : int;
@@ -75,7 +66,6 @@ type t = {
   mutable spins : int;
   mutable verified_at : int array; (* cid -> op index of last verification *)
   mutable modified_at : int array; (* prop id -> op index of last assignment *)
-  mutable hist : history_entry list; (* reversed *)
   mutable d_tracer : Tracer.t;
   mutable d_revision_work : int; (* HC4 revisions done by DPM propagations *)
   mutable d_regs : int; (* problem registrations so far *)
@@ -125,7 +115,6 @@ let create ~mode ?(max_revisions = 10_000) net ~objects ~top =
       spins = 0;
       verified_at = [||];
       modified_at = [||];
-      hist = [];
       d_tracer = Tracer.null;
       d_revision_work = 0;
       d_regs = 0;
@@ -511,14 +500,6 @@ let snapshot_feasible t buf =
     buf.(pid) <- Network.feasible_id t.net pid
   done
 
-let heuristic_info t prop =
-  match t.d_mode with
-  | Conventional -> None
-  | Adpm ->
-    if Network.mem_prop t.net prop then
-      Some (Heuristic_data.mine_prop t.net prop)
-    else None
-
 let relaxed_feasible_group t ~target ~unpin =
   match t.d_mode with
   | Conventional ->
@@ -598,12 +579,6 @@ let rec update_problem_status t l known i =
   Problem.set_status p status
 
 let update_statuses t l known = update_problem_status t l known (problem_index l t.top)
-
-let integration_ready t =
-  List.for_all
-    (fun p ->
-      (not (Problem.is_leaf p)) || p.Problem.pr_status = Problem.Solved)
-    (problems t)
 
 let solved t = (top_problem t).Problem.pr_status = Problem.Solved
 
@@ -852,21 +827,6 @@ let apply t op =
   if spin then t.spins <- t.spins + 1;
   let notifications = delta.Notify.d_notifications in
   Notify.trace_pushed t.d_tracer ~op_index:idx notifications;
-  let known_now =
-    Array.fold_left
-      (fun n s -> if s = Constr.Violated then n + 1 else n)
-      0 after
-  in
-  t.hist <-
-    {
-      h_index = idx;
-      h_op = op;
-      h_evaluations = evaluations;
-      h_new_violations = List.length delta.Notify.d_newly_violated;
-      h_known_violations = known_now;
-      h_spin = spin;
-    }
-    :: t.hist;
   let result =
     {
       r_index = idx;
@@ -920,5 +880,3 @@ let shift_requirement t ~prop ~value =
   let changes = Notify.status_changes ~before:t.d_before ~after:t.d_after in
   trace_status_changes t changes;
   changes
-
-let history t = List.rev t.hist

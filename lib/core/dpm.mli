@@ -15,9 +15,10 @@
 
     - {b ADPM} (lambda = T): after every operation the Design Constraint
       Manager runs constraint propagation, computing infeasible property
-      values and the status of all constraints; the results are mined into
-      heuristic-support data and the Notification Manager pushes relevant
-      events to each affected designer.
+      values and the status of all constraints — the heuristic-support
+      data ({!Network.feasible}, {!Network.alpha}, {!Network.beta}) — and
+      the Notification Manager pushes relevant events to each affected
+      designer.
 
     The DPM also maintains the paper's cost accounting: executed operations
     N_O, constraint evaluations N_T, and design spins (operations motivated
@@ -194,11 +195,6 @@ val known_statuses : t -> (int * Constr.status) list
     simulation engine snapshots this after the ADPM setup propagation to
     seed each designer's believed statuses (the kickoff meeting). *)
 
-val heuristic_info : t -> string -> Heuristic_data.prop_info option
-(** Mined heuristic-support data for a property ({!Heuristic_data.mine_prop}
-    over the current network); [None] in conventional mode (the
-    information does not exist without propagation). *)
-
 val relaxed_feasible : t -> string -> Adpm_interval.Domain.t
 (** ADPM only: feasible subspace of a property ignoring its own assignment
     (constraint-margin information used during conflict resolution). The
@@ -221,9 +217,6 @@ val subsystem_of_prop : t -> string -> int option
 
 val is_cross_subsystem : t -> Constr.t -> bool
 (** Do the constraint's arguments span at least two subsystems? *)
-
-val integration_ready : t -> bool
-(** Conventional-mode gate: every leaf problem is Solved. *)
 
 val solved : t -> bool
 (** The top-level problem is Solved — i.e. every output has a value and no
@@ -256,24 +249,10 @@ val shift_requirement :
   t -> prop:string -> value:float -> (int * Constr.status * Constr.status) list
 (** Re-assign a requirement property mid-run — the adaptability workload's
     "the goalposts moved" transition. Unlike {!apply} it is not a design
-    operation: no operation index is consumed and no history entry is
-    written. The assignment is stamped newer than every executed operation,
+    operation: no operation index is consumed and no [Op_executed] event
+    is traced. The assignment is stamped newer than every executed operation,
     so conventional-mode verifications of the affected constraints go
     stale; in ADPM mode one propagation runs immediately (its evaluations
     are charged to the run). Returns the known-status changes, which are
     also traced as [Constraint_status_changed] events.
     @raise Invalid_argument for an unknown property. *)
-
-(** {1 History} *)
-
-type history_entry = {
-  h_index : int;
-  h_op : Operator.t;
-  h_evaluations : int;
-  h_new_violations : int;
-  h_known_violations : int;  (** total known violations after the op *)
-  h_spin : bool;
-}
-
-val history : t -> history_entry list
-(** Chronological. *)

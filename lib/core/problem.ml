@@ -6,7 +6,7 @@ type t = {
   pr_owner : string;
   pr_inputs : string list;
   pr_outputs : string list;
-  mutable pr_constraints : int list;
+  pr_constraints : int list;
   mutable pr_parent : int option;
   mutable pr_children : int list;
   mutable pr_depends_on : int list;
@@ -32,10 +32,6 @@ let make ~id ~name ~owner ?(inputs = []) ?(outputs = []) ?(constraints = [])
 
 let copy t = { t with pr_id = t.pr_id }
 let set_status t status = t.pr_status <- status
-
-let add_constraint_id t cid =
-  if not (List.mem cid t.pr_constraints) then
-    t.pr_constraints <- t.pr_constraints @ [ cid ]
 
 let add_dependency t pid =
   if not (List.mem pid t.pr_depends_on) then

@@ -15,7 +15,7 @@ type t = private {
   pr_owner : string;
   pr_inputs : string list;
   pr_outputs : string list;
-  mutable pr_constraints : int list;  (** T_i: constraint ids *)
+  pr_constraints : int list;  (** T_i: constraint ids *)
   mutable pr_parent : int option;
   mutable pr_children : int list;
   mutable pr_depends_on : int list;  (** problem-ordering declarations *)
@@ -40,7 +40,6 @@ val copy : t -> t
     alone. *)
 
 val set_status : t -> status -> unit
-val add_constraint_id : t -> int -> unit
 val add_dependency : t -> int -> unit
 val link_child : parent:t -> child:t -> unit
 val is_leaf : t -> bool

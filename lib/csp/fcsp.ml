@@ -31,40 +31,6 @@ let consistent_assignment csp assignment =
     (fun (i, j, ok) -> ok assignment.(i) assignment.(j))
     csp.constraints
 
-type ac3_result = Consistent of int list array | Inconsistent
-
-(* Directed arcs: for constraint (i, j, ok) we revise i against j and j
-   against i. *)
-let ac3 csp =
-  let domains = Array.copy csp.domains in
-  let arcs =
-    List.concat_map
-      (fun (i, j, ok) -> [ (i, j, ok); (j, i, fun a b -> ok b a) ])
-      csp.constraints
-  in
-  let queue = Queue.create () in
-  List.iter (fun arc -> Queue.add arc queue) arcs;
-  let revisions = ref 0 in
-  let wiped = ref false in
-  while (not !wiped) && not (Queue.is_empty queue) do
-    let i, j, ok = Queue.pop queue in
-    incr revisions;
-    let supported vi = List.exists (fun vj -> ok vi vj) domains.(j) in
-    let kept = List.filter supported domains.(i) in
-    if List.length kept < List.length domains.(i) then begin
-      domains.(i) <- kept;
-      if kept = [] then wiped := true
-      else
-        List.iter
-          (fun (a, b, okab) ->
-            if b = i && a <> j then Queue.add (a, b, okab) queue;
-            if a = i && b <> j then
-              Queue.add (b, a, (fun x y -> okab y x)) queue)
-          csp.constraints
-    end
-  done;
-  if !wiped then (Inconsistent, !revisions) else (Consistent domains, !revisions)
-
 let solutions ?(limit = max_int) csp =
   let found = ref [] in
   let count = ref 0 in

@@ -1,4 +1,4 @@
-(** Finite-domain CSPs and arc consistency.
+(** Finite-domain binary CSPs.
 
     The constraint-satisfaction substrate behind the heuristics the paper
     imports from the CSP literature (Bitner & Reingold's backtracking,
@@ -32,13 +32,6 @@ val neighbours : t -> int -> int list
 
 val consistent_assignment : t -> int array -> bool
 (** Does a full assignment satisfy every constraint? *)
-
-type ac3_result = Consistent of int list array | Inconsistent
-
-val ac3 : t -> ac3_result * int
-(** Enforce arc consistency; returns the reduced domains (or
-    [Inconsistent] when a domain wipes out) and the number of arc
-    revisions performed. *)
 
 val solutions : ?limit:int -> t -> int array list
 (** Exhaustive enumeration (test oracle; exponential — only for small

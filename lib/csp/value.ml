@@ -1,6 +1,5 @@
 type t = Num of float | Sym of string
 
-let num = function Num x -> Some x | Sym _ -> None
 let sym = function Sym s -> Some s | Num _ -> None
 
 let equal a b =

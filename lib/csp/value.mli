@@ -7,7 +7,6 @@
 
 type t = Num of float | Sym of string
 
-val num : t -> float option
 val sym : t -> string option
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit

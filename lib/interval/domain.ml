@@ -5,7 +5,6 @@ type t =
   | Symbolic of string list
 
 let continuous lo hi = Continuous (Interval.make lo hi)
-let of_interval iv = Continuous iv
 
 let finite values =
   let sorted = List.sort_uniq compare values in

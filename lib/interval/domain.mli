@@ -17,8 +17,6 @@ type t =
 val continuous : float -> float -> t
 (** [continuous lo hi] is [Continuous (Interval.make lo hi)]. *)
 
-val of_interval : Interval.t -> t
-
 val finite : float list -> t
 (** Sorts and deduplicates; empty input yields [Empty]. *)
 

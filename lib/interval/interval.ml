@@ -16,7 +16,6 @@ let of_point x =
   { lo = x; hi = x }
 
 let full = { lo = neg_infinity; hi = infinity }
-let nonneg = { lo = 0.; hi = infinity }
 let lo a = a.lo
 let hi a = a.hi
 let is_point a = a.lo = a.hi
@@ -114,8 +113,6 @@ let max_i a b = { lo = fmax a.lo b.lo; hi = fmax a.hi b.hi }
 let scale k a = mul (of_point k) a
 
 let certainly_le a b = a.hi <= b.lo
-let certainly_lt a b = a.hi < b.lo
-let certainly_ge a b = a.lo >= b.hi
 let certainly_eq a b = is_point a && is_point b && a.lo = b.lo
 let possibly_le a b = a.lo <= b.hi
 let possibly_eq a b = a.lo <= b.hi && b.lo <= a.hi

@@ -35,9 +35,6 @@ val fmax : float -> float -> float
 val full : t
 (** [(-inf, +inf)]. *)
 
-val nonneg : t
-(** [\[0, +inf)]. *)
-
 val lo : t -> float
 val hi : t -> float
 
@@ -101,8 +98,6 @@ val scale : float -> t -> t
     [possibly_*] when it holds for {e some} pair. *)
 
 val certainly_le : t -> t -> bool
-val certainly_lt : t -> t -> bool
-val certainly_ge : t -> t -> bool
 val certainly_eq : t -> t -> bool
 val possibly_le : t -> t -> bool
 val possibly_eq : t -> t -> bool

@@ -72,7 +72,6 @@ let connect_persistent ?max_frame ?(retries = 8) ?(backoff = 0.02) ?(seed = 1)
   }
 
 let fd t = match t.cl_fd with Some fd -> fd | None -> raise Closed
-let client_token t = t.cl_client
 let reconnects t = t.cl_reconnects
 
 let drop_conn t =

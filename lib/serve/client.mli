@@ -41,7 +41,6 @@ val fd : t -> Unix.file_descr
 (** @raise Closed when a persistent client is between connections. *)
 
 val close : t -> unit
-val client_token : t -> string option
 
 val reconnects : t -> int
 (** How many times a persistent client has redialed after its first

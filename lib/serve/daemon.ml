@@ -11,7 +11,6 @@ type config = {
   dc_max_frame : int;
   dc_checkpoint_dir : string;
   dc_journal_dir : string option;
-  dc_checkpoint_every : int;
   dc_max_conns : int;
   dc_max_write_buf : int;
   dc_max_ops : int;
@@ -36,7 +35,6 @@ let default_config ~addr ~scenarios =
     dc_max_frame = Wire.default_max_frame;
     dc_checkpoint_dir = Filename.current_dir_name;
     dc_journal_dir = None;
-    dc_checkpoint_every = 0;
     dc_max_conns = 64;
     dc_max_write_buf = 4 lsl 20;
     dc_max_ops = 0;
@@ -496,31 +494,8 @@ let exec_entry ?client ?id ~s line =
 let journal_exec t ~sid ~s ?client ?id line =
   match (t.wal, Hashtbl.find_opt t.journals sid) with
   | None, _ -> Ok ()
-  | Some w, None -> (
-    (* self-heal: a session whose journal died gets a fresh compacted one *)
-    match Journal.create ~sync:w.pool ~dir:w.dir ~sid (journal_header ~sid s) with
-    | Error msg -> Error msg
-    | Ok j -> (
-      match Journal.write ~sync:w.pool j (exec_entry ?client ?id ~s line) with
-      | Ok () ->
-        Hashtbl.replace t.journals sid j;
-        Ok ()
-      | Error _ as e ->
-        Journal.close ~sync:w.pool j;
-        e))
+  | Some _, None -> Error (Printf.sprintf "session %s has no journal" sid)
   | Some w, Some j -> Journal.write ~sync:w.pool j (exec_entry ?client ?id ~s line)
-
-(* Periodic compaction: every [dc_checkpoint_every] executed commands,
-   fold the journal tail back into its header. *)
-let maybe_compact t ~sid ~s =
-  let every = t.cfg.dc_checkpoint_every in
-  if every > 0 && Session.command_count s mod every = 0 then
-    match Hashtbl.find_opt t.journals sid with
-    | None -> ()
-    | Some j -> (
-      match Journal.rewrite ?sync:(pool t) j (journal_header ~sid s) with
-      | Ok () -> ()
-      | Error msg -> warn t "journal %s: compaction failed: %s" sid msg)
 
 let submitted t =
   match t.wal with None -> 0 | Some w -> Sync_pool.submitted w.pool
@@ -589,10 +564,7 @@ let serve t req_json =
                 (Printf.sprintf "cannot journal command: %s" msg)
             | Ok () -> (
               match Session.exec s line with
-              | result ->
-                let reply = exec_reply ?id s result in
-                maybe_compact t ~sid:session ~s;
-                reply
+              | result -> exec_reply ?id s result
               | exception e ->
                 (* isolation: a throwing session dies alone; the daemon and
                    its other sessions keep serving *)

@@ -46,9 +46,6 @@ type config = {
           before execution and fsync'd before any later reply leaves,
           and [create] rebuilds every journaled session found there —
           see {!Journal} *)
-  dc_checkpoint_every : int;
-      (** auto-compact a session's journal every N executed commands
-          (0 = never): the tail folds back into a fresh header *)
   dc_max_conns : int;
       (** admission control: connections past this bound are answered
           with a single [overloaded] error frame and closed *)
@@ -67,7 +64,7 @@ type config = {
 
 val default_config : addr:addr -> scenarios:Scenario.t list -> config
 (** 256 sessions, {!Wire.default_max_frame}, checkpoints in ["."], no
-    journaling, no auto-compaction, 64 connections, 4 MiB write buffers,
+    journaling, 64 connections, 4 MiB write buffers,
     unlimited ops, 64 cached replies per client, and a [dc_resolve] that
     looks names up in [scenarios] only. The CLI overrides [dc_resolve]
     with the full registry (plain names plus [gen:<spec>] and

@@ -146,9 +146,9 @@ let sync pool t =
   | None -> Error (Printf.sprintf "journal %s is closed" t.j_path)
   | Some fd -> Ok (durable ~sync:pool (Sync_pool.File fd))
 
-(* Compaction: replace the whole journal with a fresh header (which
+(* Repair: replace the whole journal with a fresh header (which
    carries the full command log and current fingerprint) via
-   write-to-temp + atomic rename, so a crash mid-compaction leaves either
+   write-to-temp + atomic rename, so a crash mid-rewrite leaves either
    the old journal or the new one, never a torn file. The temp file is
    fsync'd before the rename, and the rename is durable once the
    directory is. *)

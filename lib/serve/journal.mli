@@ -3,7 +3,7 @@
     One JSONL file per session under the daemon's [--journal-dir]:
     line 1 is a {!Session.header_fields} object (marker
     ["teamsimd_journal"]) describing the session when the file was
-    created or last compacted, followed by one entry object per accepted
+    created or last rewritten, followed by one entry object per accepted
     mutating command since. A line is written before the command it
     records executes, and made durable (fsync'd, with the directory
     entry for a new or renamed file) before any reply that follows it
@@ -64,11 +64,11 @@ val sync : Sync_pool.t -> t -> (unit, string) result
 (** Submit an fsync of everything written to the journal so far. *)
 
 val rewrite : ?sync:Sync_pool.t -> t -> Json.t -> (unit, string) result
-(** Compaction: atomically replace the whole file with a single fresh
+(** Repair: atomically replace the whole file with a single fresh
     header line (write + fsync a temp file, rename it over the journal,
     fsync the directory — in place, or submitted to [sync]), then reopen
-    for appending. A crash mid-compaction leaves either the old journal
-    or the new one. *)
+    for appending. A crash mid-rewrite leaves either the old journal or
+    the new one. *)
 
 val close : ?sync:Sync_pool.t -> t -> unit
 (** Close the file, once no fsync submitted to [sync] still uses it. *)

@@ -46,8 +46,6 @@ let push t ~time payload =
     else continue := false
   done
 
-let peek_time t = if t.size = 0 then None else Some t.heap.(0).at
-
 let pop t =
   if t.size = 0 then None
   else begin

@@ -19,9 +19,6 @@ val pop : 'a t -> (int * 'a) option
 (** Remove and return the earliest entry — smallest [(time, sequence)]
     pair — or [None] when empty. *)
 
-val peek_time : 'a t -> int option
-(** Virtual time of the next entry, without removing it. *)
-
 val length : 'a t -> int
 val is_empty : 'a t -> bool
 

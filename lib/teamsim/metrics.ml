@@ -33,26 +33,6 @@ let evaluations_per_op s =
 let violations_found s =
   List.fold_left (fun acc r -> acc + r.m_new_violations) 0 s.s_profile
 
-(* {2 Aggregates over a batch of runs} *)
-
-let completion_rate summaries =
-  match summaries with
-  | [] -> nan
-  | _ ->
-    let n = List.length summaries in
-    let done_ = List.length (List.filter (fun s -> s.s_completed) summaries) in
-    float_of_int done_ /. float_of_int n
-
-let mean f summaries =
-  match summaries with
-  | [] -> nan
-  | _ ->
-    List.fold_left (fun acc s -> acc +. float_of_int (f s)) 0. summaries
-    /. float_of_int (List.length summaries)
-
-let mean_operations summaries = mean (fun s -> s.s_operations) summaries
-let mean_evaluations summaries = mean (fun s -> s.s_evaluations) summaries
-
 let summary_line s =
   let per_op =
     if s.s_operations = 0 then "n/a"

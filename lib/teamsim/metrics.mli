@@ -46,13 +46,4 @@ val evaluations_per_op : run_summary -> float
 val violations_found : run_summary -> int
 (** Total violations discovered across the run. *)
 
-val completion_rate : run_summary list -> float
-(** Fraction of runs that completed; [nan] on the empty list. *)
-
-val mean_operations : run_summary list -> float
-(** Mean N_O across the batch; [nan] on the empty list. *)
-
-val mean_evaluations : run_summary list -> float
-(** Mean N_T across the batch; [nan] on the empty list. *)
-
 val summary_line : run_summary -> string

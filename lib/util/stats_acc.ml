@@ -47,10 +47,6 @@ let variance t = if t.n < 2 then 0. else t.m2 /. float_of_int (t.n - 1)
 
 let stddev t = sqrt (variance t)
 
-let min_value t = t.min_v
-
-let max_value t = t.max_v
-
 let total t = t.sum
 
 let to_list t = List.rev t.samples

@@ -28,12 +28,6 @@ val variance : t -> float
 val stddev : t -> float
 (** Square root of {!variance}. *)
 
-val min_value : t -> float
-(** Smallest observation; [nan] when empty. *)
-
-val max_value : t -> float
-(** Largest observation; [nan] when empty. *)
-
 val total : t -> float
 (** Sum of all observations. *)
 

@@ -1,13 +1,11 @@
 type align = Left | Right | Center
 
-type row = Cells of string list | Separator
-
 type t = {
   title : string option;
   headers : string list;
   ncols : int;
   mutable aligns : align array;
-  mutable rows : row list; (* reversed *)
+  mutable rows : string list list; (* reversed *)
 }
 
 let create ?title headers =
@@ -23,9 +21,7 @@ let normalize ncols cells =
   else if n < ncols then cells @ List.init (ncols - n) (fun _ -> "")
   else List.filteri (fun i _ -> i < ncols) cells
 
-let add_row t cells = t.rows <- Cells (normalize t.ncols cells) :: t.rows
-
-let add_separator t = t.rows <- Separator :: t.rows
+let add_row t cells = t.rows <- normalize t.ncols cells :: t.rows
 
 let pad align width s =
   let n = String.length s in
@@ -47,7 +43,7 @@ let render t =
       cells
   in
   measure t.headers;
-  List.iter (function Cells cs -> measure cs | Separator -> ()) rows;
+  List.iter measure rows;
   let buf = Buffer.create 256 in
   let rule () =
     Buffer.add_char buf '+';
@@ -76,11 +72,7 @@ let render t =
   rule ();
   emit_cells (Array.make t.ncols Center) t.headers;
   rule ();
-  List.iter
-    (function
-      | Cells cs -> emit_cells t.aligns cs
-      | Separator -> rule ())
-    rows;
+  List.iter (emit_cells t.aligns) rows;
   rule ();
   Buffer.contents buf
 

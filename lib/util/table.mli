@@ -18,9 +18,6 @@ val add_row : t -> string list -> unit
 (** Append a body row. Rows shorter than the header are padded with empty
     cells; longer rows are truncated to the header width. *)
 
-val add_separator : t -> unit
-(** Append a horizontal rule between body rows. *)
-
 val render : t -> string
 (** Render to a string, ending with a newline. *)
 

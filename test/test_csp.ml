@@ -470,7 +470,7 @@ let propagation_monotone =
       | Some _, None -> true (* wiped out: trivially a subset *)
       | None, _ -> false)
 
-(* {2 Fcsp + AC-3} *)
+(* {2 Fcsp} *)
 
 let triangle_csp () =
   (* x < y < z over {0,1,2} *)
@@ -479,17 +479,7 @@ let triangle_csp () =
     ~domains:(Array.make 3 [ 0; 1; 2 ])
     ~constraints:[ (0, 1, lt); (1, 2, lt) ]
 
-let test_ac3_prunes () =
-  let csp = triangle_csp () in
-  match Fcsp.ac3 csp with
-  | Fcsp.Inconsistent, _ -> Alcotest.fail "consistent CSP flagged inconsistent"
-  | Fcsp.Consistent domains, revisions ->
-    Alcotest.(check (list int)) "x pruned" [ 0 ] domains.(0);
-    Alcotest.(check (list int)) "y pruned" [ 1 ] domains.(1);
-    Alcotest.(check (list int)) "z pruned" [ 2 ] domains.(2);
-    Alcotest.(check bool) "revisions counted" true (revisions > 0)
-
-let test_ac3_wipeout () =
+let test_triangle_two_coloring () =
   let neq a b = a <> b in
   let csp =
     Fcsp.make ~nvars:3
@@ -589,8 +579,7 @@ let suite =
      test_incremental_invalidated_by_add_constraint);
     QCheck_alcotest.to_alcotest propagate_preserves_solutions;
     QCheck_alcotest.to_alcotest propagation_monotone;
-    ("AC-3 prunes", `Quick, test_ac3_prunes);
-    ("2-coloring of a triangle fails", `Quick, test_ac3_wipeout);
+    ("2-coloring of a triangle fails", `Quick, test_triangle_two_coloring);
     ("exhaustive enumeration", `Quick, test_solutions_enumeration);
     ("fcsp validation", `Quick, test_fcsp_validation);
     QCheck_alcotest.to_alcotest search_agrees_with_bruteforce;

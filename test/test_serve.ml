@@ -475,7 +475,7 @@ let test_many_sessions () =
         sids;
       Alcotest.(check int) "all closed" 0 (Daemon.session_count d))
 
-(* {2 Write-ahead journal: WAL, recovery, compaction, locking} *)
+(* {2 Write-ahead journal: WAL, recovery, repair, locking} *)
 
 let temp_dir () =
   let d = Filename.temp_file "adpm-serve" ".d" in
@@ -493,7 +493,7 @@ let rm_rf dir =
   in
   rm dir
 
-let journal_config ?(checkpoint_every = 0) ?(max_ops = 0) ~dir () =
+let journal_config ?(max_ops = 0) ~dir () =
   {
     (Daemon.default_config
        ~addr:(Daemon.Unix_path (Filename.concat dir "d.sock"))
@@ -501,7 +501,6 @@ let journal_config ?(checkpoint_every = 0) ?(max_ops = 0) ~dir () =
     with
     Daemon.dc_checkpoint_dir = dir;
     dc_journal_dir = Some (Filename.concat dir "journal");
-    dc_checkpoint_every = checkpoint_every;
     dc_max_ops = max_ops;
   }
 
@@ -652,32 +651,6 @@ let test_journal_fingerprint_gate () =
             (Daemon.recovered_sessions d2);
           Alcotest.(check bool) "divergence reported" true
             (List.exists (fun w -> contains w "diverges") (Daemon.warnings d2))))
-
-(* Auto-compaction folds the tail into the header every N commands; the
-   compacted journal still recovers fingerprint-exact. *)
-let test_journal_compaction () =
-  with_dir (fun dir ->
-      let d1 = Daemon.create (journal_config ~checkpoint_every:2 ~dir ()) in
-      let sid = open_simple d1 ~seed:8 in
-      List.iter (fun l -> ignore (exec_ok d1 sid l)) [ "auto"; "auto"; "step"; "auto" ] ;
-      let fp = status_fp d1 sid in
-      Daemon.stop d1;
-      let lines =
-        In_channel.with_open_text (journal_path ~dir sid) In_channel.input_all
-        |> String.split_on_char '\n'
-        |> List.filter (fun l -> l <> "")
-      in
-      Alcotest.(check int) "4th command compacted the tail away" 1
-        (List.length lines);
-      let d2 = Daemon.create (journal_config ~dir ()) in
-      Fun.protect
-        ~finally:(fun () -> Daemon.stop d2)
-        (fun () ->
-          Alcotest.(check (list (pair string int)))
-            "compacted journal recovers (4 commands in the header)"
-            [ (sid, 4) ]
-            (Daemon.recovered_sessions d2);
-          Alcotest.(check string) "fingerprint preserved" fp (status_fp d2 sid)))
 
 (* Two daemons must never share a journal dir: the second refuses at
    create; once the first stops, the dir is free again. A stale lock left
@@ -1601,7 +1574,6 @@ let suite =
     ("journal drops a torn tail", `Quick, test_journal_torn_tail);
     ("corrupt journal header quarantined", `Quick, test_journal_corrupt_header);
     ("journal fingerprint gate", `Quick, test_journal_fingerprint_gate);
-    ("journal auto-compaction", `Quick, test_journal_compaction);
     ("intact journal kept as it is", `Quick, test_journal_intact_kept);
     ( "torn journal repaired, later commands survive",
       `Quick,
