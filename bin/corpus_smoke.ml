@@ -51,7 +51,7 @@ let check spec =
       let source = Generated.source params in
       (match Adpm_dddl.Parser.parse source with
       | decl -> (
-        match Adpm_dddl.Emit.roundtrip decl with
+        match Adpm_dddl.Printer.roundtrip decl with
         | Ok _ -> ()
         | Error e -> fail spec "emit round-trip: %s" e)
       | exception Adpm_dddl.Parser.Error { line; col; message } ->

@@ -490,8 +490,9 @@ let check_cmd =
          "Check the temporal-property suite over a recorded trace: every \
           pushed violation delivered or resolved, no designer starves, \
           crashed designers rejoin, dropped notifications stay dropped. \
-          Exit 1 on a violated property, 2 on a truncated (ring-buffer) \
-          trace — truncation is refused, never a vacuous pass.")
+          Exit 1 on a violated property, 2 on a truncated trace (a \
+          missing prefix or a sequence gap) — truncation is refused, \
+          never a vacuous pass.")
     term
 
 let fuzz_cmd =

@@ -301,25 +301,23 @@ let conj ~name ~doc props =
 
 type result = { c_prop : string; c_doc : string; c_verdict : verdict }
 
-let truncation ?(dropped = 0) events =
-  if dropped > 0 then Some dropped
-  else
-    let rec gaps expected missing = function
-      | [] -> missing
-      | (ev : Event.stamped) :: rest ->
-        let missing =
-          if ev.seq > expected then missing + (ev.seq - expected) else missing
-        in
-        gaps (ev.seq + 1) missing rest
-    in
-    match events with
-    | [] -> None
-    | (first : Event.stamped) :: _ ->
-      let missing = gaps first.seq 0 events + first.seq in
-      if missing > 0 then Some missing else None
+let truncation events =
+  let rec gaps expected missing = function
+    | [] -> missing
+    | (ev : Event.stamped) :: rest ->
+      let missing =
+        if ev.seq > expected then missing + (ev.seq - expected) else missing
+      in
+      gaps (ev.seq + 1) missing rest
+  in
+  match events with
+  | [] -> None
+  | (first : Event.stamped) :: _ ->
+    let missing = gaps first.seq 0 events + first.seq in
+    if missing > 0 then Some missing else None
 
-let check ?(dropped = 0) props events =
-  match truncation ~dropped events with
+let check props events =
+  match truncation events with
   | Some n ->
     List.map
       (fun p ->

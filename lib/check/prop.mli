@@ -14,10 +14,10 @@
     notification still in flight when the project finished, a recipient
     that was crashed for the whole delivery window).
 
-    Truncated traces are {b refused}, not vacuously passed: a ring-buffer
-    sink that overwrote old events produces a stream whose sequence
-    numbers no longer start at zero or are no longer dense, and every
-    property then reports {!Truncated} instead of a verdict. *)
+    Truncated traces are {b refused}, not vacuously passed: a trace file
+    that lost its head or lines in the middle has sequence numbers that
+    no longer start at zero or are no longer dense, and every property
+    then reports {!Truncated} instead of a verdict. *)
 
 open Adpm_trace
 
@@ -140,13 +140,13 @@ val conj : name:string -> doc:string -> t list -> t
 
 type result = { c_prop : string; c_doc : string; c_verdict : verdict }
 
-val truncation : ?dropped:int -> Event.stamped list -> int option
-(** [Some n] when the stream is visibly incomplete: the caller reported
-    [dropped > 0] (a ring sink's overwrite count), the first sequence
-    number is not [0], or the sequence numbers are not dense. [n] is the
-    best lower bound on the number of missing events. *)
+val truncation : Event.stamped list -> int option
+(** [Some n] when the stream is visibly incomplete: the first sequence
+    number is not [0] (a missing prefix), or the sequence numbers are
+    not dense (a gap). [n] is the best lower bound on the number of
+    missing events. *)
 
-val check : ?dropped:int -> t list -> Event.stamped list -> result list
+val check : t list -> Event.stamped list -> result list
 (** Evaluate every property over the trace in one pass, in order.
     Refuses truncated traces: every verdict is then [Truncated]. *)
 

@@ -151,10 +151,10 @@ val revision_work : t -> int
 
 val run_propagation : ?max_revisions:int -> t -> Adpm_csp.Propagate.outcome
 (** Propagate over the network and apply the results
-    ({!Adpm_csp.Propagate.run_incremental}: a restart from the box store
-    persisted in the network, seeded with the constraints of dirty
-    properties, falling back to a from-scratch run when that is not
-    sound) — the entry point the simulation engine uses for the pre-turn
+    ({!Adpm_csp.Propagate.run_incremental_and_apply}: a restart from the
+    box store persisted in the network, seeded with the constraints of
+    dirty properties, falling back to a from-scratch run when that is
+    not sound) — the entry point the simulation engine uses for the pre-turn
     setup propagation. [max_revisions] defaults to the value given at
     {!create}. *)
 

@@ -51,7 +51,3 @@ let status_to_string = function
   | Open -> "Open"
   | Waiting -> "Waiting"
   | Solved -> "Solved"
-
-let pp ppf t =
-  Format.fprintf ppf "%s[#%d, %s, owner=%s]" t.pr_name t.pr_id
-    (status_to_string t.pr_status) t.pr_owner

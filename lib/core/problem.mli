@@ -47,4 +47,3 @@ val properties : t -> string list
 (** Inputs followed by outputs, without duplicates. *)
 
 val status_to_string : status -> string
-val pp : Format.formatter -> t -> unit

@@ -66,20 +66,14 @@ let kernel_status c ks i sc =
   let root = Hc4.nodes ks i - 1 in
   range_status ~eps:default_eps c.rel sc.Hc4.s_flo.(root) sc.Hc4.s_fhi.(root)
 
-let pp_rel ppf rel =
-  Format.pp_print_string ppf (match rel with Le -> "<=" | Ge -> ">=" | Eq -> "=")
+let status_to_string = function
+  | Satisfied -> "Satisfied"
+  | Violated -> "Violated"
+  | Consistent -> "Consistent"
 
-let pp_status ppf status =
-  Format.pp_print_string ppf
-    (match status with
-    | Satisfied -> "Satisfied"
-    | Violated -> "Violated"
-    | Consistent -> "Consistent")
+let pp_status ppf s = Format.pp_print_string ppf (status_to_string s)
 
-let status_to_string s = Format.asprintf "%a" pp_status s
-
-let pp ppf c =
-  Format.fprintf ppf "%s: %a %a %a" c.name Expr.pp c.lhs pp_rel c.rel Expr.pp
-    c.rhs
-
-let to_string c = Format.asprintf "%a" pp c
+let to_string c =
+  Printf.sprintf "%s: %s %s %s" c.name (Expr.to_string c.lhs)
+    (match c.rel with Le -> "<=" | Ge -> ">=" | Eq -> "=")
+    (Expr.to_string c.rhs)

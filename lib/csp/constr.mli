@@ -54,8 +54,6 @@ val kernel_status : t -> Hc4.kernels -> int -> Hc4.scratch -> status
     in [sc]. The same comparisons on the same floats, without boxing an
     interval. *)
 
-val pp_rel : Format.formatter -> rel -> unit
 val pp_status : Format.formatter -> status -> unit
 val status_to_string : status -> string
-val pp : Format.formatter -> t -> unit
 val to_string : t -> string

@@ -17,15 +17,6 @@ let make ~nvars ~domains ~constraints =
 let degree csp v =
   List.length (List.filter (fun (i, j, _) -> i = v || j = v) csp.constraints)
 
-let neighbours csp v =
-  let ns =
-    List.filter_map
-      (fun (i, j, _) ->
-        if i = v then Some j else if j = v then Some i else None)
-      csp.constraints
-  in
-  List.sort_uniq compare ns
-
 let consistent_assignment csp assignment =
   List.for_all
     (fun (i, j, ok) -> ok assignment.(i) assignment.(j))

@@ -27,9 +27,6 @@ val make :
 val degree : t -> int -> int
 (** Number of constraints involving a variable. *)
 
-val neighbours : t -> int -> int list
-(** Distinct variables sharing a constraint with the given one. *)
-
 val consistent_assignment : t -> int array -> bool
 (** Does a full assignment satisfy every constraint? *)
 

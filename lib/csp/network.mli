@@ -157,10 +157,6 @@ val env_box : t -> string -> Interval.t
     @raise Expr.Unbound_variable for symbolic properties.
     @raise Invalid_argument for unknown properties. *)
 
-val env_point : t -> string -> float
-(** Assigned numeric value.
-    @raise Expr.Unbound_variable when unbound. *)
-
 (** {1 Constraints} *)
 
 val add_constraint : t -> name:string -> Expr.t -> Constr.rel -> Expr.t -> Constr.t

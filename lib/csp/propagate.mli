@@ -59,16 +59,19 @@ val run :
     carries per-wave revision counts of the primary HC4 fixpoint (shaving
     probes are charged to the evaluation total but not waved). *)
 
-val run_incremental :
+val apply : Network.t -> outcome -> unit
+(** Store feasible subspaces and statuses into the network. *)
+
+val run_incremental_and_apply :
   ?eps:float ->
   ?max_revisions:int ->
   ?tracer:Adpm_trace.Tracer.t ->
   Network.t ->
   outcome
-(** Incremental propagation (hull consistency only). Restarts from the box
-    store persisted in the network by the previous call
-    ({!Network.prop_state}), seeding the worklist with only the constraints
-    of properties whose assignment changed since then
+(** Incremental propagation (hull consistency only), then {!apply}.
+    Restarts from the box store persisted in the network by the previous
+    call ({!Network.prop_state}), seeding the worklist with only the
+    constraints of properties whose assignment changed since then
     ({!Network.dirty_props}).
 
     Soundness: propagation is a fair chaotic iteration of monotone
@@ -84,24 +87,13 @@ val run_incremental :
     changes (which invalidate the stored state), and on the first call, it
     likewise falls back to a full from-scratch run. Either way the
     contracted store is persisted back into the network and the dirty set
-    cleared; feasible subspaces and statuses are {e not} applied (see
-    {!apply}).
+    cleared.
 
     The [evaluations] total charges one unit per HC4 revision performed
     plus the full status sweep, so a seeded restart is charged fewer
     evaluations than a from-scratch {!run} of the same network; a caller
     that needs the from-scratch charge drops the persisted state first
     ({!Network.invalidate_prop_state}). *)
-
-val apply : Network.t -> outcome -> unit
-(** Store feasible subspaces and statuses into the network. *)
-
-val run_incremental_and_apply :
-  ?eps:float ->
-  ?max_revisions:int ->
-  ?tracer:Adpm_trace.Tracer.t ->
-  Network.t ->
-  outcome
 
 val relaxed_feasible :
   ?eps:float -> ?max_revisions:int -> Network.t -> string -> Domain.t * int

@@ -7,7 +7,4 @@
 
 type t = Num of float | Sym of string
 
-val sym : t -> string option
-val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit
 val to_string : t -> string

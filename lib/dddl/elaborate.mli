@@ -9,12 +9,9 @@
 
 exception Error of string
 
-val scenario : Ast.scenario_decl -> Adpm_teamsim.Scenario.t
-(** @raise Error on semantic errors. *)
-
 val build : Ast.scenario_decl -> mode:Adpm_core.Dpm.mode -> Adpm_core.Dpm.t
-(** A fresh DPM for a declaration {!scenario} accepted: what its
-    [sc_build] does. *)
+(** A fresh DPM for a declaration elaboration accepted: what its
+    scenario's [sc_build] does. *)
 
 val load_string : string -> Adpm_teamsim.Scenario.t
 (** Parse then elaborate. Lexer and parser failures are re-raised as

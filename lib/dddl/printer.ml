@@ -159,3 +159,28 @@ let scenario decl =
   problem 2 "problem" decl.Ast.sd_problem;
   add "}\n";
   Buffer.contents buf
+
+(* The artifact contract on top of the renderer: the emitted text is the
+   canonical spelling of the scenario, and parsing it back yields a
+   structurally identical declaration. Generated scenarios go through
+   [checked], so a rendering bug cannot ship an artifact that elaborates
+   to a different network than the in-memory declaration. *)
+let roundtrip decl =
+  let src = scenario decl in
+  let fail fmt = Printf.ksprintf (fun m -> Error m) fmt in
+  match Parser.parse src with
+  | parsed when parsed = decl -> Ok src
+  | _ ->
+    fail "emitted DDDL for %s does not round-trip: parse(emit(m)) <> m"
+      decl.Ast.sd_name
+  | exception Lexer.Error { line; col; message } ->
+    fail "emitted DDDL for %s fails to lex at %d:%d: %s" decl.Ast.sd_name line
+      col message
+  | exception Parser.Error { line; col; message } ->
+    fail "emitted DDDL for %s fails to parse at %d:%d: %s" decl.Ast.sd_name
+      line col message
+
+let checked decl =
+  match roundtrip decl with
+  | Ok src -> src
+  | Error msg -> raise (Elaborate.Error msg)

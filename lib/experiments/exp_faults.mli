@@ -45,9 +45,6 @@ type verdicts = {
       (** (conventional, ADPM) completion under the crash schedule *)
 }
 
-val default_drops : float list
-(** [0.; 0.1; 0.25; 0.5] *)
-
 val run :
   ?seeds:int ->
   ?jobs:int ->

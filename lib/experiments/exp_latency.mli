@@ -31,9 +31,6 @@ type verdicts = {
   advantage_grows : bool;  (** ratio at the largest latency >= at zero *)
 }
 
-val default_latencies : int list
-(** [0; 1; 2; 4; 8] *)
-
 val run :
   ?seeds:int ->
   ?jobs:int ->

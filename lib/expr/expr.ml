@@ -80,8 +80,6 @@ let rec subst e x r =
   | Min (a, b) -> Min (subst a x r, subst b x r)
   | Max (a, b) -> Max (subst a x r, subst b x r)
 
-let equal = Stdlib.( = )
-
 exception Unbound_variable of string
 
 let rec eval env = function

@@ -50,8 +50,6 @@ val size : t -> int
 val subst : t -> string -> t -> t
 (** [subst e x r] replaces every occurrence of [Var x] with [r]. *)
 
-val equal : t -> t -> bool
-
 (** {1 Evaluation} *)
 
 exception Unbound_variable of string

@@ -2,15 +2,11 @@ open Adpm_interval
 
 type direction = Increasing | Decreasing | Constant | Unknown
 
-let pp_direction ppf d =
-  Format.pp_print_string ppf
-    (match d with
-    | Increasing -> "increasing"
-    | Decreasing -> "decreasing"
-    | Constant -> "constant"
-    | Unknown -> "unknown")
-
-let direction_to_string d = Format.asprintf "%a" pp_direction d
+let direction_to_string = function
+  | Increasing -> "increasing"
+  | Decreasing -> "decreasing"
+  | Constant -> "constant"
+  | Unknown -> "unknown"
 
 let flip = function
   | Increasing -> Decreasing

@@ -16,7 +16,6 @@ open Adpm_interval
 
 type direction = Increasing | Decreasing | Constant | Unknown
 
-val pp_direction : Format.formatter -> direction -> unit
 val direction_to_string : direction -> string
 
 val flip : direction -> direction

@@ -101,7 +101,6 @@ let compile ~var_id exprs =
     max_nodes = !max_nodes;
   }
 
-let count t = Bigarray.Array1.dim t.node_first - 1
 let nodes t i = get t.node_first (i + 1) - get t.node_first i
 let max_nodes t = t.max_nodes
 let vars_from t i = get t.var_first i

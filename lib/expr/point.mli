@@ -21,8 +21,6 @@ val compile : var_id:(string -> int) -> Expr.t array -> t
     its store index, or to a negative number for a name the store has no
     slot for (such an input is never available, see {!var}). *)
 
-val count : t -> int
-
 val nodes : t -> int -> int
 (** Node count of a program: the scratch {!eval} needs. *)
 

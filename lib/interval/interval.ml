@@ -110,12 +110,6 @@ let abs_i a =
 
 let min_i a b = { lo = fmin a.lo b.lo; hi = fmin a.hi b.hi }
 let max_i a b = { lo = fmax a.lo b.lo; hi = fmax a.hi b.hi }
-let scale k a = mul (of_point k) a
-
-let certainly_le a b = a.hi <= b.lo
-let certainly_eq a b = is_point a && is_point b && a.lo = b.lo
-let possibly_le a b = a.lo <= b.hi
-let possibly_eq a b = a.lo <= b.hi && b.lo <= a.hi
 
 let inv_add_left z y = sub z y
 let inv_sub_left z y = add z y

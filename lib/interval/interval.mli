@@ -89,18 +89,6 @@ val ln_i : t -> t option
 val abs_i : t -> t
 val min_i : t -> t -> t
 val max_i : t -> t -> t
-val scale : float -> t -> t
-(** [scale k a] is [mul (of_point k) a]. *)
-
-(** {1 Certainty tests}
-
-    [certainly_*] hold when the relation holds for {e every} pair of points;
-    [possibly_*] when it holds for {e some} pair. *)
-
-val certainly_le : t -> t -> bool
-val certainly_eq : t -> t -> bool
-val possibly_le : t -> t -> bool
-val possibly_eq : t -> t -> bool
 
 (** {1 Inverse projections (HC4 backward phase)}
 

@@ -15,7 +15,6 @@ let continuous net name lo hi = Network.add_prop net name (Domain.continuous lo 
 
 let le net name lhs rhs = Network.add_constraint net ~name lhs Constr.Le rhs
 let ge net name lhs rhs = Network.add_constraint net ~name lhs Constr.Ge rhs
-let eq net name lhs rhs = Network.add_constraint net ~name lhs Constr.Eq rhs
 
 let assemble ~mode ~net ~objects ~top_name ~leader ~requirements
     ~system_constraints ~subproblems =

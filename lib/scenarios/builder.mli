@@ -38,4 +38,3 @@ val continuous : Network.t -> string -> float -> float -> unit
 
 val le : Network.t -> string -> Expr.t -> Expr.t -> Constr.t
 val ge : Network.t -> string -> Expr.t -> Expr.t -> Constr.t
-val eq : Network.t -> string -> Expr.t -> Expr.t -> Constr.t

@@ -255,9 +255,9 @@ let gain_at_witness inst i =
 
 (* {2 DDDL declaration}
 
-   The generator builds an AST and goes through [Emit] + [Elaborate]: the
-   emitted text is the scenario, and the in-memory declaration is only a
-   means of producing it. [Emit.checked] guarantees the text elaborates to
+   The generator builds an AST and goes through [Printer] + [Elaborate]:
+   the emitted text is the scenario, and the in-memory declaration is only
+   a means of producing it. [Printer.checked] guarantees the text elaborates to
    the same network the declaration describes. *)
 
 let decl p =
@@ -383,7 +383,7 @@ let decl p =
     sd_problem = top;
   }
 
-let source p = Adpm_dddl.Emit.checked (decl p)
+let source p = Adpm_dddl.Printer.checked (decl p)
 
 (* The builder regenerates the declaration instead of keeping the parsed
    one alive beside the compiled scenario: the parameters are a few

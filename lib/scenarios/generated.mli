@@ -15,7 +15,7 @@
     from a nominal witness point with controlled slack.
 
     The generator does not build a network directly. It constructs a DDDL
-    declaration, renders it with {!Adpm_dddl.Emit} (round-trip checked) and
+    declaration, renders it with {!Adpm_dddl.Printer} (round-trip checked) and
     elaborates the text — so the emitted source is the canonical artifact
     and [same spec string -> same artifact -> same network]. The scenario's
     name is the ["gen:<spec>"] string itself, which the registry resolves

@@ -28,8 +28,6 @@ val scenario : Scenario.t
 val diff_pair_w : string
 val freq_ind : string
 val beam_length : string
-val min_gain : string
-val max_power : string
 val min_zin : string
 
 val source : string

@@ -87,11 +87,6 @@ let sockaddr_of = function
 
 let journal_marker = "teamsimd_journal"
 
-let journal_header ?(extras = []) ~sid s =
-  Json.Obj
-    (Session.header_fields ~marker:journal_marker s
-    @ (("session", Json.Str sid) :: extras))
-
 (* {2 Bounded reply cache}
 
    Keyed by (client token, request id): a reconnecting client that never
@@ -226,7 +221,8 @@ let drop_session t sid =
    rebuild re-issues the header's whole command log either way, so
    folding the tail into a fresh header would save no replay. A damaged
    one (dropped lines, or a tail replay that stopped early) is repaired:
-   rewritten from the rebuilt session. Either way its fsync is submitted
+   rewritten as its scanned header and the entries replayed, so the
+   reply-cache tags of both survive. Either way its fsync is submitted
    to the pool, and [Some (sid, replayed, seq)] names the last fsync the
    session's durability waits on. *)
 let recover_one t w (sc : Journal.scanned) =
@@ -298,7 +294,10 @@ let recover_one t w (sc : Journal.scanned) =
       | Ok j -> (
         Hashtbl.replace t.journals sid j;
         match
-          if !repair then Journal.rewrite ~sync:w.pool j (journal_header ~sid s)
+          if !repair then
+            let kept i _ = i < !executed in
+            Journal.rewrite ~sync:w.pool j sc.Journal.sc_header
+              ~entries:(List.filteri kept sc.Journal.sc_entries)
           else Journal.sync w.pool j
         with
         | Ok () -> Some (sid, replayed + !executed, Sync_pool.submitted w.pool)
@@ -472,7 +471,9 @@ let start_journal t ~sid ~s ?client ?id reply =
     in
     match
       Journal.create ~sync:w.pool ~dir:w.dir ~sid
-        (journal_header ~extras ~sid s)
+        (Json.Obj
+           (Session.header_fields ~marker:journal_marker s
+           @ (("session", Json.Str sid) :: extras)))
     with
     | Ok j ->
       Hashtbl.replace t.journals sid j;

@@ -146,20 +146,19 @@ let sync pool t =
   | None -> Error (Printf.sprintf "journal %s is closed" t.j_path)
   | Some fd -> Ok (durable ~sync:pool (Sync_pool.File fd))
 
-(* Repair: replace the whole journal with a fresh header (which
-   carries the full command log and current fingerprint) via
+(* Repair: replace the whole journal with [header] and [entries] via
    write-to-temp + atomic rename, so a crash mid-rewrite leaves either
    the old journal or the new one, never a torn file. The temp file is
    fsync'd before the rename, and the rename is durable once the
    directory is. *)
-let rewrite ?sync t header =
+let rewrite ?sync ?(entries = []) t header =
   let tmp = t.j_path ^ ".tmp" in
   match
     let fd =
       Unix.openfile tmp [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644
     in
     (match
-       write_all fd (Json.to_string header);
+       List.iter (fun j -> write_all fd (Json.to_string j)) (header :: entries);
        Unix.fsync fd
      with
     | () -> Unix.close fd

@@ -40,9 +40,6 @@ val release : lock -> unit
 
 type t
 
-val path : dir:string -> sid:string -> string
-(** [dir/<sid>.journal.jsonl]. *)
-
 val create :
   ?sync:Sync_pool.t -> dir:string -> sid:string -> Json.t -> (t, string) result
 (** Create (truncating any leftover), write the header line, and fsync
@@ -63,12 +60,17 @@ val write : sync:Sync_pool.t -> t -> Json.t -> (unit, string) result
 val sync : Sync_pool.t -> t -> (unit, string) result
 (** Submit an fsync of everything written to the journal so far. *)
 
-val rewrite : ?sync:Sync_pool.t -> t -> Json.t -> (unit, string) result
-(** Repair: atomically replace the whole file with a single fresh
-    header line (write + fsync a temp file, rename it over the journal,
-    fsync the directory — in place, or submitted to [sync]), then reopen
-    for appending. A crash mid-rewrite leaves either the old journal or
-    the new one. *)
+val rewrite :
+  ?sync:Sync_pool.t ->
+  ?entries:Json.t list ->
+  t ->
+  Json.t ->
+  (unit, string) result
+(** Repair: atomically replace the whole file with the header line and
+    [entries] (default none) after it (write + fsync a temp file, rename
+    it over the journal, fsync the directory — in place, or submitted to
+    [sync]), then reopen for appending. A crash mid-rewrite leaves
+    either the old journal or the new one. *)
 
 val close : ?sync:Sync_pool.t -> t -> unit
 (** Close the file, once no fsync submitted to [sync] still uses it. *)

@@ -17,11 +17,9 @@ type t = {
   mutable ss_command_count : int;  (* [List.length ss_commands] *)
 }
 
-let id t = t.ss_id
 let reference t = t.ss_scenario
 let scenario t = t.ss_sc
 let interactive t = t.ss_session
-let commands t = List.rev t.ss_commands
 let command_count t = t.ss_command_count
 
 let create ~resolve ~id ~scenario ~mode ~seed ~designer =

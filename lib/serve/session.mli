@@ -31,8 +31,6 @@ val create :
     raises. [resolve] is the daemon's injected scenario resolver
     (typically {!Adpm_scenarios.Registry.resolve_result}). *)
 
-val id : t -> string
-
 val reference : t -> string
 (** The scenario reference the session was opened with. *)
 
@@ -41,11 +39,8 @@ val scenario : t -> Scenario.t
 
 val interactive : t -> Interactive.t
 
-val commands : t -> string list
-(** Every line ever passed to {!exec}, oldest first. *)
-
 val command_count : t -> int
-(** [List.length (commands t)], without building the list. *)
+(** How many lines were ever passed to {!exec}. *)
 
 val exec : t -> string -> (string, string) result
 (** Run one command line (logged for resume). Exceptions other than the

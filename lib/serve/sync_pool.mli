@@ -1,6 +1,6 @@
 (** Concurrent fsync for teamsimd journals.
 
-    A pool of at most {!pool_size} system threads ([threads.posix], never
+    A pool of at most four system threads ([threads.posix], never
     [Domain.spawn], so a process hosting a pool may still [Unix.fork])
     runs the fsyncs submitted to it concurrently. Several fsyncs in
     flight at once let the filesystem fold them into one journal
@@ -30,12 +30,9 @@ val fsync : target -> unit
 
 type t
 
-val pool_size : int
-(** 4. *)
-
 val create : unit -> t
 (** A pool with no threads yet: a worker starts when a job finds none
-    idle, up to {!pool_size}. *)
+    idle, up to four. *)
 
 val submit : t -> target -> int
 (** Queue one fsync; returns its sequence number (1, 2, ...). *)

@@ -81,8 +81,6 @@ type error_code =
   | Resume_mismatch  (** replayed state disagrees with the recorded fingerprint *)
   | Internal  (** unexpected daemon-side exception *)
 
-val code_to_string : error_code -> string
-
 val ok_frame : ?id:Json.t -> (string * Json.t) list -> Json.t
 val error_frame : ?id:Json.t -> code:error_code -> string -> Json.t
 

@@ -30,9 +30,5 @@ val halt : 'a t -> unit
 val halted : 'a t -> bool
 val pending : 'a t -> int
 
-val step : 'a t -> ('a -> unit) -> bool
-(** Process exactly one event; [false] when nothing was pending (or the
-    scheduler is halted). *)
-
 val run : 'a t -> ('a -> unit) -> unit
-(** [step] until exhaustion or {!halt}. *)
+(** Process events until exhaustion or {!halt}. *)

@@ -1,9 +1,6 @@
 open Adpm_util
 open Adpm_core
 
-let csv_escape = Escape.csv
-let json_escape = Escape.json
-
 let profile_csv summary =
   let buf = Buffer.create 1024 in
   Buffer.add_string buf
@@ -12,8 +9,8 @@ let profile_csv summary =
     (fun r ->
       Buffer.add_string buf
         (Printf.sprintf "%d,%s,%s,%d,%d,%d,%b\n" r.Metrics.m_index
-           (csv_escape r.Metrics.m_designer)
-           (csv_escape r.Metrics.m_kind)
+           (Escape.csv r.Metrics.m_designer)
+           (Escape.csv r.Metrics.m_kind)
            r.Metrics.m_evaluations r.Metrics.m_new_violations
            r.Metrics.m_known_violations r.Metrics.m_spin))
     summary.Metrics.s_profile;
@@ -24,8 +21,8 @@ let summary_json summary =
   Buffer.add_string buf
     (Printf.sprintf
        {|{"scenario":"%s","mode":"%s","seed":%d,"completed":%b,"operations":%d,"evaluations":%d,"spins":%d,"dropped":%d,"duplicated":%d,"crashes":%d,"profile":[|}
-       (json_escape summary.Metrics.s_scenario)
-       (json_escape (Dpm.mode_to_string summary.Metrics.s_mode))
+       (Escape.json summary.Metrics.s_scenario)
+       (Escape.json (Dpm.mode_to_string summary.Metrics.s_mode))
        summary.Metrics.s_seed summary.Metrics.s_completed
        summary.Metrics.s_operations summary.Metrics.s_evaluations
        summary.Metrics.s_spins summary.Metrics.s_faults.Metrics.f_dropped
@@ -38,8 +35,8 @@ let summary_json summary =
         (Printf.sprintf
            {|{"op":%d,"designer":"%s","kind":"%s","evaluations":%d,"new_violations":%d,"known_violations":%d,"spin":%b}|}
            r.Metrics.m_index
-           (json_escape r.Metrics.m_designer)
-           (json_escape r.Metrics.m_kind)
+           (Escape.json r.Metrics.m_designer)
+           (Escape.json r.Metrics.m_kind)
            r.Metrics.m_evaluations r.Metrics.m_new_violations
            r.Metrics.m_known_violations r.Metrics.m_spin))
     summary.Metrics.s_profile;
@@ -54,8 +51,8 @@ let runs_csv summaries =
     (fun s ->
       Buffer.add_string buf
         (Printf.sprintf "%s,%s,%d,%b,%d,%d,%d,%d,%d,%d,%d\n"
-           (csv_escape s.Metrics.s_scenario)
-           (csv_escape (Dpm.mode_to_string s.Metrics.s_mode))
+           (Escape.csv s.Metrics.s_scenario)
+           (Escape.csv (Dpm.mode_to_string s.Metrics.s_mode))
            s.Metrics.s_seed s.Metrics.s_completed s.Metrics.s_operations
            s.Metrics.s_evaluations s.Metrics.s_spins
            (Metrics.violations_found s) s.Metrics.s_faults.Metrics.f_dropped

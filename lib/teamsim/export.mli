@@ -6,14 +6,6 @@
     per-operation profile and run summary as CSV and JSON so any external
     tool can consume them. *)
 
-val csv_escape : string -> string
-(** Alias of [Adpm_util.Escape.csv] — the quoting rule every CSV exporter
-    in the repo shares. *)
-
-val json_escape : string -> string
-(** Alias of [Adpm_util.Escape.json] (string-body escaping, no surrounding
-    quotes), shared with the JSONL trace codec. *)
-
 val profile_csv : Metrics.run_summary -> string
 (** One header row, one row per operation record:
     [op,designer,kind,evaluations,new_violations,known_violations,spin]. *)

@@ -22,14 +22,9 @@ type plan = t list
 
 val none : plan
 
-val of_string : string -> (t, string) result
-(** Parse one [PROP>=FLOOR@TICK] entry. *)
-
 val plan_of_string : string -> (plan, string) result
 (** Parse a [;]-separated schedule, sorted by tick (stable for ties).
     Empty fields are skipped, so a trailing [;] is harmless. *)
-
-val to_string : t -> string
 
 val plan_to_string : plan -> string
 (** Inverse of {!plan_of_string} up to whitespace and field order at

@@ -1,5 +1,26 @@
 open Event
 
+let status_of_string = function
+  | "satisfied" -> Some Satisfied
+  | "violated" -> Some Violated
+  | "consistent" -> Some Consistent
+  | _ -> None
+
+let heuristic_to_string = function
+  | Smallest_subspace -> "smallest-subspace"
+  | Most_constrained -> "most-constrained"
+  | Random_target -> "random-target"
+  | Conflict_resolution -> "conflict-resolution"
+  | Verification_request -> "verification-request"
+
+let heuristic_of_string = function
+  | "smallest-subspace" -> Some Smallest_subspace
+  | "most-constrained" -> Some Most_constrained
+  | "random-target" -> Some Random_target
+  | "conflict-resolution" -> Some Conflict_resolution
+  | "verification-request" -> Some Verification_request
+  | _ -> None
+
 (* {2 Encoding} *)
 
 let json_of_value = function

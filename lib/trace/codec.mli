@@ -3,11 +3,9 @@
     (floats via [%.17g]), which is what makes a trace file usable as a
     deterministic-replay input. *)
 
-val to_json : Event.stamped -> Json.t
 val to_line : Event.stamped -> string
 (** Single line, no trailing newline. *)
 
-val of_json : Json.t -> (Event.stamped, string) result
 val of_line : string -> (Event.stamped, string) result
 
 val read_file : string -> (Event.stamped list, string) result

@@ -7,12 +7,6 @@ let status_to_string = function
   | Violated -> "violated"
   | Consistent -> "consistent"
 
-let status_of_string = function
-  | "satisfied" -> Some Satisfied
-  | "violated" -> Some Violated
-  | "consistent" -> Some Consistent
-  | _ -> None
-
 type subproblem = {
   sb_name : string;
   sb_owner : string;
@@ -41,21 +35,6 @@ type heuristic =
   | Random_target
   | Conflict_resolution
   | Verification_request
-
-let heuristic_to_string = function
-  | Smallest_subspace -> "smallest-subspace"
-  | Most_constrained -> "most-constrained"
-  | Random_target -> "random-target"
-  | Conflict_resolution -> "conflict-resolution"
-  | Verification_request -> "verification-request"
-
-let heuristic_of_string = function
-  | "smallest-subspace" -> Some Smallest_subspace
-  | "most-constrained" -> Some Most_constrained
-  | "random-target" -> Some Random_target
-  | "conflict-resolution" -> Some Conflict_resolution
-  | "verification-request" -> Some Verification_request
-  | _ -> None
 
 type t =
   | Run_started of {

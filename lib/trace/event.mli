@@ -16,7 +16,6 @@ type status = Satisfied | Violated | Consistent
 (** Mirror of [Adpm_csp.Constr.status]. *)
 
 val status_to_string : status -> string
-val status_of_string : string -> status option
 
 type subproblem = {
   sb_name : string;
@@ -49,9 +48,6 @@ type heuristic =
   | Random_target
   | Conflict_resolution
   | Verification_request
-
-val heuristic_to_string : heuristic -> string
-val heuristic_of_string : string -> heuristic option
 
 type t =
   | Run_started of {

@@ -2,52 +2,6 @@ type t = { write : Event.stamped -> unit; close : unit -> unit }
 
 let null = { write = (fun _ -> ()); close = (fun () -> ()) }
 
-let tee a b =
-  {
-    write =
-      (fun ev ->
-        a.write ev;
-        b.write ev);
-    close =
-      (fun () ->
-        a.close ();
-        b.close ());
-  }
-
-module Ring = struct
-  type buffer = {
-    capacity : int;
-    slots : Event.stamped option array;
-    mutable next : int;  (* total events ever written *)
-  }
-
-  let create ~capacity =
-    if capacity <= 0 then invalid_arg "Sink.Ring.create: capacity must be positive";
-    { capacity; slots = Array.make capacity None; next = 0 }
-
-  let write buf ev =
-    buf.slots.(buf.next mod buf.capacity) <- Some ev;
-    buf.next <- buf.next + 1
-
-  let sink buf = { write = write buf; close = (fun () -> ()) }
-
-  let stored buf = min buf.next buf.capacity
-  let dropped buf = buf.next - stored buf
-  let capacity buf = buf.capacity
-
-  let contents buf =
-    let n = stored buf in
-    let start = buf.next - n in
-    List.init n (fun i ->
-        match buf.slots.((start + i) mod buf.capacity) with
-        | Some ev -> ev
-        | None -> assert false)
-end
-
-let memory ~capacity =
-  let buf = Ring.create ~capacity in
-  (buf, Ring.sink buf)
-
 module Collect = struct
   type buffer = { mutable events : Event.stamped list; mutable count : int }
 
@@ -57,23 +11,13 @@ module Collect = struct
     buf.events <- ev :: buf.events;
     buf.count <- buf.count + 1
 
-  let sink buf = { write = write buf; close = (fun () -> ()) }
   let length buf = buf.count
   let contents buf = List.rev buf.events
 end
 
 let collector () =
   let buf = Collect.create () in
-  (buf, Collect.sink buf)
-
-let jsonl oc =
-  {
-    write =
-      (fun ev ->
-        output_string oc (Codec.to_line ev);
-        output_char oc '\n');
-    close = (fun () -> flush oc);
-  }
+  (buf, { write = Collect.write buf; close = (fun () -> ()) })
 
 let jsonl_file path =
   let oc = open_out path in

@@ -9,37 +9,11 @@ type t = { write : Event.stamped -> unit; close : unit -> unit }
 val null : t
 (** Discards everything. *)
 
-val tee : t -> t -> t
-(** Duplicate every event (and close) to both sinks, left first. *)
-
-(** Bounded in-memory ring buffer: keeps the most recent [capacity]
-    events, counting how many older ones were overwritten. *)
-module Ring : sig
-  type buffer
-
-  val create : capacity:int -> buffer
-  (** @raise Invalid_argument when [capacity <= 0]. *)
-
-  val sink : buffer -> t
-  val contents : buffer -> Event.stamped list
-  (** Oldest retained event first. *)
-
-  val stored : buffer -> int
-  val dropped : buffer -> int
-  val capacity : buffer -> int
-end
-
-val memory : capacity:int -> Ring.buffer * t
-(** Convenience: a fresh ring buffer and its sink. *)
-
 (** Unbounded in-memory collector: keeps {e every} event, so a consumer
     that must see a complete stream (the temporal-property checker refuses
     truncated traces) never races a capacity guess. *)
 module Collect : sig
   type buffer
-
-  val create : unit -> buffer
-  val sink : buffer -> t
 
   val contents : buffer -> Event.stamped list
   (** In write order. *)
@@ -50,9 +24,6 @@ end
 val collector : unit -> Collect.buffer * t
 (** Convenience: a fresh collect buffer and its sink. *)
 
-val jsonl : out_channel -> t
-(** One JSONL line per event on the given channel; [close] flushes but
-    does not close the channel (the caller owns it). *)
-
 val jsonl_file : string -> t
-(** Opens (truncating) the file now; [close] closes it. *)
+(** One JSONL line per event in the file, opened (truncating) now;
+    [close] closes it. *)

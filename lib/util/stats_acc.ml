@@ -76,9 +76,3 @@ let quantile t q =
   end
 
 let median t = quantile t 0.5
-
-let summary t =
-  if t.n = 0 then "n=0"
-  else
-    Printf.sprintf "n=%d mean=%.3f sd=%.3f min=%.3f max=%.3f" t.n (mean t)
-      (stddev t) t.min_v t.max_v

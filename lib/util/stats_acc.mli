@@ -42,6 +42,3 @@ val median : t -> float
 
 val to_list : t -> float list
 (** All observations, in insertion order. *)
-
-val summary : t -> string
-(** One-line rendering: count, mean, stddev, min, max. *)

@@ -75,5 +75,3 @@ let render t =
   List.iter (emit_cells t.aligns) rows;
   rule ();
   Buffer.contents buf
-
-let print t = print_string (render t)

@@ -20,6 +20,3 @@ val add_row : t -> string list -> unit
 
 val render : t -> string
 (** Render to a string, ending with a newline. *)
-
-val print : t -> unit
-(** [render] to standard output. *)

@@ -224,11 +224,16 @@ let all_truncated results =
 
 let test_truncation_refused () =
   let events = stamp [ dropped 0; delivered 0 ] in
-  (* an explicit drop count from a ring sink *)
+  (* a missing middle event leaves a seq gap *)
+  let holed =
+    List.filter
+      (fun (ev : Event.stamped) -> ev.Event.seq <> 1)
+      (stamp [ dropped 0; dropped 1; delivered 0 ])
+  in
   Alcotest.(check bool)
-    "explicit dropped count refuses" true
-    (all_truncated (Prop.check ~dropped:3 (Props.suite ()) events));
-  (* a seq gap betrays truncation even without the count *)
+    "seq gap refuses" true
+    (all_truncated (Prop.check (Props.suite ()) holed));
+  (* a missing prefix leaves the first seq above zero *)
   let gappy =
     List.mapi
       (fun i (ev : Event.stamped) -> { ev with Event.seq = i + 5 })
@@ -245,23 +250,31 @@ let test_truncation_refused () =
     "complete trace keeps its verdict" true
     (is_fail (verdict_of "no-deliver-after-drop" (Prop.check [ p4 ] events)))
 
-let test_ring_trace_refused () =
-  let buf, sink = Sink.memory ~capacity:8 in
+(* An engine trace that lost its head, or one line in the middle, is
+   refused as a whole; the complete trace is not. *)
+let test_truncated_trace_refused () =
+  let buf, sink = Sink.collector () in
   let tracer = Tracer.create sink in
   let cfg =
     { (Config.default ~mode:Dpm.Adpm ~seed:1) with Config.max_ops = 200 }
   in
   let (_ : Engine.outcome) = Engine.run ~tracer cfg Sensor.scenario in
   Tracer.close tracer;
-  let dropped = Sink.Ring.dropped buf in
-  Alcotest.(check bool) "ring overwrote events" true (dropped > 0);
-  let events = Sink.Ring.contents buf in
+  let events = Sink.Collect.contents buf in
+  let n = List.length events in
+  Alcotest.(check bool) "trace long enough to cut" true (n > 8);
   Alcotest.(check bool)
-    "explicit count refuses" true
-    (all_truncated (Prop.check ~dropped (Props.suite ()) events));
+    "complete trace is not truncated" false
+    (all_truncated (Prop.check (Props.suite ()) events));
   Alcotest.(check bool)
-    "seq gap alone refuses" true
-    (all_truncated (Prop.check (Props.suite ()) events))
+    "missing prefix refuses" true
+    (all_truncated
+       (Prop.check (Props.suite ()) (List.filteri (fun i _ -> i >= 8) events)));
+  Alcotest.(check bool)
+    "seq gap refuses" true
+    (all_truncated
+       (Prop.check (Props.suite ())
+          (List.filteri (fun i _ -> i <> n / 2) events)))
 
 (* {2 Collect sink: nothing ever truncated} *)
 
@@ -703,8 +716,8 @@ let suite =
     Alcotest.test_case "crash-rejoins verdicts" `Quick test_p3_verdicts;
     Alcotest.test_case "no-deliver-after-drop verdicts" `Quick test_p4_verdicts;
     Alcotest.test_case "truncation is refused" `Quick test_truncation_refused;
-    Alcotest.test_case "ring-truncated engine trace is refused" `Quick
-      test_ring_trace_refused;
+    Alcotest.test_case "truncated engine trace is refused" `Quick
+      test_truncated_trace_refused;
     Alcotest.test_case "collect sink keeps everything" `Quick test_collect_sink;
     QCheck_alcotest.to_alcotest qcheck_notified;
     QCheck_alcotest.to_alcotest qcheck_starvation;

@@ -378,7 +378,7 @@ let check_outcomes_equal label (full : Propagate.outcome)
    ("incremental" for a dirty-seeded restart, "full" for a fallback). *)
 let traced_incremental net =
   let open Adpm_trace in
-  let buffer, sink = Sink.memory ~capacity:100 in
+  let buffer, sink = Sink.collector () in
   let tracer = Tracer.create sink in
   let outcome = Propagate.run_incremental_and_apply ~tracer net in
   let engine =
@@ -387,7 +387,7 @@ let traced_incremental net =
         match stamped.Event.event with
         | Event.Propagation_finished { engine; _ } -> Some engine
         | _ -> acc)
-      None (Sink.Ring.contents buffer)
+      None (Sink.Collect.contents buffer)
   in
   (outcome, engine)
 

@@ -242,12 +242,12 @@ let test_printer_roundtrip_scenarios () =
       ("minimal", minimal_scenario);
     ]
 
-(* Same sources through the [Emit] front door: the canonical artifact
-   contract is parse(emit(m)) = m, reported via [Emit.roundtrip]. *)
+(* Same sources through the artifact front door: the canonical contract
+   is parse(emit(m)) = m, reported via [Printer.roundtrip]. *)
 let test_emit_roundtrip_scenarios () =
   List.iter
     (fun (label, src) ->
-      match Emit.roundtrip (Parser.parse src) with
+      match Printer.roundtrip (Parser.parse src) with
       | Ok _ -> ()
       | Error msg -> Alcotest.failf "%s: %s" label msg)
     [

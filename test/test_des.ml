@@ -68,14 +68,14 @@ let test_engine_validates_config () =
 (* {2 Latency > 0} *)
 
 let traced_run c scenario =
-  let buffer, sink = Sink.memory ~capacity:100_000 in
+  let buffer, sink = Sink.collector () in
   let tracer = Tracer.create sink in
   let outcome =
     Fun.protect
       ~finally:(fun () -> Tracer.close tracer)
       (fun () -> Engine.run ~tracer c scenario)
   in
-  (outcome, Sink.Ring.contents buffer)
+  (outcome, Sink.Collect.contents buffer)
 
 let test_latency_delivery_timestamps () =
   let latency = 3 in

@@ -49,13 +49,13 @@ let test_csv_escape_roundtrip () =
       Alcotest.(check string)
         (Printf.sprintf "csv round-trip %S" s)
         s
-        (csv_unescape (Export.csv_escape s)))
+        (csv_unescape (Adpm_util.Escape.csv s)))
     hostile_strings
 
 let test_csv_escape_is_field_safe () =
   List.iter
     (fun s ->
-      let escaped = Export.csv_escape s in
+      let escaped = Adpm_util.Escape.csv s in
       let quoted = String.length escaped >= 2 && escaped.[0] = '"' in
       if not quoted then begin
         Alcotest.(check bool) "unquoted field has no comma" false
@@ -73,7 +73,7 @@ let test_json_escape_roundtrip () =
   let module Json = Adpm_trace.Json in
   List.iter
     (fun s ->
-      match Json.parse ("\"" ^ Export.json_escape s ^ "\"") with
+      match Json.parse ("\"" ^ Adpm_util.Escape.json s ^ "\"") with
       | Ok (Json.Str s') ->
         Alcotest.(check string) (Printf.sprintf "json round-trip %S" s) s s'
       | Ok _ -> Alcotest.failf "%S did not parse as a string" s

@@ -188,7 +188,7 @@ let test_generated_canonical_artifact () =
 
 let qcheck_generated_sources =
   (* 100 random parameter points: the emitted DDDL must round-trip
-     (Emit.checked raises otherwise) and the spec string must be the
+     (Printer.checked raises otherwise) and the spec string must be the
      identity on params *)
   let gen =
     QCheck.Gen.(
@@ -292,12 +292,12 @@ let test_registry_fingerprint_reproduction () =
       Generated.g_seed = 13; g_topology = Generated.Star; g_coupling = 0.4 }
   in
   let scenario = Generated.scenario p in
-  let buffer, sink = Adpm_trace.Sink.memory ~capacity:100_000 in
+  let buffer, sink = Adpm_trace.Sink.collector () in
   let tracer = Adpm_trace.Tracer.create sink in
   let cfg = Config.default ~mode:Dpm.Adpm ~seed:2 in
   let _ = Engine.run ~tracer cfg scenario in
   Adpm_trace.Tracer.close tracer;
-  let events = Adpm_trace.Sink.Ring.contents buffer in
+  let events = Adpm_trace.Sink.Collect.contents buffer in
   (match events with
   | { Adpm_trace.Event.event = Adpm_trace.Event.Run_started { scenario; _ }; _ }
     :: _ ->

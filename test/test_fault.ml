@@ -235,14 +235,14 @@ let test_faulty_trace_replays () =
       p_crashes = (crash_plan Sensor.scenario).Fault.p_crashes;
     }
   in
-  let buffer, sink = Sink.memory ~capacity:100_000 in
+  let buffer, sink = Sink.collector () in
   let tracer = Tracer.create sink in
   let outcome =
     Engine.run ~tracer (cfg ~faults:plan ~latency:1 Dpm.Conventional 2)
       Sensor.scenario
   in
   Tracer.close tracer;
-  let events = Sink.Ring.contents buffer in
+  let events = Sink.Collect.contents buffer in
   let kinds = List.map (fun e -> Event.kind_label e.Event.event) events in
   Alcotest.(check bool) "trace records a designer crash" true
     (List.mem "designer_crashed" kinds);

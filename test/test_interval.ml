@@ -67,18 +67,6 @@ let test_partial_functions () =
     check_float "ln hi = 1" 1. (Interval.hi l)
   | None -> Alcotest.fail "ln of [0,e] should be defined")
 
-let test_certainty () =
-  let a = Interval.make 0. 1. and b = Interval.make 2. 3. in
-  Alcotest.(check bool) "certainly le" true (Interval.certainly_le a b);
-  Alcotest.(check bool) "not certainly le" false (Interval.certainly_le b a);
-  Alcotest.(check bool) "possibly le" true (Interval.possibly_le a b);
-  Alcotest.(check bool) "possibly le (overlap)" true
-    (Interval.possibly_le (Interval.make 0. 5.) (Interval.make 1. 2.));
-  Alcotest.(check bool) "certainly eq points" true
-    (Interval.certainly_eq (Interval.of_point 2.) (Interval.of_point 2.));
-  Alcotest.(check bool) "possibly eq" true
-    (Interval.possibly_eq (Interval.make 0. 2.) (Interval.make 1. 5.))
-
 (* {2 Property-based inclusion tests}
 
    For each binary operation op and points x IN a, y IN b:
@@ -280,7 +268,6 @@ let suite =
     ("division across zero", `Quick, test_div_zero_straddle);
     ("even power straddling zero", `Quick, test_pow_even_straddle);
     ("partial functions", `Quick, test_partial_functions);
-    ("certainty tests", `Quick, test_certainty);
     QCheck_alcotest.to_alcotest incl_add;
     QCheck_alcotest.to_alcotest incl_sub;
     QCheck_alcotest.to_alcotest incl_mul;

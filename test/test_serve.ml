@@ -790,7 +790,8 @@ let test_journal_intact_kept () =
           Alcotest.(check string) "second restart fingerprint-exact" fp2
             (status_fp d3 sid)))
 
-(* Damage a journal, restart (the recovery repairs it with a rewrite),
+(* Damage a journal, restart (the recovery repairs it: the header and
+   the entries before the damage stay, the rest goes),
    run more commands, restart again: the commands executed after the
    repaired recovery must survive. *)
 let repaired_survives ~damage ~expect_replayed () =
@@ -809,7 +810,8 @@ let repaired_survives ~damage ~expect_replayed () =
             Alcotest.(check (list (pair string int)))
               "replay stops at the damage" [ (sid, expect_replayed) ]
               (Daemon.recovered_sessions d2);
-            Alcotest.(check int) "repaired into a single header line" 1
+            Alcotest.(check int) "repair keeps the header and trusted entries"
+              (1 + expect_replayed)
               (List.length (journal_lines ~dir sid));
             ignore (exec_ok d2 sid "step");
             ignore (exec_ok d2 sid "auto");
@@ -1120,8 +1122,11 @@ let test_duplicate_id_answered_from_cache () =
       Alcotest.(check int) "distinct client executes" 2 (command_count d sid))
 
 (* The cache is rebuilt from the journal: a resend of a pre-crash request
-   is answered without double-execution even across a restart. *)
-let test_reply_cache_survives_restart () =
+   is answered without double-execution even across a restart. With
+   [Some damage], one restart first repairs the damaged journal; the repair
+   keeps the header's reply-cache tags and each kept entry's (client,
+   id), so the next restart still answers from the cache. *)
+let reply_cache_survives ~damage ~replayed () =
   with_dir (fun dir ->
       let open_frame =
         with_id "open-1"
@@ -1136,25 +1141,33 @@ let test_reply_cache_survives_restart () =
       let d1 = Daemon.create (journal_config ~dir ()) in
       let opened = expect_ok (Daemon.handle d1 open_frame) in
       let sid = str_field "session" opened in
-      let exec_frame =
-        with_id "exec-1"
+      let exec_frame n =
+        with_id (Printf.sprintf "exec-%d" n)
           [ ("session", Json.Str sid); ("line", Json.Str "auto") ]
           "exec"
       in
-      let first = Daemon.handle d1 exec_frame in
+      let first = Daemon.handle d1 (exec_frame 1) in
       ignore (expect_ok first);
+      ignore (expect_ok (Daemon.handle d1 (exec_frame 2)));
       Daemon.stop d1;
+      Option.iter
+        (fun damage ->
+          damage (journal_path ~dir sid);
+          Daemon.stop (Daemon.create (journal_config ~dir ())))
+        damage;
       let d2 = Daemon.create (journal_config ~dir ()) in
       Fun.protect
         ~finally:(fun () -> Daemon.stop d2)
         (fun () ->
-          Alcotest.(check int) "replayed once" 1 (command_count d2 sid);
+          Alcotest.(check (list string)) "the journal is clean" []
+            (Daemon.warnings d2);
+          Alcotest.(check int) "tail replayed" replayed (command_count d2 sid);
           Alcotest.(check string)
             "pre-crash exec resend answered byte-identically from the \
              rebuilt cache"
             (Json.to_string first)
-            (Json.to_string (Daemon.handle d2 exec_frame));
-          Alcotest.(check int) "resend did not re-execute" 1
+            (Json.to_string (Daemon.handle d2 (exec_frame 1)));
+          Alcotest.(check int) "resend did not re-execute" replayed
             (command_count d2 sid);
           (* the open that created the session is cached too *)
           Alcotest.(check string) "pre-crash open resend answered"
@@ -1595,7 +1608,15 @@ let suite =
     ( "duplicate request id answered from cache",
       `Quick,
       test_duplicate_id_answered_from_cache );
-    ("reply cache survives restart", `Quick, test_reply_cache_survives_restart);
+    ( "reply cache survives restart",
+      `Quick,
+      reply_cache_survives ~damage:None ~replayed:2 );
+    ( "torn journal repair keeps the reply cache",
+      `Quick,
+      reply_cache_survives ~damage:(Some append_torn) ~replayed:2 );
+    ( "diverged journal repair keeps the reply cache",
+      `Quick,
+      reply_cache_survives ~damage:(Some diverge_last) ~replayed:1 );
     ( "rejected set leaves the checkpoint resumable",
       `Quick,
       test_rejected_set_checkpoint_resumes );

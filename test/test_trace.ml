@@ -1,6 +1,6 @@
 (* Tests for Adpm_trace and the replay driver: JSON codec round-trips,
-   ring-buffer bounding, live capture through the engine, trace analysis,
-   and deterministic replay across scenarios and modes. *)
+   live capture through the engine, trace analysis, and deterministic
+   replay across scenarios and modes. *)
 
 open Adpm_core
 open Adpm_teamsim
@@ -373,35 +373,13 @@ let test_codec_rejects_pool_retry () =
 
 (* {2 Sinks} *)
 
-let test_ring_bounding () =
-  let buffer, sink = Sink.memory ~capacity:4 in
-  List.iter sink.Sink.write sample_events;
-  let total = List.length sample_events in
-  Alcotest.(check int) "stored" 4 (Sink.Ring.stored buffer);
-  Alcotest.(check int) "dropped" (total - 4) (Sink.Ring.dropped buffer);
-  Alcotest.(check int) "capacity" 4 (Sink.Ring.capacity buffer);
-  let kept = Sink.Ring.contents buffer in
-  let expected =
-    List.filteri (fun i _ -> i >= total - 4) sample_events
-  in
-  Alcotest.(check bool) "most recent, oldest first" true (kept = expected);
-  Alcotest.check_raises "capacity must be positive"
-    (Invalid_argument "Sink.Ring.create: capacity must be positive")
-    (fun () -> ignore (Sink.Ring.create ~capacity:0))
-
-let test_tee_and_null () =
-  let b1, s1 = Sink.memory ~capacity:10 in
-  let b2, s2 = Sink.memory ~capacity:10 in
-  let tee = Sink.tee s1 s2 in
-  List.iteri (fun i e -> if i < 3 then tee.Sink.write e) sample_events;
-  tee.Sink.close ();
-  Alcotest.(check int) "left got all" 3 (Sink.Ring.stored b1);
-  Alcotest.(check int) "right got all" 3 (Sink.Ring.stored b2);
-  Sink.null.Sink.write (List.hd sample_events);
+let test_null_sink () =
+  List.iter Sink.null.Sink.write sample_events;
+  Sink.null.Sink.close ();
   Sink.null.Sink.close ()
 
 let test_tracer_stamping () =
-  let buffer, sink = Sink.memory ~capacity:100 in
+  let buffer, sink = Sink.collector () in
   let tr = Tracer.create sink in
   Alcotest.(check bool) "created tracer active" true (Tracer.active tr);
   Alcotest.(check bool) "null tracer inactive" false (Tracer.active Tracer.null);
@@ -410,7 +388,7 @@ let test_tracer_stamping () =
   Tracer.emit tr (Event.Propagation_started { constraints = 2 });
   (* emitting through the null tracer is a silent no-op *)
   Tracer.emit Tracer.null (Event.Propagation_started { constraints = 3 });
-  match Sink.Ring.contents buffer with
+  match Sink.Collect.contents buffer with
   | [ a; b ] ->
     Alcotest.(check int) "first seq" 0 a.Event.seq;
     Alcotest.(check int) "first clock" 0 a.Event.clock;
@@ -421,11 +399,11 @@ let test_tracer_stamping () =
 (* {2 Live capture through the engine} *)
 
 let capture mode seed scenario =
-  let buffer, sink = Sink.memory ~capacity:100_000 in
+  let buffer, sink = Sink.collector () in
   let tracer = Tracer.create sink in
   let outcome = Engine.run ~tracer (quick_cfg mode seed) scenario in
   Tracer.close tracer;
-  (outcome, Sink.Ring.contents buffer)
+  (outcome, Sink.Collect.contents buffer)
 
 let test_live_trace_shape () =
   let outcome, events = capture Dpm.Adpm 1 Lna.scenario in
@@ -697,8 +675,9 @@ let suite =
     Alcotest.test_case "codec file round-trip" `Quick test_codec_file_roundtrip;
     Alcotest.test_case "codec rejects malformed" `Quick
       test_codec_rejects_malformed;
-    Alcotest.test_case "ring bounding" `Quick test_ring_bounding;
-    Alcotest.test_case "tee and null sinks" `Quick test_tee_and_null;
+    Alcotest.test_case "codec rejects a pool_retry line" `Quick
+      test_codec_rejects_pool_retry;
+    Alcotest.test_case "null sink" `Quick test_null_sink;
     Alcotest.test_case "tracer stamping" `Quick test_tracer_stamping;
     Alcotest.test_case "live trace shape" `Quick test_live_trace_shape;
     Alcotest.test_case "tracing is observationally inert" `Quick
@@ -715,6 +694,4 @@ let suite =
       test_replay_rejects_inapplicable_op;
     Alcotest.test_case "replay of a full-engine trace" `Quick
       test_replay_full_engine_fixture;
-    Alcotest.test_case "codec rejects a pool_retry line" `Quick
-      test_codec_rejects_pool_retry;
   ]
