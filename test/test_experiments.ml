@@ -9,6 +9,56 @@ open Adpm_experiments
 let check_bits name expected v =
   Alcotest.(check string) name expected (Printf.sprintf "%h" v)
 
+(* The whole Figs. 2-4 walkthrough text: the three browser views, the
+   windows, alpha/beta and the violation lists. *)
+let fig234_render =
+  {|=== Figures 2-4: Section 2.4 walkthrough (LNA + MEMS filter) ===
+
+Fig. 2 — object browser after beam length := 13 um:
+Object name: LNA+Mixer
+Version number: 1.0.0 (current)
+  Diff-pair-W    Abstraction Levels: Transistor,Geometry
+      Consistent values: [2.5, 3.69822]
+  Freq-ind       Abstraction Levels: Transistor,Geometry
+      Consistent values: [0.174255, 0.5]
+
+  paper:    Freq-ind {0.174255, 0.500000}   Diff-pair-W {2.500000, 3.698225}
+  measured: Freq-ind {0.174255, 0.500000}   Diff-pair-W {2.500000, 3.698221}
+
+Fig. 3 — constraint/property browser:
++-------------+-------+---------------------+------------------------------------------------------+
+|  Property   | # c's |        Value        |                     Constraints                      |
++-------------+-------+---------------------+------------------------------------------------------+
+| Diff-pair-W |     3 | <No value assigned> | LNAPower-C7, LNAGain-C10, LNA-Zin-C9                 |
+| Freq-ind    |     4 | <No value assigned> | LNAPower-C7, LNAGain-C10, LNA-Zin-C9, FilterMatch-C4 |
++-------------+-------+---------------------+------------------------------------------------------+
+
+  paper: beta(Diff-pair-W) = 3; measured: 3
+
+Violations after W := 2.5 um: LNAGain-C10 (paper: gain requirement)
+Violations after Zin spec := 40 Ohm: LNA-Zin-C9 (paper: impedance)
+
+Fig. 4 — conflict resolution view:
+CONSTRAINTS
+  LNAPower-C7          Satisfied
+  LNAGain-C10          Violated
+  LNA-Zin-C9           Violated
+  FilterMatch-C4       Satisfied
+PROPERTIES
++-------------+-------+-------+-----------+----------------------+
+|  Property   | # c's | Value |  Object   | Connected violations |
++-------------+-------+-------+-----------+----------------------+
+| Diff-pair-W |     3 |   2.5 | LNA+Mixer |                    2 |
+| Freq-ind    |     4 |   0.2 | LNA+Mixer |                    2 |
+| Min-LNA-Zin |     1 |    40 |           |                    1 |
++-------------+-------+-------+-----------+----------------------+
+
+  paper: alpha(Diff-pair-W) = 2; measured: 2
+
+Re-sizing W := 3.5 um resolved: LNA-Zin-C9, LNAGain-C10; remaining violations: 0
+  paper: both violations fixed with a single iteration
+|}
+
 let test_fig234_walkthrough () =
   let r = Exp_fig234.run () in
   let lo, hi = r.Exp_fig234.freq_ind_window in
@@ -26,8 +76,16 @@ let test_fig234_walkthrough () =
   Alcotest.(check int) "both fixed by one re-sizing" 2
     (List.length r.Exp_fig234.resolved_by_resize);
   Alcotest.(check int) "no violations remain" 0 r.Exp_fig234.remaining_violations;
-  Alcotest.(check bool) "render works" true
-    (String.length (Exp_fig234.render r) > 0)
+  List.iter
+    (fun (name, pin, x) -> check_bits name pin x)
+    [
+      ("Freq-ind low", "0x1.64df985e07abap-3", lo);
+      ("Freq-ind high", "0x1p-1", hi);
+      ("Diff-pair-W low", "0x1.4p+1", wlo);
+      ("Diff-pair-W high", "0x1.d95f4ae372a1ep+1", whi);
+    ];
+  Alcotest.(check string) "rendered walkthrough" fig234_render
+    (Exp_fig234.render r)
 
 let test_fig7_shape () =
   let r = Exp_fig7.run ~seeds:10 () in
@@ -110,6 +168,21 @@ let test_fig9_claims () =
 
 let test_fig10_robustness () =
   let r = Exp_fig10.run ~seeds:3 ~sweep:[ 30.; 1000.; 3000. ] () in
+  let show p =
+    Printf.sprintf "%h %h %h %h %h" p.Exp_fig10.req_gain p.Exp_fig10.conv_mean_ops
+      p.Exp_fig10.conv_sd_ops p.Exp_fig10.adpm_mean_ops p.Exp_fig10.adpm_sd_ops
+  in
+  Alcotest.(check (list string))
+    "points (req_gain, conv mean, conv sd, adpm mean, adpm sd)"
+    [
+      "0x1.ep+4 0x1.39aaaaaaaaaaap+8 0x1.f66236fcbbabfp+7 0x1.d555555555555p+3 \
+       0x1.279a74590331cp+0";
+      "0x1.f4p+9 0x1.7655555555555p+8 0x1.36008cefe8c56p+6 0x1.d555555555555p+3 \
+       0x1.279a74590331cp+0";
+      "0x1.77p+11 0x1.014p+10 0x1.27f1ba777d7c1p+8 0x1.6355555555555p+7 \
+       0x1.10282531bc6adp+6";
+    ]
+    (List.map show r.Exp_fig10.points);
   Alcotest.(check bool) "conventional varies more with tightness" true
     (r.Exp_fig10.conv_spread > r.Exp_fig10.adpm_spread);
   Alcotest.(check bool) "render works" true (String.length (Exp_fig10.render r) > 0)
@@ -135,8 +208,17 @@ let test_ablation () =
   Alcotest.(check bool) "MAC expands fewest nodes" true
     (nodes Adpm_csp.Search.Min_domain Adpm_csp.Search.Mac
     <= nodes Adpm_csp.Search.Min_domain fc);
-  Alcotest.(check int) "three consistency rows" 3
-    (List.length r.Exp_ablation.consistency);
+  let show c =
+    Printf.sprintf "%s: %h %d" c.Exp_ablation.c_label c.Exp_ablation.c_mean_window
+      c.Exp_ablation.c_evaluations
+  in
+  Alcotest.(check (list string)) "consistency rows (label: window, evaluations)"
+    [
+      "hull consistency (HC4 fixpoint): 0x1.1cd7ce53ad8c5p-1 105";
+      "bound shaving, 4 slices: 0x1.65185410053cfp-4 4377";
+      "bound shaving, 8 slices: 0x1.ea2818bbca86p-3 4467";
+    ]
+    (List.map show r.Exp_ablation.consistency);
   Alcotest.(check bool) "render works" true
     (String.length (Exp_ablation.render r) > 0)
 
