@@ -49,8 +49,8 @@ let hc4_revise_kernel_test =
   Test.make ~name:"HC4 revise_kernel (9-node expr)"
     (Staged.stage (fun () -> Hc4.revise_kernel k 0 sc ~lo ~hi))
 
-let propagate_test name build =
-  let dpm = build () ~mode:Dpm.Adpm in
+let propagate_test name (scenario : Scenario.t) =
+  let dpm = scenario.sc_build ~mode:Dpm.Adpm in
   let net = Dpm.network dpm in
   Test.make ~name (Staged.stage (fun () -> Propagate.run net))
 
@@ -59,7 +59,7 @@ let propagate_test name build =
    store seeded with the dirty property's constraints. The from-scratch
    fixpoint is the [propagate_test] rows above. *)
 let repropagate_test name =
-  let dpm = Receiver.build () ~mode:Dpm.Adpm in
+  let dpm = Receiver.scenario.sc_build ~mode:Dpm.Adpm in
   ignore (Dpm.run_propagation dpm);
   let net = Dpm.network dpm in
   Test.make ~name
@@ -74,7 +74,7 @@ let repropagate_test name =
    feasible snapshots, problem statuses, the status diff and NM routing —
    beside the HC4 kernel above. *)
 let dpm_apply_test =
-  let dpm = Receiver.build () ~mode:Dpm.Conventional in
+  let dpm = Receiver.scenario.sc_build ~mode:Dpm.Conventional in
   let top = Dpm.top_problem dpm in
   let op =
     Operator.verification ~designer:top.Problem.pr_owner ~problem:top.Problem.pr_id
@@ -155,9 +155,9 @@ let tests =
       hc4_revise_test;
       hc4_revise_kernel_test;
       propagate_test "propagate fixpoint (sensor, 21 constraints)"
-        (fun () -> Sensor.build ());
+        Sensor.scenario;
       propagate_test "propagate fixpoint (receiver, 30 constraints)"
-        (fun () -> Receiver.build ());
+        Receiver.scenario;
       repropagate_test "repropagate after 1 assign (receiver, incremental)";
       dpm_apply_test;
       choose_test "designer choose (receiver, conventional, op 40)" "receiver"

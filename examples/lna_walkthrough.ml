@@ -10,7 +10,7 @@ open Adpm_scenarios
 let step n text = Printf.printf "\n--- step %d: %s ---\n\n" n text
 
 let () =
-  let dpm = Lna.build ~adjustable_requirements:true () ~mode:Dpm.Adpm in
+  let dpm = Adpm_dddl.Elaborate.build Lna.adjustable_requirements ~mode:Dpm.Adpm in
   let net = Dpm.network dpm in
   let top = 0 and analog = 1 and filter = 2 in
 

@@ -28,11 +28,7 @@ let () =
   print_endline "\n=== gain-requirement tightness (Fig. 10, 3 seeds/point) ===";
   List.iter
     (fun req_gain ->
-      let scenario =
-        Scenario.make ~name:"receiver" ~description:""
-          ~models:Receiver.scenario.Scenario.sc_models (fun ~mode ->
-            Receiver.build ~req_gain () ~mode)
-      in
+      let scenario = Receiver.with_req_gain req_gain in
       let mean mode =
         let cfg = Config.default ~mode ~seed:0 in
         let summaries = Engine.run_many cfg scenario ~seeds:[ 1; 2; 3 ] in

@@ -69,10 +69,22 @@ let validate decl =
       if not (known target) then errorf "model targets unknown property %s" target;
       check_expr (Printf.sprintf "model of %s" target) model)
     decl.Ast.sd_models;
+  check_unique "requirement" (List.map fst decl.Ast.sd_requirements);
+  (* a requirement binds its property at build: reject here what
+     [Network.assign] would refuse there *)
   List.iter
-    (fun (target, _) ->
-      if not (known target) then
-        errorf "requirement targets unknown property %s" target)
+    (fun (target, value) ->
+      match
+        List.find_opt (fun p -> String.equal p.Ast.pd_name target)
+          decl.Ast.sd_properties
+      with
+      | None -> errorf "requirement targets unknown property %s" target
+      | Some p -> (
+        match Domain.hull (domain_of_decl p.Ast.pd_name p.Ast.pd_domain) with
+        | Some iv when Interval.mem value iv -> ()
+        | Some _ | None ->
+          errorf "requirement %s = %g lies outside the domain of %s" target
+            value target))
     decl.Ast.sd_requirements;
   List.iter
     (fun (obj, props) ->
@@ -203,6 +215,26 @@ let scenario decl =
     ~description:(Printf.sprintf "DDDL scenario %s" decl.Ast.sd_name)
     ~models:decl.Ast.sd_models
     (fun ~mode -> build decl ~mode)
+
+let with_requirements values decl =
+  List.iter
+    (fun (name, _) ->
+      if not (List.mem_assoc name decl.Ast.sd_requirements) then
+        errorf "%s is not a declared requirement of scenario %s" name
+          decl.Ast.sd_name)
+    values;
+  let decl =
+    {
+      decl with
+      Ast.sd_requirements =
+        List.map
+          (fun (name, value) ->
+            (name, Option.value (List.assoc_opt name values) ~default:value))
+          decl.Ast.sd_requirements;
+    }
+  in
+  validate decl;
+  decl
 
 (* Render a lexer/parser position as a caret message so a misplaced token
    in an embedded or on-disk DDDL source points at the offending spot:

@@ -124,7 +124,7 @@ let search_ablation instances =
    committed) where hull consistency is measurably weaker. *)
 let consistency_ablation () =
   let measure label consistency =
-    let dpm = Receiver.build ~req_gain:2000. () ~mode:Dpm.Adpm in
+    let dpm = (Receiver.with_req_gain 2000.).Scenario.sc_build ~mode:Dpm.Adpm in
     let net = Dpm.network dpm in
     Network.assign net "bias-current" (Value.Num 9.);
     Network.assign net "mixer-gm" (Value.Num 18.);

@@ -14,11 +14,7 @@ type point = {
 type result = { points : point list; conv_spread : float; adpm_spread : float }
 
 let measure ~jobs mode req_gain seeds =
-  let scenario =
-    Scenario.make ~name:"receiver-sweep" ~description:""
-      ~models:Receiver.scenario.Scenario.sc_models (fun ~mode ->
-        Receiver.build ~req_gain () ~mode)
-  in
+  let scenario = Receiver.with_req_gain req_gain in
   let cfg = Config.default ~mode ~seed:0 in
   let summaries =
     Engine.run_many ~jobs cfg scenario

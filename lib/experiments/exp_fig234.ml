@@ -26,7 +26,7 @@ let constraint_names net cids =
   List.map (fun cid -> (Network.find_constraint net cid).Constr.name) cids
 
 let run () =
-  let dpm = Lna.build ~adjustable_requirements:true () ~mode:Dpm.Adpm in
+  let dpm = Adpm_dddl.Elaborate.build Lna.adjustable_requirements ~mode:Dpm.Adpm in
   let net = Dpm.network dpm in
   let top = 0 and analog = 1 and filter = 2 in
   (* the device engineer adjusts the beam length to 13 um *)

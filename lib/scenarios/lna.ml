@@ -1,122 +1,10 @@
-open Adpm_expr
-open Adpm_csp
-open Adpm_core
 open Adpm_teamsim
 
 let diff_pair_w = "Diff-pair-W"
 let freq_ind = "Freq-ind"
 let beam_length = "Beam-length"
-let min_gain = "Min-gain"
-let max_power = "Max-power"
 let min_zin = "Min-LNA-Zin"
 
-(* Constants calibrated to reproduce the Fig. 2 windows (see .mli). *)
-let power_slope_w = 38.5522
-let power_slope_l = 100.
-let power_base = 40.
-let gain_coeff = 30.
-let zin_coeff = 60.
-let match_coeff = 0.0134042
-
-let build ?(adjustable_requirements = false) () ~mode =
-  let net = Network.create () in
-  let open Builder in
-  let meta = [ ("levels", "Transistor,Geometry") ] in
-  Network.add_prop net ~meta diff_pair_w (Adpm_interval.Domain.continuous 2.5 10.);
-  Network.add_prop net ~meta freq_ind (Adpm_interval.Domain.continuous 0.05 0.5);
-  continuous net beam_length 5. 50.;
-  continuous net min_gain 10. 100.;
-  continuous net max_power 50. 400.;
-  continuous net min_zin 10. 100.;
-  let v = Expr.var and c = Expr.const in
-  let c_power =
-    le net "LNAPower-C7"
-      Expr.(c power_base + scale power_slope_w (v diff_pair_w)
-            + scale power_slope_l (v freq_ind))
-      (v max_power)
-  in
-  let c_gain =
-    ge net "LNAGain-C10"
-      Expr.(scale gain_coeff (v diff_pair_w) * Expr.Sqrt (v freq_ind))
-      (v min_gain)
-  in
-  let c_zin =
-    ge net "LNA-Zin-C9"
-      Expr.(scale zin_coeff (v diff_pair_w) * v freq_ind)
-      (v min_zin)
-  in
-  let c_match =
-    ge net "FilterMatch-C4" (v freq_ind)
-      Expr.(scale match_coeff (v beam_length))
-  in
-  let objects =
-    [
-      Design_object.make ~name:"LNA+Mixer"
-        ~properties:[ diff_pair_w; freq_ind ] ();
-      Design_object.make ~name:"MEMS-Filter" ~properties:[ beam_length ] ();
-    ]
-  in
-  let initial_min_zin = if adjustable_requirements then 25. else 40. in
-  let requirements =
-    [ (min_gain, 40.); (max_power, 200.); (min_zin, initial_min_zin) ]
-  in
-  if adjustable_requirements then begin
-    (* the walkthrough leader adjusts requirements through operations, so
-       they are outputs of the top problem rather than fixed inputs *)
-    List.iter
-      (fun (name, value) -> Network.assign net name (Value.Num value))
-      requirements;
-    let top =
-      Problem.make ~id:0 ~name:"receiver-front-end" ~owner:"leader"
-        ~outputs:[ min_gain; max_power; min_zin ]
-        ~constraints:[ c_match.Constr.id ] ()
-    in
-    let dpm = Dpm.create ~mode net ~objects ~top in
-    let analog =
-      Problem.make ~id:1 ~name:"analog" ~owner:"circuit"
-        ~inputs:[ min_gain; max_power; min_zin ]
-        ~outputs:[ diff_pair_w; freq_ind ]
-        ~constraints:
-          [ c_power.Constr.id; c_gain.Constr.id; c_zin.Constr.id ]
-        ~object_name:"LNA+Mixer" ()
-    in
-    let filter =
-      Problem.make ~id:2 ~name:"mems-filter" ~owner:"device"
-        ~outputs:[ beam_length ] ~object_name:"MEMS-Filter" ()
-    in
-    Dpm.register_problem dpm ~parent:(Some 0) analog;
-    Dpm.register_problem dpm ~parent:(Some 0) filter;
-    dpm
-  end
-  else
-    assemble ~mode ~net ~objects ~top_name:"receiver-front-end"
-      ~leader:"leader" ~requirements ~system_constraints:[ c_match ]
-      ~subproblems:
-        [
-          {
-            ps_name = "analog";
-            ps_owner = "circuit";
-            ps_inputs = [ min_gain; max_power; min_zin ];
-            ps_outputs = [ diff_pair_w; freq_ind ];
-            ps_constraints = [ c_power; c_gain; c_zin ];
-            ps_object = Some "LNA+Mixer";
-          };
-          {
-            ps_name = "mems-filter";
-            ps_owner = "device";
-            ps_inputs = [];
-            ps_outputs = [ beam_length ];
-            ps_constraints = [];
-            ps_object = Some "MEMS-Filter";
-          };
-        ]
-
-(* The same network in DDDL (the fixed-requirements simulation variant;
-   the adjustable-requirements walkthrough stays OCaml-only because its
-   requirements are outputs the leader mutates mid-script). This text is
-   the canonical artifact: [scenario] is elaborated from it, and the OCaml
-   [build] above serves as the equivalence reference the tests compare
-   against. *)
 let source =
   {|
 // The Section 2.4 walkthrough case in DDDL: LNA + mixer circuitry and a
@@ -163,8 +51,22 @@ scenario lna {
 }
 |}
 
+let decl = Adpm_dddl.Parser.parse source
+
 let scenario =
   {
-    (Adpm_dddl.Elaborate.load_string source) with
+    (Adpm_dddl.Elaborate.scenario decl) with
     Scenario.sc_description = "Section 2.4 LNA + MEMS filter walkthrough case";
   }
+
+(* The walkthrough leader adjusts requirements through operations, so they
+   are outputs of the top problem rather than fixed inputs, and the
+   impedance floor starts loose so the leader can tighten it to 40. *)
+let adjustable_requirements =
+  let top = decl.Adpm_dddl.Ast.sd_problem in
+  Adpm_dddl.Elaborate.with_requirements [ (min_zin, 25.) ]
+    {
+      decl with
+      sd_problem =
+        { top with prd_inputs = []; prd_outputs = top.prd_inputs @ top.prd_outputs };
+    }

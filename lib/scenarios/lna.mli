@@ -9,19 +9,27 @@
     constraints (power, input impedance, gain), giving beta = 3 as in
     Fig. 3; after the gain violation and the leader's impedance tightening
     to 40 Ohm it is connected to two violations (alpha = 2, Fig. 4), and a
-    single re-sizing to 3.5 um clears both. *)
+    single re-sizing to 3.5 um clears both.
 
-open Adpm_core
+    The case is defined once, in DDDL ([source]); the walkthrough's
+    adjustable-requirements variant is a transform of the parsed
+    declaration, not a second definition. *)
+
 open Adpm_teamsim
 
-val build : ?adjustable_requirements:bool -> unit -> mode:Dpm.mode -> Dpm.t
-(** [adjustable_requirements] (default [false]) makes the requirement
-    properties outputs of the leader's top-level problem so that scripted
-    walkthroughs can tighten them mid-design; simulations keep them fixed
-    inputs. When requirements are fixed, [min_zin] starts at its tightened
-    value of 40 Ohm. *)
+val source : string
+(** The scenario in DDDL: the one definition of the case. [scenario] and
+    [adjustable_requirements] both derive from it. *)
 
 val scenario : Scenario.t
+(** The simulation variant: requirements are fixed inputs of the leader's
+    top-level problem, with [min_zin] at its tightened value of 40 Ohm. *)
+
+val adjustable_requirements : Adpm_dddl.Ast.scenario_decl
+(** The walkthrough variant of [source]: the top-level problem's inputs
+    become its outputs, so a scripted leader can tighten the requirements
+    mid-design, and [min_zin] starts at 25 Ohm. Build it with
+    {!Adpm_dddl.Elaborate.build}. *)
 
 (** Property names used by the walkthrough script and tests. *)
 
@@ -29,7 +37,3 @@ val diff_pair_w : string
 val freq_ind : string
 val beam_length : string
 val min_zin : string
-
-val source : string
-(** The scenario in DDDL — the canonical text artifact that [scenario] is
-    elaborated from. *)

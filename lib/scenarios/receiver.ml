@@ -1,249 +1,13 @@
-open Adpm_expr
-open Adpm_csp
-open Adpm_core
 open Adpm_teamsim
 
-(* Analog subsystem: differential pair width W (um), load inductor L (uH),
-   bias current Ib (mA), load resistance Rl (kOhm), mixer transconductance
-   (mS) and bias (mA); performance parameters tied to non-linear models by
-   bands. MEMS filter: clamped-clamped beam dimensions, electrode gap,
-   resonator Q, drive voltage; centre frequency ~ Wb sqrt(Tb) / Lb^2. *)
-
-let build ?(req_gain = 30.) () ~mode =
-  let net = Network.create () in
-  let open Builder in
-  (* analog free variables *)
-  continuous net "diff-pair-w" 2.5 10.;
-  continuous net "freq-ind" 0.05 0.5;
-  continuous net "bias-current" 1. 10.;
-  continuous net "load-res" 0.1 2.;
-  continuous net "mixer-gm" 1. 20.;
-  continuous net "mixer-bias" 0.5 5.;
-  (* analog performance parameters *)
-  continuous net "lna-gain" 1. 300.;
-  continuous net "lna-power" 10. 400.;
-  continuous net "lna-zin" 10. 200.;
-  continuous net "mixer-gain" 0.5 40.;
-  continuous net "mixer-power" 1. 100.;
-  (* filter free variables *)
-  continuous net "beam-length" 5. 50.;
-  continuous net "beam-width" 0.5 5.;
-  continuous net "beam-thickness" 0.5 4.;
-  continuous net "gap" 0.1 2.;
-  continuous net "resonator-q" 100. 10000.;
-  continuous net "drive-v" 1. 50.;
-  (* filter performance parameters *)
-  continuous net "center-freq" 10. 500.;
-  continuous net "filter-bw" 0.05 5.;
-  continuous net "insertion-att" 1. 10.;
-  continuous net "filter-power" 0.01 10.;
-  continuous net "freq-precision" 0.05 5.;
-  (* requirements *)
-  continuous net "req-gain" 10. 4000.;
-  continuous net "req-power" 50. 400.;
-  continuous net "req-zin-min" 10. 100.;
-  continuous net "req-zin-max" 50. 200.;
-  continuous net "req-bw-min" 0.1 2.;
-  continuous net "req-bw-max" 0.5 3.;
-  continuous net "req-freq" 50. 200.;
-  continuous net "req-freq-tol" 1. 20.;
-  continuous net "req-prec-max" 0.5 5.;
-  continuous net "req-att-max" 1.1 5.;
-  continuous net "req-ind-max" 0.1 1.;
-  continuous net "req-drive-max" 5. 50.;
-  continuous net "req-mixer-gain" 1. 20.;
-  let v = Expr.var and c = Expr.const in
-  (* analog model bands (non-linear) *)
-  let gm_model = Expr.Sqrt Expr.(v "bias-current" * v "diff-pair-w") in
-  let gain_model = Expr.(scale 10. gm_model * v "load-res") in
-  let a_gain_lo = ge net "LNAGain-lo" (v "lna-gain") Expr.(scale 0.85 gain_model) in
-  let a_gain_hi = le net "LNAGain-hi" (v "lna-gain") Expr.(scale 1.15 gain_model) in
-  let power_model =
-    Expr.(scale 30. (v "bias-current") + scale 5. (v "diff-pair-w"))
-  in
-  let a_power_lo = ge net "LNAPower-lo" (v "lna-power") Expr.(scale 0.9 power_model) in
-  let zin_model =
-    Expr.(scale 500. (v "freq-ind") / Expr.Sqrt (v "diff-pair-w"))
-  in
-  let a_zin_lo = ge net "LNAZin-lo" (v "lna-zin") Expr.(scale 0.9 zin_model) in
-  let a_zin_hi = le net "LNAZin-hi" (v "lna-zin") Expr.(scale 1.1 zin_model) in
-  let a_mgain_lo =
-    ge net "MixerGain-lo" (v "mixer-gain") Expr.(scale 1.275 (v "mixer-gm"))
-  in
-  let a_mgain_hi =
-    le net "MixerGain-hi" (v "mixer-gain") Expr.(scale 1.725 (v "mixer-gm"))
-  in
-  let a_mpower_lo =
-    ge net "MixerPower-lo" (v "mixer-power") Expr.(scale 10.8 (v "mixer-bias"))
-  in
-  (* filter model bands (non-linear) *)
-  let cf_model =
-    Expr.(scale 5650. (v "beam-width") * Expr.Sqrt (v "beam-thickness")
-          / Expr.Pow (v "beam-length", 2))
-  in
-  let f_cf_lo = ge net "CenterFreq-lo" (v "center-freq") Expr.(scale 0.92 cf_model) in
-  let f_cf_hi = le net "CenterFreq-hi" (v "center-freq") Expr.(scale 1.08 cf_model) in
-  let bw_model = Expr.(scale 20. (v "center-freq") / v "resonator-q") in
-  let f_bw_lo = ge net "FilterBW-lo" (v "filter-bw") Expr.(scale 0.85 bw_model) in
-  let f_bw_hi = le net "FilterBW-hi" (v "filter-bw") Expr.(scale 1.15 bw_model) in
-  let att_model =
-    Expr.(c 1.
-          + scale 300. (Expr.Pow (v "gap", 2))
-            / (v "beam-width" * v "beam-thickness")
-            / Expr.Sqrt (v "resonator-q"))
-  in
-  let f_att_lo = ge net "FilterLoss-lo" (v "insertion-att") Expr.(scale 0.85 att_model) in
-  let f_att_hi = le net "FilterLoss-hi" (v "insertion-att") Expr.(scale 1.15 att_model) in
-  let fpow_model = Expr.(scale 0.02 (Expr.Pow (v "drive-v", 2)) / v "gap") in
-  let f_fpow_lo =
-    ge net "FilterPower-lo" (v "filter-power") Expr.(scale 0.8 fpow_model)
-  in
-  let prec_model = Expr.(scale 50. (v "gap") / v "beam-length") in
-  let f_prec_lo =
-    ge net "FreqPrec-lo" (v "freq-precision") Expr.(scale 0.8 prec_model)
-  in
-  let f_prec_hi =
-    le net "FreqPrec-hi" (v "freq-precision") Expr.(scale 1.2 prec_model)
-  in
-  (* system constraints *)
-  let s_gain =
-    ge net "TotalGain" Expr.(v "lna-gain" * v "mixer-gain")
-      Expr.(v "req-gain" * v "insertion-att")
-  in
-  let s_power =
-    le net "TotalPower"
-      Expr.(v "lna-power" + v "mixer-power" + v "filter-power")
-      (v "req-power")
-  in
-  let s_zin_lo = ge net "ZinWindow-lo" (v "lna-zin") (v "req-zin-min") in
-  let s_zin_hi = le net "ZinWindow-hi" (v "lna-zin") (v "req-zin-max") in
-  let s_freq_lo =
-    ge net "ChannelFreq-lo" (v "center-freq") Expr.(v "req-freq" - v "req-freq-tol")
-  in
-  let s_freq_hi =
-    le net "ChannelFreq-hi" (v "center-freq") Expr.(v "req-freq" + v "req-freq-tol")
-  in
-  let s_bw_lo = ge net "ChannelBW-lo" (v "filter-bw") (v "req-bw-min") in
-  let s_bw_hi = le net "ChannelBW-hi" (v "filter-bw") (v "req-bw-max") in
-  let s_prec = le net "FreqPrecision" (v "freq-precision") (v "req-prec-max") in
-  let s_att = le net "InsertionLoss" (v "insertion-att") (v "req-att-max") in
-  let s_ind = le net "MaxFreqInd" (v "freq-ind") (v "req-ind-max") in
-  let s_drive = le net "MaxDrive" (v "drive-v") (v "req-drive-max") in
-  let s_mgain = ge net "MixerGainReq" (v "mixer-gain") (v "req-mixer-gain") in
-  let objects =
-    [
-      Design_object.make ~name:"LNA+Mixer"
-        ~properties:
-          [
-            "diff-pair-w"; "freq-ind"; "bias-current"; "load-res"; "mixer-gm";
-            "mixer-bias"; "lna-gain"; "lna-power"; "lna-zin"; "mixer-gain";
-            "mixer-power";
-          ]
-        ();
-      Design_object.make ~name:"MEMS-Filter"
-        ~properties:
-          [
-            "beam-length"; "beam-width"; "beam-thickness"; "gap";
-            "resonator-q"; "drive-v"; "center-freq"; "filter-bw";
-            "insertion-att"; "filter-power"; "freq-precision";
-          ]
-        ();
-    ]
-  in
-  assemble ~mode ~net ~objects ~top_name:"receiver-front-end" ~leader:"leader"
-    ~requirements:
-      [
-        ("req-gain", req_gain);
-        ("req-power", 190.);
-        ("req-zin-min", 45.);
-        ("req-zin-max", 75.);
-        ("req-bw-min", 0.85);
-        ("req-bw-max", 1.15);
-        ("req-freq", 100.);
-        ("req-freq-tol", 6.);
-        ("req-prec-max", 2.2);
-        ("req-att-max", 1.7);
-        ("req-ind-max", 0.5);
-        ("req-drive-max", 25.);
-        ("req-mixer-gain", 5.);
-      ]
-    ~system_constraints:
-      [
-        s_gain; s_power; s_zin_lo; s_zin_hi; s_freq_lo; s_freq_hi; s_bw_lo;
-        s_bw_hi; s_prec; s_att; s_ind; s_drive; s_mgain;
-      ]
-    ~subproblems:
-      [
-        {
-          ps_name = "analog";
-          ps_owner = "circuit";
-          ps_inputs = [ "req-gain"; "req-power"; "req-zin-min"; "req-zin-max" ];
-          ps_outputs =
-            [
-              "diff-pair-w"; "freq-ind"; "bias-current"; "load-res";
-              "mixer-gm"; "mixer-bias"; "lna-gain"; "lna-power"; "lna-zin";
-              "mixer-gain"; "mixer-power";
-            ];
-          ps_constraints =
-            [
-              a_gain_lo; a_gain_hi; a_power_lo; a_zin_lo; a_zin_hi;
-              a_mgain_lo; a_mgain_hi; a_mpower_lo;
-            ];
-          ps_object = Some "LNA+Mixer";
-        };
-        {
-          ps_name = "mems-filter";
-          ps_owner = "device";
-          ps_inputs = [ "req-freq"; "req-freq-tol"; "req-bw-min"; "req-bw-max" ];
-          ps_outputs =
-            [
-              "beam-length"; "beam-width"; "beam-thickness"; "gap";
-              "resonator-q"; "drive-v"; "center-freq"; "filter-bw";
-              "insertion-att"; "filter-power"; "freq-precision";
-            ];
-          ps_constraints =
-            [
-              f_cf_lo; f_cf_hi; f_bw_lo; f_bw_hi; f_att_lo; f_att_hi;
-              f_fpow_lo; f_prec_lo; f_prec_hi;
-            ];
-          ps_object = Some "MEMS-Filter";
-        };
-      ]
-
-(* model centres evaluated by the synthesis tools (geometric mean of the
-   multiplicative band bounds where the bands are two-sided) *)
-let models =
-  let v = Expr.var and c = Expr.const in
-  let gm_model = Expr.Sqrt Expr.(v "bias-current" * v "diff-pair-w") in
-  [
-    ("lna-gain", Expr.(scale 10. gm_model * v "load-res"));
-    ( "lna-power",
-      Expr.(scale 30. (v "bias-current") + scale 5. (v "diff-pair-w")) );
-    ( "lna-zin",
-      Expr.(scale 500. (v "freq-ind") / Expr.Sqrt (v "diff-pair-w")) );
-    ("mixer-gain", Expr.(scale 1.5 (v "mixer-gm")));
-    ("mixer-power", Expr.(scale 12. (v "mixer-bias")));
-    ( "center-freq",
-      Expr.(scale 5650. (v "beam-width") * Expr.Sqrt (v "beam-thickness")
-            / Expr.Pow (v "beam-length", 2)) );
-    ("filter-bw", Expr.(scale 20. (v "center-freq") / v "resonator-q"));
-    ( "insertion-att",
-      Expr.(c 1.
-            + scale 300. (Expr.Pow (v "gap", 2))
-              / (v "beam-width" * v "beam-thickness")
-              / Expr.Sqrt (v "resonator-q")) );
-    ("filter-power", Expr.(scale 0.02 (Expr.Pow (v "drive-v", 2)) / v "gap"));
-    ("freq-precision", Expr.(scale 50. (v "gap") / v "beam-length"));
-  ]
-
-(* The same network in DDDL. This text is the canonical artifact:
-   [scenario] is elaborated from it, and the OCaml [build] above serves as
-   the equivalence reference the tests compare against. *)
 let source =
   {|
 // The MEMS-based wireless receiver front-end (Section 3.2) in DDDL:
-// 35 properties, 30 mostly non-linear constraints. The exact twin of the
-// OCaml-built Receiver scenario (tests assert identical simulations).
+// 35 properties, 30 mostly non-linear constraints. Analog: differential
+// pair width (um), load inductor (uH), bias current (mA), load
+// resistance (kOhm), mixer transconductance (mS) and bias (mA). MEMS
+// filter: clamped-clamped beam dimensions, electrode gap, resonator Q,
+// drive voltage; centre frequency ~ Wb sqrt(Tb) / Lb^2.
 scenario receiver {
   // analog free variables
   property "diff-pair-w"   : real [2.5, 10];
@@ -404,11 +168,17 @@ scenario receiver {
 }
 |}
 
+let decl = Adpm_dddl.Parser.parse source
+
 let scenario =
   {
-    (Adpm_dddl.Elaborate.load_string source) with
+    (Adpm_dddl.Elaborate.scenario decl) with
     Scenario.sc_description =
       "MEMS wireless receiver front-end: 35 properties, 30 mostly non-linear constraints";
   }
+
+let with_req_gain req_gain =
+  Adpm_dddl.Elaborate.scenario
+    (Adpm_dddl.Elaborate.with_requirements [ ("req-gain", req_gain) ] decl)
 
 let gain_sweep = [ 30.; 500.; 1000.; 1500.; 2000.; 3000. ]

@@ -1,207 +1,13 @@
-open Adpm_interval
-open Adpm_expr
-open Adpm_csp
-open Adpm_core
 open Adpm_teamsim
 
-(* Free design variables and model-band-derived performance parameters.
-   Sensor: membrane radius r (um), thickness t (um), electrode gap g (um).
-   Interface: amplifier gain Ga, ADC bits B (finite), bias current (mA).
-   Derived values are tied to linear models by one-sided bands wherever the
-   system-level pressure keeps the other side honest. *)
-
-let build ?(req_resolution = 2.3) ?(req_yield = 78.) ?(req_range = 180.) ()
-    ~mode =
-  let net = Network.create () in
-  let open Builder in
-  (* sensor subsystem *)
-  continuous net "radius" 100. 1000.;
-  continuous net "thickness" 1. 20.;
-  continuous net "gap" 0.5 5.;
-  continuous net "base-cap" 1. 20.;
-  continuous net "sensitivity" 0.1 4.;
-  continuous net "max-pressure" 10. 1000.;
-  continuous net "sensor-noise" 0.1 5.;
-  continuous net "yield" 50. 100.;
-  (* interface subsystem *)
-  continuous net "amp-gain" 1. 100.;
-  Network.add_prop net "adc-bits" (Domain.finite [ 8.; 10.; 12.; 14.; 16. ]);
-  continuous net "bias-current" 0.1 5.;
-  continuous net "circuit-noise" 0.1 10.;
-  continuous net "interface-power" 0.5 50.;
-  continuous net "offset" 0.1 10.;
-  (* top-level requirements *)
-  continuous net "req-resolution" 0.5 10.;
-  continuous net "req-yield" 50. 95.;
-  continuous net "req-range" 50. 500.;
-  continuous net "req-power" 2. 50.;
-  continuous net "req-cap-min" 1. 10.;
-  continuous net "req-cap-max" 5. 20.;
-  continuous net "req-offset-max" 0.5 5.;
-  continuous net "req-noise-max" 1. 20.;
-  continuous net "req-sens-min" 0.1 2.;
-  continuous net "req-bits-min" 8. 16.;
-  continuous net "req-gain-max" 10. 100.;
-  continuous net "req-t-max" 2. 20.;
-  let v = Expr.var and c = Expr.const in
-  (* sensor model bands (linear) *)
-  let cap_model = Expr.(scale 0.02 (v "radius") - scale 2. (v "gap")) in
-  let s_cap_lo = ge net "SensorCap-lo" (v "base-cap") Expr.(cap_model - c 0.5) in
-  let s_cap_hi = le net "SensorCap-hi" (v "base-cap") Expr.(cap_model + c 0.5) in
-  let sens_model =
-    Expr.(scale 0.004 (v "radius") - scale 0.1 (v "thickness")
-          - scale 0.2 (v "gap"))
-  in
-  let s_sens_hi = le net "Sensitivity-hi" (v "sensitivity") Expr.(sens_model + c 0.2) in
-  let s_pmax_hi =
-    le net "MaxPressure-hi" (v "max-pressure")
-      Expr.(scale 50. (v "thickness") - scale 0.05 (v "radius") + c 20.)
-  in
-  let s_noise_lo =
-    ge net "SensorNoise-lo" (v "sensor-noise")
-      Expr.(c 1.8 - scale 0.002 (v "radius") + scale 0.1 (v "gap"))
-  in
-  let s_yield_hi =
-    le net "Yield-hi" (v "yield")
-      Expr.(c 92. - scale 2. (v "thickness") - scale 0.004 (v "radius")
-            + scale 3. (v "gap"))
-  in
-  (* interface model bands (linear) *)
-  let i_noise_lo =
-    ge net "CircuitNoise-lo" (v "circuit-noise")
-      Expr.(c 4.7 - scale 0.04 (v "amp-gain") - scale 0.8 (v "bias-current"))
-  in
-  let i_power_lo =
-    ge net "InterfacePower-lo" (v "interface-power")
-      Expr.(scale 2. (v "bias-current") + scale 0.05 (v "amp-gain")
-            + scale 0.3 (v "adc-bits") - c 0.5)
-  in
-  let i_offset_lo =
-    ge net "Offset-lo" (v "offset")
-      Expr.(c 2.7 - scale 0.1 (v "amp-gain"))
-  in
-  (* system constraints: resolution, yield, range, power, compatibility *)
-  let sys_resolution =
-    le net "Resolution"
-      Expr.(v "sensor-noise" + v "circuit-noise")
-      Expr.(scale 2. (v "req-resolution") * v "sensitivity")
-  in
-  let sys_yield = ge net "YieldReq" (v "yield") (v "req-yield") in
-  let sys_range = ge net "PressureRange" (v "max-pressure") (v "req-range") in
-  let sys_power = le net "PowerBudget" (v "interface-power") (v "req-power") in
-  let sys_cap_lo = ge net "CapWindow-lo" (v "base-cap") (v "req-cap-min") in
-  let sys_cap_hi = le net "CapWindow-hi" (v "base-cap") (v "req-cap-max") in
-  let sys_offset = le net "OffsetReq" (v "offset") (v "req-offset-max") in
-  let sys_noise =
-    le net "NoiseBudget" Expr.(v "sensor-noise" + v "circuit-noise")
-      (v "req-noise-max")
-  in
-  let sys_sens = ge net "SensReq" (v "sensitivity") (v "req-sens-min") in
-  let sys_bits = ge net "BitsReq" (v "adc-bits") (v "req-bits-min") in
-  let sys_gain = le net "GainMax" (v "amp-gain") (v "req-gain-max") in
-  let sys_tmax = le net "ThicknessMax" (v "thickness") (v "req-t-max") in
-  let objects =
-    [
-      Design_object.make ~name:"PressureSensor"
-        ~properties:
-          [
-            "radius"; "thickness"; "gap"; "base-cap"; "sensitivity";
-            "max-pressure"; "sensor-noise"; "yield";
-          ]
-        ();
-      Design_object.make ~name:"InterfaceCircuit"
-        ~properties:
-          [
-            "amp-gain"; "adc-bits"; "bias-current"; "circuit-noise";
-            "interface-power"; "offset";
-          ]
-        ();
-    ]
-  in
-  assemble ~mode ~net ~objects ~top_name:"sensing-system" ~leader:"leader"
-    ~requirements:
-      [
-        ("req-resolution", req_resolution);
-        ("req-yield", req_yield);
-        ("req-range", req_range);
-        ("req-power", 8.5);
-        ("req-cap-min", 3.);
-        ("req-cap-max", 12.);
-        ("req-offset-max", 2.);
-        ("req-noise-max", 5.5);
-        ("req-sens-min", 0.5);
-        ("req-bits-min", 10.);
-        ("req-gain-max", 50.);
-        ("req-t-max", 10.);
-      ]
-    ~system_constraints:
-      [
-        sys_resolution; sys_yield; sys_range; sys_power; sys_cap_lo;
-        sys_cap_hi; sys_offset; sys_noise; sys_sens; sys_bits; sys_gain;
-        sys_tmax;
-      ]
-    ~subproblems:
-      [
-        {
-          ps_name = "pressure-sensor";
-          ps_owner = "mems";
-          ps_inputs = [ "req-resolution"; "req-yield"; "req-range" ];
-          ps_outputs =
-            [
-              "radius"; "thickness"; "gap"; "base-cap"; "sensitivity";
-              "max-pressure"; "sensor-noise"; "yield";
-            ];
-          ps_constraints =
-            [ s_cap_lo; s_cap_hi; s_sens_hi; s_pmax_hi; s_noise_lo; s_yield_hi ];
-          ps_object = Some "PressureSensor";
-        };
-        {
-          ps_name = "interface-circuit";
-          ps_owner = "analog";
-          ps_inputs = [ "req-resolution"; "req-power"; "req-noise-max" ];
-          ps_outputs =
-            [
-              "amp-gain"; "adc-bits"; "bias-current"; "circuit-noise";
-              "interface-power"; "offset";
-            ];
-          ps_constraints = [ i_noise_lo; i_power_lo; i_offset_lo ];
-          ps_object = Some "InterfaceCircuit";
-        };
-      ]
-
-(* model centres evaluated by the synthesis tools; the one-sided bands in
-   the network keep the tool outputs honest in the direction the system
-   requirements would otherwise exploit *)
-let models =
-  let v = Expr.var and c = Expr.const in
-  [
-    ("base-cap", Expr.(scale 0.02 (v "radius") - scale 2. (v "gap")));
-    ( "sensitivity",
-      Expr.(scale 0.004 (v "radius") - scale 0.1 (v "thickness")
-            - scale 0.2 (v "gap")) );
-    ( "max-pressure",
-      Expr.(scale 50. (v "thickness") - scale 0.05 (v "radius")) );
-    ( "sensor-noise",
-      Expr.(c 2. - scale 0.002 (v "radius") + scale 0.1 (v "gap")) );
-    ( "yield",
-      Expr.(c 90. - scale 2. (v "thickness") - scale 0.004 (v "radius")
-            + scale 3. (v "gap")) );
-    ( "circuit-noise",
-      Expr.(c 5. - scale 0.04 (v "amp-gain") - scale 0.8 (v "bias-current")) );
-    ( "interface-power",
-      Expr.(scale 2. (v "bias-current") + scale 0.05 (v "amp-gain")
-            + scale 0.3 (v "adc-bits")) );
-    ("offset", Expr.(c 3. - scale 0.1 (v "amp-gain")));
-  ]
-
-(* The same network in DDDL. This text is the canonical artifact:
-   [scenario] is elaborated from it, and the OCaml [build] above serves as
-   the equivalence reference the tests compare against. *)
 let source =
   {|
 // The MEMS pressure-sensing system (Section 3.2) in DDDL: 26 properties,
-// 21 mostly-linear constraints. The exact twin of the OCaml-built Sensor
-// scenario (tests assert identical simulations).
+// 21 mostly-linear constraints. Sensor: membrane radius (um), thickness
+// (um), electrode gap (um). Interface: amplifier gain, ADC bits (finite),
+// bias current (mA). Derived values are tied to linear models by
+// one-sided bands wherever the system-level pressure keeps the other
+// side honest.
 scenario sensor {
   // sensor subsystem
   property radius          : real [100, 1000];
@@ -328,9 +134,11 @@ scenario sensor {
 }
 |}
 
+let decl = Adpm_dddl.Parser.parse source
+
 let scenario =
   {
-    (Adpm_dddl.Elaborate.load_string source) with
+    (Adpm_dddl.Elaborate.scenario decl) with
     Scenario.sc_description =
       "MEMS pressure sensing system: 26 properties, 21 mostly-linear constraints";
   }

@@ -4,25 +4,17 @@
     designed concurrently, with top-level constraints on sensing resolution,
     estimated yield, and achievable pressure range. The network holds 26
     properties and 21 constraints, most of them linear and monotonic —
-    matching the statistics the paper reports for this case. *)
+    matching the statistics the paper reports for this case.
 
-open Adpm_core
+    The case is defined once, in DDDL ([source]): requirements resolution
+    2.3 kPa, yield 78 %, range 180 kPa, and the tool models of the derived
+    performance properties (band centres) as [model] declarations, which
+    [scenario]'s [sc_models] carries. *)
+
 open Adpm_teamsim
-
-val build :
-  ?req_resolution:float ->
-  ?req_yield:float ->
-  ?req_range:float ->
-  unit ->
-  mode:Dpm.mode ->
-  Dpm.t
-(** Defaults: resolution 2.3 kPa, yield 78 %, range 180 kPa. *)
-
-val models : (string * Adpm_expr.Expr.t) list
-(** Tool models of the derived performance properties (band centres). *)
 
 val scenario : Scenario.t
 
 val source : string
-(** The scenario in DDDL — the canonical text artifact that [scenario] is
+(** The scenario in DDDL: its one definition, which [scenario] is
     elaborated from. *)

@@ -1,84 +1,5 @@
-open Adpm_expr
-open Adpm_core
 open Adpm_teamsim
 
-let build ?(p_max = 19.) ?(g_min = 14.5) () ~mode =
-  let net = Adpm_csp.Network.create () in
-  let open Builder in
-  continuous net "xa1" 0. 10.;
-  continuous net "xa2" 0. 10.;
-  continuous net "pa" 0. 20.;
-  continuous net "ga" 0. 25.;
-  continuous net "xb1" 0. 10.;
-  continuous net "xb2" 0. 10.;
-  continuous net "pb" 0. 20.;
-  continuous net "gb" 0. 15.;
-  continuous net "p_max" 5. 40.;
-  continuous net "g_min" 1. 30.;
-  let v = Expr.var and c = Expr.const in
-  let pa_model = Expr.(c 4. + scale 0.8 (v "xa1") + scale 0.6 (v "xa2")) in
-  let ga_model = Expr.(scale 1.5 (v "xa1") + scale 0.5 (v "xa2")) in
-  let pb_model = Expr.(c 2. + scale 0.5 (v "xb1") + scale 0.7 (v "xb2")) in
-  let gb_model = Expr.(v "xb1" + scale 0.3 (v "xb2")) in
-  (* model bands: the synthesis tool's accuracy tolerance *)
-  let a_pow_lo = ge net "A-power-lo" (v "pa") Expr.(pa_model - c 0.5) in
-  let a_pow_hi = le net "A-power-hi" (v "pa") Expr.(pa_model + c 0.5) in
-  let a_gain_lo = ge net "A-gain-lo" (v "ga") Expr.(ga_model - c 0.4) in
-  let a_gain_hi = le net "A-gain-hi" (v "ga") Expr.(ga_model + c 0.4) in
-  let b_pow_lo = ge net "B-power-lo" (v "pb") Expr.(pb_model - c 0.5) in
-  let b_pow_hi = le net "B-power-hi" (v "pb") Expr.(pb_model + c 0.5) in
-  let b_gain_lo = ge net "B-gain-lo" (v "gb") Expr.(gb_model - c 0.3) in
-  let b_gain_hi = le net "B-gain-hi" (v "gb") Expr.(gb_model + c 0.3) in
-  (* cross-subsystem budgets: the conflicts integration would find late *)
-  let s_power = le net "TotalPower" Expr.(v "pa" + v "pb") (v "p_max") in
-  let s_gain = ge net "TotalGain" Expr.(v "ga" + v "gb") (v "g_min") in
-  let s_balance =
-    le net "GainBalance" (v "ga") Expr.(scale 2.5 (v "gb") + c 5.)
-  in
-  let objects =
-    [
-      Design_object.make ~name:"SubsystemA"
-        ~properties:[ "xa1"; "xa2"; "pa"; "ga" ] ();
-      Design_object.make ~name:"SubsystemB"
-        ~properties:[ "xb1"; "xb2"; "pb"; "gb" ] ();
-    ]
-  in
-  assemble ~mode ~net ~objects ~top_name:"system" ~leader:"leader"
-    ~requirements:[ ("p_max", p_max); ("g_min", g_min) ]
-    ~system_constraints:[ s_power; s_gain; s_balance ]
-    ~subproblems:
-      [
-        {
-          ps_name = "subsystem-A";
-          ps_owner = "alice";
-          ps_inputs = [ "p_max"; "g_min" ];
-          ps_outputs = [ "xa1"; "xa2"; "pa"; "ga" ];
-          ps_constraints = [ a_pow_lo; a_pow_hi; a_gain_lo; a_gain_hi ];
-          ps_object = Some "SubsystemA";
-        };
-        {
-          ps_name = "subsystem-B";
-          ps_owner = "bob";
-          ps_inputs = [ "p_max"; "g_min" ];
-          ps_outputs = [ "xb1"; "xb2"; "pb"; "gb" ];
-          ps_constraints = [ b_pow_lo; b_pow_hi; b_gain_lo; b_gain_hi ];
-          ps_object = Some "SubsystemB";
-        };
-      ]
-
-(* models the synthesis tools evaluate (band centres) *)
-let models =
-  let v = Expr.var and c = Expr.const in
-  [
-    ("pa", Expr.(c 4. + scale 0.8 (v "xa1") + scale 0.6 (v "xa2")));
-    ("ga", Expr.(scale 1.5 (v "xa1") + scale 0.5 (v "xa2")));
-    ("pb", Expr.(c 2. + scale 0.5 (v "xb1") + scale 0.7 (v "xb2")));
-    ("gb", Expr.(v "xb1" + scale 0.3 (v "xb2")));
-  ]
-
-(* The same network in DDDL. This text is the canonical artifact:
-   [scenario] is elaborated from it, and the OCaml [build] above serves as
-   the equivalence reference the tests compare against. *)
 let source =
   {|
 // The simplified two-subsystem case of Fig. 7, in DDDL.
@@ -141,8 +62,10 @@ scenario simple {
 }
 |}
 
+let decl = Adpm_dddl.Parser.parse source
+
 let scenario =
   {
-    (Adpm_dddl.Elaborate.load_string source) with
+    (Adpm_dddl.Elaborate.scenario decl) with
     Scenario.sc_description = "two-subsystem simplified case (Fig. 7)";
   }

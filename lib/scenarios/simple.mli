@@ -6,19 +6,16 @@
     [pa + pb <= p_max] — the paper's introductory example constraint — a
     gain floor [ga + gb >= g_min], and a gain-balance coupling). Small
     enough that per-operation profiles (violations found, evaluations
-    executed) are easy to read. *)
+    executed) are easy to read.
 
-open Adpm_core
+    The case is defined once, in DDDL ([source]): requirements
+    [p_max = 19], [g_min = 14.5], and the band-centre tool models as
+    [model] declarations. *)
+
 open Adpm_teamsim
-
-val build : ?p_max:float -> ?g_min:float -> unit -> mode:Dpm.mode -> Dpm.t
-(** Defaults: [p_max = 19.], [g_min = 14.5]. *)
-
-val models : (string * Adpm_expr.Expr.t) list
-(** Tool models of the derived performance properties (band centres). *)
 
 val scenario : Scenario.t
 
 val source : string
-(** The scenario in DDDL — the canonical text artifact that [scenario] is
+(** The scenario in DDDL: its one definition, which [scenario] is
     elaborated from. *)

@@ -313,7 +313,7 @@ let test_registry_fingerprint_reproduction () =
 
 let shaving_fixture () =
   (* the mid-design receiver state where hull consistency is weak *)
-  let dpm = Receiver.build ~req_gain:2000. () ~mode:Dpm.Adpm in
+  let dpm = (Receiver.with_req_gain 2000.).Scenario.sc_build ~mode:Dpm.Adpm in
   let net = Dpm.network dpm in
   Network.assign net "bias-current" (Value.Num 9.);
   Network.assign net "mixer-gm" (Value.Num 18.);
@@ -341,7 +341,7 @@ let test_shaving_tightens () =
 
 let test_shaving_sound () =
   (* shaving must not remove the witness solution *)
-  let dpm = Receiver.build () ~mode:Dpm.Adpm in
+  let dpm = Receiver.scenario.Scenario.sc_build ~mode:Dpm.Adpm in
   let net = Dpm.network dpm in
   let witness =
     [

@@ -1,5 +1,4 @@
-(* Tests for the interactive session (a human playing one designer) and the
-   full-scale DDDL scenario twins. *)
+(* Tests for the interactive session (a human playing one designer). *)
 
 open Adpm_core
 open Adpm_teamsim
@@ -117,75 +116,35 @@ let test_conventional_verify () =
    [Dpm.apply] rejects with [Invalid_argument] ("y is not an output of
    problem params"). *)
 let cross_problem_scenario =
-  let open Adpm_csp in
-  let open Adpm_expr in
-  let build ~mode =
-    let net = Network.create () in
-    Builder.continuous net "x" 0. 10.;
-    Builder.continuous net "y" 0. 20.;
-    let band = Builder.le net "y-band" (Expr.var "y") (Expr.const 15.) in
-    Builder.assemble ~mode ~net ~objects:[] ~top_name:"top" ~leader:"leader"
-      ~requirements:[] ~system_constraints:[]
-      ~subproblems:
-        [
-          {
-            Builder.ps_name = "params";
-            ps_owner = "alice";
-            ps_inputs = [];
-            ps_outputs = [ "x" ];
-            ps_constraints = [];
-            ps_object = None;
-          };
-          {
-            Builder.ps_name = "perf";
-            ps_owner = "alice";
-            ps_inputs = [];
-            ps_outputs = [ "y" ];
-            ps_constraints = [ band ];
-            ps_object = None;
-          };
-        ]
-  in
-  Scenario.make ~name:"broken-synthesis"
-    ~description:"poisoned: synthesis ships a cross-problem assignment"
-    ~models:[ ("y", Adpm_expr.Expr.(var "x" + const 1.)) ]
-    build
+  Adpm_dddl.Elaborate.load_string
+    {|
+scenario "broken-synthesis" {
+  property x : real [0, 10];
+  property y : real [0, 20];
+  constraint "y-band" : y <= 15;
+  model y = x + 1;
+  problem top owner leader {
+    subproblem params owner alice { outputs: x; }
+    subproblem perf owner alice { outputs: y; constraints: "y-band"; }
+  }
+}
+|}
 
-(* alice's problem lists a constraint id that the session's network does
-   not know (the constraint was built on a different network), so in
-   conventional mode [Dpm.eligible_verifications] raises
-   [Invalid_argument] at {e choose} time — before any apply. *)
+(* alice's problem lists a constraint id that the session's network (it
+   has no constraints at all) does not know, so in conventional mode
+   [Dpm.eligible_verifications] raises [Invalid_argument] at {e choose}
+   time — before any apply. DDDL cannot express a dangling id, so this
+   scenario is built directly. *)
 let alien_constraint_scenario =
-  let open Adpm_csp in
-  let open Adpm_expr in
   let build ~mode =
-    let net = Network.create () in
-    Builder.continuous net "x" 0. 10.;
-    let alien_net = Network.create () in
-    Builder.continuous alien_net "a" 0. 1.;
-    let alien =
-      List.nth
-        (List.map
-           (fun i ->
-             Builder.le alien_net
-               (Printf.sprintf "alien-%d" i)
-               (Expr.var "a") (Expr.const (float_of_int i)))
-           [ 1; 2; 3; 4; 5 ])
-        4
-    in
-    Builder.assemble ~mode ~net ~objects:[] ~top_name:"top" ~leader:"leader"
-      ~requirements:[] ~system_constraints:[]
-      ~subproblems:
-        [
-          {
-            Builder.ps_name = "work";
-            ps_owner = "alice";
-            ps_inputs = [];
-            ps_outputs = [ "x" ];
-            ps_constraints = [ alien ];
-            ps_object = None;
-          };
-        ]
+    let net = Adpm_csp.Network.create () in
+    Adpm_csp.Network.add_prop net "x" (Adpm_interval.Domain.continuous 0. 10.);
+    let top = Problem.make ~id:0 ~name:"top" ~owner:"leader" () in
+    let dpm = Dpm.create ~mode net ~objects:[] ~top in
+    Dpm.register_problem dpm ~parent:(Some 0)
+      (Problem.make ~id:1 ~name:"work" ~owner:"alice" ~outputs:[ "x" ]
+         ~constraints:[ 4 ] ());
+    dpm
   in
   Scenario.make ~name:"broken-verify"
     ~description:"poisoned: a problem lists an unknown constraint id" build
@@ -227,48 +186,6 @@ let test_verify_contains_exceptions () =
   no_exception_leak "verify" (Interactive.execute s "verify");
   ignore (ok (Interactive.execute s "status"))
 
-(* {2 Full-scale DDDL twins}
-
-   The shipped scenarios are now elaborated from their embedded DDDL
-   sources; the hand-built OCaml networks remain as the equivalence
-   reference these tests run against. *)
-
-let check_twin ?(must_complete = true) name dddl ocaml =
-  List.iter
-    (fun (mode, seed) ->
-      let cfg = Config.default ~mode ~seed in
-      let a = (Engine.run cfg dddl).Engine.o_summary in
-      let b = (Engine.run cfg ocaml).Engine.o_summary in
-      Alcotest.(check int)
-        (Printf.sprintf "%s/%s ops equal" name (Dpm.mode_to_string mode))
-        b.Metrics.s_operations a.Metrics.s_operations;
-      Alcotest.(check int) "evals equal" b.Metrics.s_evaluations
-        a.Metrics.s_evaluations;
-      Alcotest.(check int) "spins equal" b.Metrics.s_spins a.Metrics.s_spins;
-      if must_complete then
-        Alcotest.(check bool) "completed" true a.Metrics.s_completed
-      else
-        Alcotest.(check bool) "completed equal" b.Metrics.s_completed
-          a.Metrics.s_completed)
-    [ (Dpm.Adpm, 1); (Dpm.Adpm, 3); (Dpm.Conventional, 1); (Dpm.Conventional, 3) ]
-
-let test_sensor_dddl_twin () =
-  check_twin "sensor" Sensor.scenario
-    (Scenario.make ~name:"sensor-ocaml" ~description:"OCaml-built reference"
-       ~models:Sensor.models
-       (fun ~mode -> Sensor.build () ~mode))
-
-let test_receiver_dddl_twin () =
-  check_twin "receiver" Receiver.scenario
-    (Scenario.make ~name:"receiver-ocaml" ~description:"OCaml-built reference"
-       ~models:Receiver.models
-       (fun ~mode -> Receiver.build () ~mode))
-
-let test_lna_dddl_twin () =
-  check_twin ~must_complete:false "lna" Lna.scenario
-    (Scenario.make ~name:"lna-ocaml" ~description:"OCaml-built reference"
-       (fun ~mode -> Lna.build () ~mode))
-
 let suite =
   [
     ("create validation", `Quick, test_create_validation);
@@ -285,7 +202,4 @@ let suite =
     ( "verify contains engine exceptions",
       `Quick,
       test_verify_contains_exceptions );
-    ("sensor DDDL twin is exact", `Slow, test_sensor_dddl_twin);
-    ("lna DDDL twin is exact", `Quick, test_lna_dddl_twin);
-    ("receiver DDDL twin is exact", `Slow, test_receiver_dddl_twin);
   ]

@@ -15,7 +15,7 @@ let count_props net =
        (Network.prop_names net))
 
 let test_sensor_statistics () =
-  let dpm = Sensor.build () ~mode:Dpm.Adpm in
+  let dpm = Sensor.scenario.Scenario.sc_build ~mode:Dpm.Adpm in
   let net = Dpm.network dpm in
   Alcotest.(check int) "26 properties (paper: up to 26)" 26 (count_props net);
   Alcotest.(check int) "21 constraints (paper: up to 21)" 21
@@ -46,7 +46,7 @@ let test_sensor_statistics () =
     (List.length nonlinear * 2 < Network.constraint_count net)
 
 let test_receiver_statistics () =
-  let dpm = Receiver.build () ~mode:Dpm.Adpm in
+  let dpm = Receiver.scenario.Scenario.sc_build ~mode:Dpm.Adpm in
   let net = Dpm.network dpm in
   Alcotest.(check int) "35 properties (paper: up to 35)" 35 (count_props net);
   Alcotest.(check int) "30 constraints (paper: up to 30)" 30
@@ -66,7 +66,7 @@ let check_witness dpm witness =
 
 let test_sensor_witness () =
   check_witness
-    (Sensor.build () ~mode:Dpm.Conventional)
+    (Sensor.scenario.Scenario.sc_build ~mode:Dpm.Conventional)
     [
       ("radius", 500.); ("thickness", 5.); ("gap", 2.); ("base-cap", 6.);
       ("sensitivity", 1.1); ("max-pressure", 225.); ("sensor-noise", 1.2);
@@ -76,7 +76,7 @@ let test_sensor_witness () =
 
 let test_receiver_witness () =
   check_witness
-    (Receiver.build () ~mode:Dpm.Conventional)
+    (Receiver.scenario.Scenario.sc_build ~mode:Dpm.Conventional)
     [
       ("diff-pair-w", 4.); ("freq-ind", 0.2); ("bias-current", 4.);
       ("load-res", 1.); ("mixer-gm", 5.); ("mixer-bias", 2.);
@@ -107,7 +107,7 @@ let test_scenarios_complete () =
     [ (Simple.scenario, 2000); (Sensor.scenario, 2000); (Receiver.scenario, 2000) ]
 
 let test_lna_structure () =
-  let dpm = Lna.build () ~mode:Dpm.Adpm in
+  let dpm = Lna.scenario.Scenario.sc_build ~mode:Dpm.Adpm in
   let net = Dpm.network dpm in
   Alcotest.(check int) "beta(Diff-pair-W) = 3 (paper, Fig. 3)" 3
     (Network.beta net Lna.diff_pair_w);
@@ -129,11 +129,7 @@ let test_receiver_tightness_monotone () =
   (* harder specs never make the conventional process cheaper on average
      (weak directional check at small sample size) *)
   let mean_ops req_gain =
-    let scenario =
-      Scenario.make ~name:"rx" ~description:""
-        ~models:Receiver.scenario.Scenario.sc_models (fun ~mode ->
-          Receiver.build ~req_gain () ~mode)
-    in
+    let scenario = Receiver.with_req_gain req_gain in
     let cfg = Config.default ~mode:Dpm.Conventional ~seed:0 in
     let summaries = Engine.run_many cfg scenario ~seeds:[ 1; 2; 3 ] in
     List.fold_left (fun acc s -> acc + s.Metrics.s_operations) 0 summaries

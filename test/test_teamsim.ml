@@ -220,7 +220,7 @@ let test_tool_consistency () =
             model
         in
         Alcotest.(check (float 1e-6)) (prop ^ " = model") expected actual)
-    Simple.models
+    Simple.scenario.Scenario.sc_models
 
 let test_ablation_flags_run () =
   (* every ablation configuration still completes the simple case *)
