@@ -53,7 +53,6 @@ let () =
   let fig7_seeds = if fast then 5 else 20 in
   let fig10_seeds = if fast then 3 else 10 in
   let ablation_seeds = if fast then 5 else 15 in
-  let ablation_instances = if fast then 10 else 30 in
 
   section "Figures 2-4: Section 2.4 walkthrough";
   print_string (timed "fig234" (fun () -> Exp_fig234.render (Exp_fig234.run ())));
@@ -102,12 +101,11 @@ let () =
     (timed "fig10" (fun () ->
          Exp_fig10.render (Exp_fig10.run ~seeds:fig10_seeds ~jobs:njobs ())));
 
-  section "Ablations: ADPM heuristics, CSP orderings, DCM consistency";
+  section "Ablations: ADPM heuristics, DCM consistency";
   print_string
     (timed "ablation" (fun () ->
          Exp_ablation.render
-           (Exp_ablation.run ~seeds:ablation_seeds ~instances:ablation_instances
-              ~jobs:njobs ())));
+           (Exp_ablation.run ~seeds:ablation_seeds ~jobs:njobs ())));
 
   section "Scaling study (extension): hardness vs acceleration and penalty";
   print_string

@@ -1,9 +1,8 @@
 (* Bechamel micro-benchmarks of the engines underneath the experiments:
    interval arithmetic, HC4 revision (boxed and compiled), full
    propagation fixpoints on the paper's two design cases, one DPM
-   transition without propagation, one simulated designer's decision, a
-   complete ADPM simulation, and the CSP backtracking search with the two
-   informed orderings. *)
+   transition without propagation, one simulated designer's decision,
+   one run's set-up, and complete simulations in both modes. *)
 
 open Bechamel
 open Toolkit
@@ -139,15 +138,6 @@ let simulation_test name scenario mode =
   let cfg = Config.default ~mode ~seed:7 in
   Test.make ~name (Staged.stage (fun () -> Engine.run cfg scenario))
 
-let search_test heuristic =
-  let rng = Rng.create 42 in
-  let csp =
-    Search.random_csp rng ~nvars:12 ~domain_size:5 ~density:0.4 ~tightness:0.3
-  in
-  Test.make
-    ~name:(Printf.sprintf "CSP search (%s)" (Search.heuristic_name heuristic))
-    (Staged.stage (fun () -> Search.solve ~heuristic csp))
-
 let tests =
   Test.make_grouped ~name:"adpm" ~fmt:"%s %s"
     [
@@ -177,8 +167,6 @@ let tests =
       simulation_test "full simulation (sensor, ADPM)" Sensor.scenario Dpm.Adpm;
       simulation_test "full simulation (sensor, conventional)" Sensor.scenario
         Dpm.Conventional;
-      search_test Search.Lexicographic;
-      search_test Search.Min_domain;
     ]
 
 let run ~fast () =

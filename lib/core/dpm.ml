@@ -405,18 +405,6 @@ let owned_problems t designer =
 
 let problems_owned_by t designer = Array.to_list (owned_problems t designer)
 
-let subscriptions t =
-  let l = (layout t).shape in
-  List.mapi
-    (fun d name ->
-      ( name,
-        List.sort compare
-          (List.map
-             (fun pid -> (Network.prop_by_id t.net pid).Network.p_name)
-             (Notify.subscribed_props l.l_routing d))
-      ))
-    (Notify.designers l.l_routing)
-
 let max_revisions t = t.d_max_revisions
 let op_count t = t.ops
 let eval_count t = t.evals

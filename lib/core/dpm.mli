@@ -118,7 +118,6 @@ val top_problem : t -> Problem.t
 val problems : t -> Problem.t list
 (** Insertion order. *)
 
-val find_problem : t -> int -> Problem.t
 val problems_owned_by : t -> string -> Problem.t list
 
 val owned_problems : t -> string -> Problem.t array
@@ -132,10 +131,6 @@ val designers : t -> string list
 (** Distinct problem owners, in first-seen problem order. Read from the
     compiled routing table, which is rebuilt after a problem
     registration. *)
-
-val subscriptions : t -> (string * string list) list
-(** The NM's routing table: each designer (in {!designers} order) with the
-    network properties of the problems they own, sorted by name. *)
 
 val op_count : t -> int
 val eval_count : t -> int
@@ -210,10 +205,6 @@ val relaxed_feasible_group :
 val eligible_verifications : t -> designer:string -> int list
 (** Constraints the given designer could usefully verify now, respecting
     the mode's eligibility rules and skipping fresh statuses. *)
-
-val subsystem_of_prop : t -> string -> int option
-(** Id of the top-level subproblem (child of the top problem) whose subtree
-    contains the property; [None] for system-level properties. *)
 
 val is_cross_subsystem : t -> Constr.t -> bool
 (** Do the constraint's arguments span at least two subsystems? *)

@@ -38,10 +38,6 @@ let designers r = Array.to_list r.r_designers
 let[@inline] subscribed bits pid =
   Bytes.get_uint8 bits (pid lsr 3) land (1 lsl (pid land 7)) <> 0
 
-let subscribed_props r d =
-  let bits = r.r_bits.(d) in
-  List.filter (subscribed bits) (List.init (8 * Bytes.length bits) Fun.id)
-
 (* {2 The transition diff} *)
 
 type delta = {

@@ -39,9 +39,6 @@ val compile : prop_count:int -> (string * int list) list -> routing
 val designers : routing -> string list
 (** In compiled order. *)
 
-val subscribed_props : routing -> int -> int list
-(** The prop ids the [d]-th designer is subscribed to, ascending. *)
-
 (** {1 The transition diff} *)
 
 type delta = {

@@ -19,14 +19,13 @@ type t = {
    [lhs_vars @ (rhs_vars not already in lhs_vars)]: a single deduplicated
    first-occurrence walk of the left side then the right. Computed once at
    construction — [args] used to re-walk both expressions (with a
-   quadratic [List.mem] dedup) on every call, including from [arity] and
-   every [Network.add_constraint]. *)
+   quadratic [List.mem] dedup) on every call, including from every
+   [Network.add_constraint]. *)
 let make ~id ~name lhs rel rhs =
   let diff = Expr.Sub (lhs, rhs) in
   { id; name; lhs; rel; rhs; c_args = Expr.vars diff; c_diff = diff }
 
 let args c = c.c_args
-let arity c = List.length c.c_args
 let diff c = c.c_diff
 
 let default_eps = 1e-9

@@ -30,8 +30,6 @@ val args : t -> string list
 (** Distinct properties mentioned, left-to-right. Memoised at
     construction; the list is shared, never rebuilt. *)
 
-val arity : t -> int
-
 val diff : t -> Expr.t
 (** [lhs - rhs]: the normalised form used for propagation. Memoised at
     construction so hot loops don't re-allocate the [Sub] node. *)

@@ -208,11 +208,6 @@ let box t name =
   | Some (Value.Sym _) -> None
   | None -> Domain.hull p.p_initial
 
-let env_box t name =
-  match box t name with
-  | Some iv -> iv
-  | None -> raise (Expr.Unbound_variable name)
-
 let env_point t name =
   match assigned_num t name with
   | Some x -> x
@@ -393,13 +388,6 @@ let set_status t id s =
     invalid_arg (Printf.sprintf "Network.set_status: unknown constraint id %d" id);
   t.statuses.(id) <- s;
   bump t
-
-let reset_statuses t =
-  Array.fill t.statuses 0 (Array.length t.statuses) Constr.Consistent;
-  bump t
-
-let violated t =
-  List.filter (fun c -> status t c.Constr.id = Constr.Violated) (constraints t)
 
 let beta t name = List.length (constraints_of_prop t name)
 

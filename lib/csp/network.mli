@@ -152,11 +152,6 @@ val box : t -> string -> Interval.t option
 (** Interval view for propagation: the assigned point when bound, otherwise
     the hull of the initial range. [None] for symbolic properties. *)
 
-val env_box : t -> string -> Interval.t
-(** As {!box} but usable directly as an HC4 environment.
-    @raise Expr.Unbound_variable for symbolic properties.
-    @raise Invalid_argument for unknown properties. *)
-
 (** {1 Constraints} *)
 
 val add_constraint : t -> name:string -> Expr.t -> Constr.rel -> Expr.t -> Constr.t
@@ -222,11 +217,6 @@ val status : t -> int -> Constr.status
 
 val set_status : t -> int -> Constr.status -> unit
 (** @raise Invalid_argument for an unknown constraint id. *)
-
-val reset_statuses : t -> unit
-(** Every status back to [Consistent]. *)
-
-val violated : t -> Constr.t list
 
 (** {1 Heuristic-support data (Section 2.3)} *)
 

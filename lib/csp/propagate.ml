@@ -441,6 +441,3 @@ let relaxed_feasible_group ?(eps = 0.) ?(max_revisions = 10_000) net ~target
   List.iter (fun name -> release (Network.find_prop net name)) unpin;
   let evals, _, _ = fixpoint ~eps ~max_revisions net st in
   (feasible_on st tp, evals + Network.constraint_count net)
-
-let relaxed_feasible ?eps ?max_revisions net name =
-  relaxed_feasible_group ?eps ?max_revisions net ~target:name ~unpin:[]

@@ -95,14 +95,6 @@ val run_incremental_and_apply :
     that needs the from-scratch charge drops the persisted state first
     ({!Network.invalidate_prop_state}). *)
 
-val relaxed_feasible :
-  ?eps:float -> ?max_revisions:int -> Network.t -> string -> Domain.t * int
-(** [relaxed_feasible net p]: the feasible subspace of [p] computed with
-    [p]'s own assignment ignored (all other assignments kept) — the
-    "constraint margin" trade-off information the browser of Fig. 2 shows
-    for bound properties and that conflict resolution exploits. Returns the
-    domain and the number of constraint evaluations spent. *)
-
 val relaxed_feasible_group :
   ?eps:float ->
   ?max_revisions:int ->
@@ -110,12 +102,16 @@ val relaxed_feasible_group :
   target:string ->
   unpin:string list ->
   Domain.t * int
-(** As {!relaxed_feasible} for [target], but additionally ignoring the
-    assignments of the [unpin] properties — used when [target] is a design
-    parameter whose dependent performance properties must be free to move
-    with it.
+(** [relaxed_feasible_group net ~target ~unpin]: the feasible subspace of
+    [target] computed with the assignments of [target] and of the [unpin]
+    properties ignored (all other assignments kept) — the "constraint
+    margin" trade-off information the browser of Fig. 2 shows for bound
+    properties and that conflict resolution exploits. [unpin] lists the
+    dependent performance properties that must be free to move with a
+    design parameter. Returns the domain and the number of constraint
+    evaluations spent.
 
-    Both queries run on a scratch box store filled from the network, so
+    The query runs on a scratch box store filled from the network, so
     they write nothing to it: its {!Network.revision}, dirty set and
     persisted {!Network.prop_state} are unchanged, and a memo keyed on the
     revision stays valid across them. The answer and the evaluation

@@ -9,13 +9,11 @@ val expr : Adpm_expr.Expr.t -> string
 (** Infix rendering with minimal parentheses, parseable by
     {!Parser.parse_expr}. *)
 
-val scenario : Ast.scenario_decl -> string
-(** A complete scenario description, parseable by {!Parser.parse}. *)
-
 val roundtrip : Ast.scenario_decl -> (string, string) result
-(** Render, re-parse, and compare: [Ok src] when [parse (scenario m) = m],
-    [Error msg] describing the divergence otherwise. *)
+(** Render a complete scenario description, re-parse it, and compare:
+    [Ok src] when [parse src = m], [Error msg] describing the divergence
+    otherwise. *)
 
 val checked : Ast.scenario_decl -> string
-(** Like {!scenario} but verifies the round-trip first.
+(** The rendering of {!roundtrip}, once it has round-tripped.
     @raise Elaborate.Error when the emitted text does not round-trip. *)

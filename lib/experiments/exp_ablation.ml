@@ -13,16 +13,6 @@ type teamsim_row = {
   runs : int;
 }
 
-type search_row = {
-  s_label : string;
-  heuristic : Search.heuristic;
-  inference : Search.inference;
-  mean_nodes : float;
-  mean_checks : float;
-  solved : int;
-  instances : int;
-}
-
 type consistency_row = {
   c_label : string;
   c_mean_window : float;
@@ -31,7 +21,6 @@ type consistency_row = {
 
 type result = {
   teamsim : teamsim_row list;
-  search : search_row list;
   consistency : consistency_row list;
 }
 
@@ -84,41 +73,6 @@ let teamsim_ablation ~jobs seeds =
       seeds;
   ]
 
-let search_ablation instances =
-  let row heuristic inference =
-    let nodes = Stats_acc.create () and checks = Stats_acc.create () in
-    let solved = ref 0 in
-    for i = 1 to instances do
-      let rng = Rng.create (1000 + i) in
-      (* near the solvable-but-hard region for model-B instances *)
-      let csp =
-        Search.random_csp rng ~nvars:14 ~domain_size:6 ~density:0.4
-          ~tightness:0.35
-      in
-      let stats = Search.solve ~rng:(Rng.create i) ~inference ~heuristic csp in
-      if stats.Search.solution <> None then incr solved;
-      Stats_acc.add_int nodes stats.Search.nodes;
-      Stats_acc.add_int checks stats.Search.checks
-    done;
-    {
-      s_label =
-        Printf.sprintf "%s / %s"
-          (Search.heuristic_name heuristic)
-          (Search.inference_name inference);
-      heuristic;
-      inference;
-      mean_nodes = Stats_acc.mean nodes;
-      mean_checks = Stats_acc.mean checks;
-      solved = !solved;
-      instances;
-    }
-  in
-  List.map (fun h -> row h Search.Forward_check) Search.all_heuristics
-  @ [
-      row Search.Min_domain Search.No_inference;
-      row Search.Min_domain Search.Mac;
-    ]
-
 (* DCM consistency comparison: window precision vs evaluation cost on a
    mid-design receiver state (tight gain spec, two analog parameters
    committed) where hull consistency is measurably weaker. *)
@@ -152,10 +106,9 @@ let consistency_ablation () =
     measure "bound shaving, 8 slices" (`Shave 8);
   ]
 
-let run ?(seeds = 15) ?(instances = 30) ?(jobs = 1) () =
+let run ?(seeds = 15) ?(jobs = 1) () =
   {
     teamsim = teamsim_ablation ~jobs seeds;
-    search = search_ablation instances;
     consistency = consistency_ablation ();
   }
 
@@ -180,26 +133,6 @@ let render r =
         ])
     r.teamsim;
   add "%s\n" (Table.render table);
-  add "=== Ablation (b): CSP variable-ordering heuristics (random binary CSPs) ===\n\n";
-  let table =
-    Table.create
-      [ "Heuristic / inference"; "Nodes (mean)"; "Checks (mean)"; "Solved" ]
-  in
-  Table.set_align table [ Table.Left; Table.Right; Table.Right; Table.Right ];
-  List.iter
-    (fun row ->
-      Table.add_row table
-        [
-          row.s_label;
-          Printf.sprintf "%.0f" row.mean_nodes;
-          Printf.sprintf "%.0f" row.mean_checks;
-          Printf.sprintf "%d/%d" row.solved row.instances;
-        ])
-    r.search;
-  add "%s\n" (Table.render table);
-  add "expected shape: informed orderings (min-domain, dom/deg) expand far\n";
-  add "fewer nodes than lexicographic/random — the premise behind ADPM's\n";
-  add "smallest-feasible-subspace and most-constrained-first guidance.\n\n";
   add "=== Ablation (c): DCM consistency level (receiver, mid-design state) ===\n\n";
   let table =
     Table.create [ "Consistency"; "Mean relative window"; "Evaluations" ]

@@ -1,5 +1,5 @@
 (** Ablation studies (the "other heuristics" evaluation the paper's
-    conclusion defers to future work, plus the CSP premise it builds on).
+    conclusion defers to future work).
 
     (a) TeamSim ablation: disable each ADPM heuristic in isolation —
     smallest-feasible-subspace ordering (2.3.1), alpha-guided conflict
@@ -7,17 +7,15 @@
     windows, and the design-history tabu — and measure operations and
     evaluations on the receiver case.
 
-    (b) CSP search ablation: compare the variable-ordering heuristics the
-    paper imports from the constraint-satisfaction literature
-    (smallest-domain-first = 2.3.1, max-degree = 2.3.2) against
-    uninformed orderings, on random binary CSPs near the phase
-    transition: backtracking nodes and constraint checks.
+    (b), a backtracking-search comparison on random binary CSPs, was
+    retired: it never touched the ADPM network. The label is kept so that
+    (c) keeps its name.
 
     (c) DCM consistency ablation: hull consistency (one HC4 fixpoint, the
     default) against 3B-style bound shaving, measured by the mean relative
     feasible-window width on a mid-design receiver state (tight gain spec,
-    two committed parameters) and the constraint evaluations spent — the precision/cost dial of the constraint
-    management infrastructure the paper identifies as the key
+    two committed parameters) and the constraint evaluations spent — the
+    precision/cost dial of the constraint management infrastructure the paper identifies as the key
     challenge. *)
 
 type teamsim_row = {
@@ -29,16 +27,6 @@ type teamsim_row = {
   runs : int;
 }
 
-type search_row = {
-  s_label : string;  (** "heuristic / inference" *)
-  heuristic : Adpm_csp.Search.heuristic;
-  inference : Adpm_csp.Search.inference;
-  mean_nodes : float;
-  mean_checks : float;
-  solved : int;
-  instances : int;
-}
-
 type consistency_row = {
   c_label : string;
   c_mean_window : float;
@@ -48,13 +36,11 @@ type consistency_row = {
 
 type result = {
   teamsim : teamsim_row list;
-  search : search_row list;
   consistency : consistency_row list;
 }
 
-val run : ?seeds:int -> ?instances:int -> ?jobs:int -> unit -> result
-(** Defaults: 15 seeds per TeamSim configuration, 30 random CSP
-    instances. [jobs] parallelizes the TeamSim rows (the CSP and
-    consistency ablations are single-process). *)
+val run : ?seeds:int -> ?jobs:int -> unit -> result
+(** Defaults: 15 seeds per TeamSim configuration. [jobs] parallelizes
+    the TeamSim rows (the consistency ablation is single-process). *)
 
 val render : result -> string

@@ -63,23 +63,6 @@ let rec size = function
     ->
     Stdlib.( + ) 1 (Stdlib.( + ) (size a) (size b))
 
-let rec subst e x r =
-  match e with
-  | Const _ -> e
-  | Var y -> if String.equal x y then r else e
-  | Neg a -> Neg (subst a x r)
-  | Add (a, b) -> Add (subst a x r, subst b x r)
-  | Sub (a, b) -> Sub (subst a x r, subst b x r)
-  | Mul (a, b) -> Mul (subst a x r, subst b x r)
-  | Div (a, b) -> Div (subst a x r, subst b x r)
-  | Pow (a, n) -> Pow (subst a x r, n)
-  | Sqrt a -> Sqrt (subst a x r)
-  | Exp a -> Exp (subst a x r)
-  | Ln a -> Ln (subst a x r)
-  | Abs a -> Abs (subst a x r)
-  | Min (a, b) -> Min (subst a x r, subst b x r)
-  | Max (a, b) -> Max (subst a x r, subst b x r)
-
 exception Unbound_variable of string
 
 let rec eval env = function
@@ -132,65 +115,6 @@ let eval_interval env e =
   in
   go e
 
-let rec simplify e =
-  match e with
-  | Const _ | Var _ -> e
-  | Neg a -> (
-    match simplify a with
-    | Const c -> Const (Stdlib.( ~-. ) c)
-    | Neg b -> b
-    | a' -> Neg a')
-  | Add (a, b) -> (
-    match (simplify a, simplify b) with
-    | Const x, Const y -> Const (Stdlib.( +. ) x y)
-    | Const 0., b' -> b'
-    | a', Const 0. -> a'
-    | a', b' -> Add (a', b'))
-  | Sub (a, b) -> (
-    match (simplify a, simplify b) with
-    | Const x, Const y -> Const (Stdlib.( -. ) x y)
-    | a', Const 0. -> a'
-    | Const 0., b' -> Neg b'
-    | a', b' -> Sub (a', b'))
-  | Mul (a, b) -> (
-    match (simplify a, simplify b) with
-    | Const x, Const y -> Const (Stdlib.( *. ) x y)
-    | Const 0., _ | _, Const 0. -> Const 0.
-    | Const 1., b' -> b'
-    | a', Const 1. -> a'
-    | a', b' -> Mul (a', b'))
-  | Div (a, b) -> (
-    match (simplify a, simplify b) with
-    | Const x, Const y when Stdlib.( <> ) y 0. -> Const (Stdlib.( /. ) x y)
-    | a', Const 1. -> a'
-    | a', b' -> Div (a', b'))
-  | Pow (a, n) -> (
-    if n = 0 then Const 1.
-    else
-      match simplify a with
-      | Const c -> Const (Stdlib.( ** ) c (float_of_int n))
-      | a' -> if n = 1 then a' else Pow (a', n))
-  | Sqrt a -> (
-    match simplify a with
-    | Const c when Stdlib.( >= ) c 0. -> Const (sqrt c)
-    | a' -> Sqrt a')
-  | Exp a -> (
-    match simplify a with Const c -> Const (exp c) | a' -> Exp a')
-  | Ln a -> (
-    match simplify a with
-    | Const c when Stdlib.( > ) c 0. -> Const (log c)
-    | a' -> Ln a')
-  | Abs a -> (
-    match simplify a with Const c -> Const (abs_float c) | a' -> Abs a')
-  | Min (a, b) -> (
-    match (simplify a, simplify b) with
-    | Const x, Const y -> Const (Stdlib.min x y)
-    | a', b' -> Min (a', b'))
-  | Max (a, b) -> (
-    match (simplify a, simplify b) with
-    | Const x, Const y -> Const (Stdlib.max x y)
-    | a', b' -> Max (a', b'))
-
 (* Precedence: 0 = additive, 1 = multiplicative, 2 = unary/atoms. *)
 let rec pp_prec prec ppf e =
   let paren p body =
@@ -223,5 +147,4 @@ let rec pp_prec prec ppf e =
   | Max (a, b) ->
     Format.fprintf ppf "max(%a, %a)" (pp_prec 0) a (pp_prec 0) b
 
-let pp ppf e = pp_prec 0 ppf e
-let to_string e = Format.asprintf "%a" pp e
+let to_string e = Format.asprintf "%a" (pp_prec 0) e

@@ -47,9 +47,6 @@ val mentions : t -> string -> bool
 val size : t -> int
 (** Node count. *)
 
-val subst : t -> string -> t -> t
-(** [subst e x r] replaces every occurrence of [Var x] with [r]. *)
-
 (** {1 Evaluation} *)
 
 exception Unbound_variable of string
@@ -67,15 +64,7 @@ val eval_interval : (string -> Interval.t) -> t -> Interval.t option
 (** Interval extension. [None] means the expression has no real value
     anywhere on the box (e.g. [sqrt] of an entirely negative interval). *)
 
-(** {1 Simplification} *)
-
-val simplify : t -> t
-(** Constant folding and neutral-element elimination. Preserves point
-    semantics on the domain where the original is defined. *)
-
 (** {1 Printing} *)
 
-val pp : Format.formatter -> t -> unit
-(** Infix rendering with minimal parentheses. *)
-
 val to_string : t -> string
+(** Infix rendering with minimal parentheses. *)

@@ -2,12 +2,6 @@ open Adpm_interval
 
 type direction = Increasing | Decreasing | Constant | Unknown
 
-let direction_to_string = function
-  | Increasing -> "increasing"
-  | Decreasing -> "decreasing"
-  | Constant -> "constant"
-  | Unknown -> "unknown"
-
 let flip = function
   | Increasing -> Decreasing
   | Decreasing -> Increasing

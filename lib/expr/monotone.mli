@@ -16,14 +16,6 @@ open Adpm_interval
 
 type direction = Increasing | Decreasing | Constant | Unknown
 
-val direction_to_string : direction -> string
-
-val flip : direction -> direction
-(** [Increasing <-> Decreasing]; fixes [Constant] and [Unknown]. *)
-
-val combine : direction -> direction -> direction
-(** Direction of a sum given directions of its terms. *)
-
 val direction :
   env:(string -> Interval.t) -> Expr.t -> string -> direction
 (** [direction ~env e x]: how [e] varies as [x] grows, for variable values

@@ -16,24 +16,11 @@ let symbolic syms =
   in
   match List.rev dedup with [] -> Empty | syms -> Symbolic syms
 
-let point x = Continuous (Interval.of_point x)
-
 let is_empty = function Empty -> true | Continuous _ | Finite _ | Symbolic _ -> false
 
 let is_numeric = function
   | Empty | Continuous _ | Finite _ -> true
   | Symbolic _ -> false
-
-let is_singleton = function
-  | Empty -> false
-  | Continuous iv -> Interval.is_point iv
-  | Finite arr -> Array.length arr = 1
-  | Symbolic syms -> List.length syms = 1
-
-let singleton_value = function
-  | Continuous iv when Interval.is_point iv -> Some (Interval.lo iv)
-  | Finite [| x |] -> Some x
-  | Empty | Continuous _ | Finite _ | Symbolic _ -> None
 
 let mem_num x = function
   | Empty | Symbolic _ -> false
@@ -60,21 +47,6 @@ let refine d iv =
   | Finite arr -> (
     let kept = Array.to_list arr |> List.filter (fun v -> Interval.mem v iv) in
     match kept with [] -> Empty | _ -> Finite (Array.of_list kept))
-
-let lowest = function
-  | Empty | Symbolic _ -> None
-  | Continuous iv -> Some (Interval.lo iv)
-  | Finite arr -> Some arr.(0)
-
-let highest = function
-  | Empty | Symbolic _ -> None
-  | Continuous iv -> Some (Interval.hi iv)
-  | Finite arr -> Some arr.(Array.length arr - 1)
-
-let midpoint = function
-  | Empty | Symbolic _ -> None
-  | Continuous iv -> Some (Interval.midpoint iv)
-  | Finite arr -> Some arr.(Array.length arr / 2)
 
 let measure = function
   | Empty -> 0.

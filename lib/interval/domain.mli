@@ -23,16 +23,9 @@ val finite : float list -> t
 val symbolic : string list -> t
 (** Deduplicates, preserving first occurrence; empty input yields [Empty]. *)
 
-val point : float -> t
-(** Singleton numeric domain. *)
-
 val is_empty : t -> bool
 val is_numeric : t -> bool
 (** [Continuous] or [Finite] (or [Empty]). *)
-
-val is_singleton : t -> bool
-val singleton_value : t -> float option
-(** The value when the domain is a single number. *)
 
 val mem_num : float -> t -> bool
 val mem_sym : string -> t -> bool
@@ -44,10 +37,6 @@ val hull : t -> Interval.t option
 val refine : t -> Interval.t -> t
 (** [refine d iv] removes from [d] every numeric value outside [iv].
     Symbolic domains are returned unchanged (propagation is numeric). *)
-
-val lowest : t -> float option
-val highest : t -> float option
-val midpoint : t -> float option
 
 val measure : t -> float
 (** Absolute size: interval width, finite cardinality (as float), symbol

@@ -18,10 +18,8 @@ let of_point x =
 let full = { lo = neg_infinity; hi = infinity }
 let lo a = a.lo
 let hi a = a.hi
-let is_point a = a.lo = a.hi
 let is_bounded a = Float.is_finite a.lo && Float.is_finite a.hi
 let mem x a = a.lo <= x && x <= a.hi
-let subset a b = b.lo <= a.lo && a.hi <= b.hi
 let width a = a.hi -. a.lo
 
 let midpoint a =
@@ -33,12 +31,6 @@ let midpoint a =
 let intersect a b =
   let lo = fmax a.lo b.lo and hi = fmin a.hi b.hi in
   if lo > hi then None else Some { lo; hi }
-
-let hull a b = { lo = fmin a.lo b.lo; hi = fmax a.hi b.hi }
-
-let inflate eps a =
-  if eps < 0. then invalid_arg "Interval.inflate: negative eps";
-  { lo = a.lo -. eps; hi = a.hi +. eps }
 
 let equal a b = a.lo = b.lo && a.hi = b.hi
 let pp ppf a = Format.fprintf ppf "[%g, %g]" a.lo a.hi

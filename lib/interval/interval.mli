@@ -29,36 +29,22 @@ val fmin : float -> float -> float
     [fmin 0. (-0.) = 0.], exactly as the polymorphic version, without
     boxing or a C comparison. *)
 
-val fmax : float -> float -> float
-(** [fmax a b] is [Stdlib.max a b] typed at float ([a] when [a >= b]). *)
-
-val full : t
-(** [(-inf, +inf)]. *)
-
 val lo : t -> float
 val hi : t -> float
-
-val is_point : t -> bool
-(** True when [lo = hi]. *)
 
 val is_bounded : t -> bool
 (** True when both bounds are finite. *)
 
 val mem : float -> t -> bool
-val subset : t -> t -> bool
-(** [subset a b] iff every point of [a] lies in [b]. *)
 
 val width : t -> float
 (** [hi -. lo]; [infinity] for unbounded intervals. *)
 
 val midpoint : t -> float
 (** Finite midpoint; clamps toward the finite bound for half-infinite
-    intervals and returns [0.] for [full]. *)
+    intervals and returns [0.] for [(-inf, +inf)]. *)
 
 val intersect : t -> t -> t option
-val hull : t -> t -> t
-val inflate : float -> t -> t
-(** [inflate eps a] widens both bounds by [eps >= 0]. *)
 
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit
@@ -72,7 +58,7 @@ val sub : t -> t -> t
 val mul : t -> t -> t
 val div : t -> t -> t
 (** Extended division: when the divisor contains zero the result is the hull
-    of the two real branches (possibly [full]). *)
+    of the two real branches (possibly [(-inf, +inf)]). *)
 
 val pow_int : t -> int -> t
 (** [pow_int a n] for [n >= 0]. *)
@@ -129,4 +115,4 @@ val inv_ln : t -> t
 
 val inv_abs : t -> t
 (** x from z = |x|: hull of [z'] and [-z'] for the non-negative part [z']
-    of [z]; [full]'s subranges degrade gracefully. *)
+    of [z]; unbounded subranges degrade gracefully. *)

@@ -12,9 +12,6 @@ type 'a t = {
 
 let create () = { heap = [||]; size = 0; next_seq = 0 }
 
-let length t = t.size
-let is_empty t = t.size = 0
-
 let before a b = a.at < b.at || (a.at = b.at && a.seq < b.seq)
 
 let grow t entry =

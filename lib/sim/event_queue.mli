@@ -19,9 +19,6 @@ val pop : 'a t -> (int * 'a) option
 (** Remove and return the earliest entry — smallest [(time, sequence)]
     pair — or [None] when empty. *)
 
-val length : 'a t -> int
-val is_empty : 'a t -> bool
-
 val clear : 'a t -> unit
 (** Drop every pending entry (the sequence counter keeps advancing, so
     later pushes still order after earlier ones). *)

@@ -7,8 +7,6 @@ type 'a t = {
 let create () = { queue = Event_queue.create (); clock = 0; halted = false }
 
 let now t = t.clock
-let pending t = Event_queue.length t.queue
-let halted t = t.halted
 
 let schedule t ~delay payload =
   if delay < 0 then invalid_arg "Scheduler.schedule: negative delay";

@@ -27,8 +27,5 @@ val halt : 'a t -> unit
 (** Stop the simulation: drop every pending event; [run] returns after
     the current handler does. The clock keeps its final value. *)
 
-val halted : 'a t -> bool
-val pending : 'a t -> int
-
 val run : 'a t -> ('a -> unit) -> unit
 (** Process events until exhaustion or {!halt}. *)

@@ -4,7 +4,6 @@ open Adpm_expr
 open Adpm_csp
 open Adpm_core
 open Adpm_trace
-module Mailbox = Adpm_sim.Mailbox
 
 (* A queued NM delivery: the outcome of one executed operation, tagged
    with whether it was this designer's own. *)
@@ -75,7 +74,7 @@ type t = {
   s : scratch;
   mutable cached : view option;
   (* queued NM deliveries, drained at the start of the next turn *)
-  inbox : delivery Mailbox.t;
+  inbox : delivery Queue.t;
 }
 
 (* every by-id array is sized for the table's network *)
@@ -107,7 +106,7 @@ let create cfg ~rng ~influence name =
         violated = [||];
       };
     cached = None;
-    inbox = Mailbox.create ();
+    inbox = Queue.create ();
   }
 
 (* the repair memory exists once a repair happened *)
@@ -170,7 +169,7 @@ let restart d =
   Array.fill d.repair_dir 0 (Array.length d.repair_dir) 0;
   Array.fill d.fatigue 0 (Array.length d.fatigue) 0;
   d.last_synthesis <- None;
-  ignore (Mailbox.drain d.inbox : delivery list)
+  Queue.clear d.inbox
 
 let is_tabu d pid value =
   d.cfg.Config.use_history_tabu && Tabu.mem d.tabu pid value
@@ -998,11 +997,12 @@ let headroom_value d dpm prop dom =
 (* {2 Mailbox} *)
 
 let deliver d ~own op result =
-  Mailbox.push d.inbox { dv_own = own; dv_op = op; dv_result = result }
+  Queue.add { dv_own = own; dv_op = op; dv_result = result } d.inbox
 
 let drain d dpm =
-  let pending = Mailbox.drain d.inbox in
-  List.iter
-    (fun { dv_own; dv_op; dv_result } -> observe d dpm ~own:dv_own dv_op dv_result)
-    pending;
-  List.length pending
+  let n = Queue.length d.inbox in
+  while not (Queue.is_empty d.inbox) do
+    let { dv_own; dv_op; dv_result } = Queue.take d.inbox in
+    observe d dpm ~own:dv_own dv_op dv_result
+  done;
+  n

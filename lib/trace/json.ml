@@ -276,8 +276,6 @@ let parse s =
     else Ok v
   | exception Parse_error msg -> Error msg
 
-let finite_num f = if Float.is_finite f then Some (Num f) else None
-
 (* {2 Accessors} *)
 
 let member key = function

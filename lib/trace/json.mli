@@ -9,9 +9,9 @@
     ([%.17g]). [Num nan] and [Num infinity] have no JSON representation
     and deliberately print as [null] — i.e. [parse (to_string (Num nan))]
     is [Ok Null], not [Ok (Num nan)]. Wire formats must therefore never
-    put a possibly-non-finite float inside [Num]; use the absent-field
-    convention via {!finite_num} instead, so a missing measurement reads
-    back as a missing field rather than silently becoming [Null].
+    put a possibly-non-finite float inside [Num]; leave the field out
+    instead, so a missing measurement reads back as a missing field
+    rather than silently becoming [Null].
 
     {b String contract.} Strings are raw UTF-8 byte sequences. The parser
     validates [\u] escapes strictly: exactly four hex digits, astral-plane
@@ -32,12 +32,6 @@ val to_string : t -> string
 
 val parse : string -> (t, string) result
 (** Parse one complete JSON document; trailing garbage is an error. *)
-
-val finite_num : float -> t option
-(** [Some (Num f)] when [f] is finite, [None] for nan/±inf. Encoders
-    should [Option.iter] this into an optional field (the absent-field
-    convention) rather than trusting [Num] with unchecked floats — see
-    the float contract above. *)
 
 (** {1 Accessors} — shallow, total; [None] on shape mismatch. *)
 

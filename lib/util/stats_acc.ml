@@ -4,7 +4,6 @@ type t = {
   mutable m2 : float; (* sum of squared deviations, Welford *)
   mutable min_v : float;
   mutable max_v : float;
-  mutable sum : float;
   mutable samples : float list; (* reverse insertion order *)
   mutable sorted : float array option; (* quantile cache, cleared on add *)
 }
@@ -16,7 +15,6 @@ let create () =
     m2 = 0.;
     min_v = nan;
     max_v = nan;
-    sum = 0.;
     samples = [];
     sorted = None;
   }
@@ -26,7 +24,6 @@ let add t x =
   let delta = x -. t.mean in
   t.mean <- t.mean +. (delta /. float_of_int t.n);
   t.m2 <- t.m2 +. (delta *. (x -. t.mean));
-  t.sum <- t.sum +. x;
   if t.n = 1 then begin
     t.min_v <- x;
     t.max_v <- x
@@ -39,15 +36,9 @@ let add t x =
 
 let add_int t x = add t (float_of_int x)
 
-let count t = t.n
-
 let mean t = if t.n = 0 then nan else t.mean
 
-let variance t = if t.n < 2 then 0. else t.m2 /. float_of_int (t.n - 1)
-
-let stddev t = sqrt (variance t)
-
-let total t = t.sum
+let stddev t = if t.n < 2 then 0. else sqrt (t.m2 /. float_of_int (t.n - 1))
 
 let to_list t = List.rev t.samples
 

@@ -16,20 +16,12 @@ val add : t -> float -> unit
 val add_int : t -> int -> unit
 (** Record one integer observation. *)
 
-val count : t -> int
-(** Number of observations recorded. *)
-
 val mean : t -> float
 (** Arithmetic mean; [nan] when empty. *)
 
-val variance : t -> float
-(** Unbiased sample variance; [0.] with fewer than two observations. *)
-
 val stddev : t -> float
-(** Square root of {!variance}. *)
-
-val total : t -> float
-(** Sum of all observations. *)
+(** Square root of the unbiased sample variance; [0.] with fewer than two
+    observations. *)
 
 val quantile : t -> float -> float
 (** [quantile t q] for [q] in [\[0, 1\]], by linear interpolation between

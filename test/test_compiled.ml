@@ -254,7 +254,7 @@ let other_run sc i =
     (* a decomposition registers a problem: the instance rebuilds its own
        layout, then keeps working *)
     let dpm, _ = Engine.prepare base sc in
-    let p = Dpm.find_problem dpm 1 in
+    let p = List.find (fun p -> p.Problem.pr_id = 1) (Dpm.problems dpm) in
     let part =
       {
         Operator.sp_name = "part";

@@ -104,12 +104,6 @@ let test_dpm_accessors () =
 
 let test_subsystems_and_cross () =
   let dpm, c_cross, c_a, _ = fixture Dpm.Adpm in
-  Alcotest.(check (option int)) "xa in subsystem 1" (Some 1)
-    (Dpm.subsystem_of_prop dpm "xa");
-  Alcotest.(check (option int)) "xb in subsystem 2" (Some 2)
-    (Dpm.subsystem_of_prop dpm "xb");
-  Alcotest.(check (option int)) "budget is system-level" None
-    (Dpm.subsystem_of_prop dpm "budget");
   Alcotest.(check bool) "cross constraint" true (Dpm.is_cross_subsystem dpm c_cross);
   Alcotest.(check bool) "internal constraint" false (Dpm.is_cross_subsystem dpm c_a)
 
@@ -615,9 +609,7 @@ let notify_diff_matches_reference =
       && Notify.status_changes ~before ~after
          = List.filter_map
              (fun cid -> if changed cid then Some (cid, before.(cid), after.(cid)) else None)
-             (List.init ncids Fun.id)
-      && List.mapi (fun d _ -> Notify.subscribed_props routing d) subs
-         = List.map (fun (_, ids) -> List.sort_uniq compare ids) subs)
+             (List.init ncids Fun.id))
 
 (* {2 Browser} *)
 

@@ -364,7 +364,7 @@ let test_shaving_sound () =
         Alcotest.(check bool)
           (Printf.sprintf "witness %s=%g survives shaving" prop v)
           true
-          (Interval.mem v (Interval.inflate 1e-6 iv))
+          (Interval.mem v (Iv_tol.inflate 1e-6 iv))
       | None -> Alcotest.fail (prop ^ " wiped out"))
     witness
 

@@ -32,7 +32,12 @@ let assignable_props net =
     (Network.prop_names net)
 
 let violation_ids net =
-  List.sort compare (List.map (fun c -> c.Constr.id) (Network.violated net))
+  List.filter_map
+    (fun c ->
+      if Network.status net c.Constr.id = Constr.Violated then Some c.Constr.id
+      else None)
+    (Network.constraints net)
+  |> List.sort compare
 
 let check_networks_equal label net_full net_incr =
   List.iter

@@ -1353,9 +1353,10 @@ let numeric_outputs sc ~mode ~designer =
   |> List.sort_uniq compare
   |> List.filter_map (fun prop ->
          let dom = Adpm_csp.Network.initial_domain net prop in
-         match (Adpm_interval.Domain.lowest dom, Adpm_interval.Domain.highest dom) with
-         | Some lo, Some hi when Float.is_finite lo && Float.is_finite hi ->
-           Some (prop, lo, hi)
+         match Adpm_interval.Domain.hull dom with
+         | Some iv when Adpm_interval.Interval.is_bounded iv ->
+           Some
+             (prop, Adpm_interval.Interval.lo iv, Adpm_interval.Interval.hi iv)
          | _ -> None)
 
 (* A [set] the network rejects: the value lies outside the range. *)

@@ -1,4 +1,4 @@
-(* Tests for Adpm_sim (event queue, mailbox, scheduler, duration model)
+(* Tests for Adpm_sim (event queue, scheduler, duration model)
    and for Config.validate, which gates the discrete-event engine's new
    numeric settings. *)
 
@@ -19,7 +19,7 @@ let test_queue_time_order () =
       drain (t :: acc)
   in
   Alcotest.(check (list int)) "pops in time order" [ 1; 3; 5; 7; 9 ] (drain []);
-  Alcotest.(check bool) "empty after drain" true (Event_queue.is_empty q)
+  Alcotest.(check bool) "empty after drain" true (Event_queue.pop q = None)
 
 let test_queue_tie_break () =
   let q = Event_queue.create () in
@@ -45,24 +45,11 @@ let test_queue_interleaved () =
   | Some (0, "early") -> ()
   | _ -> Alcotest.fail "expected the early entry");
   Event_queue.push q ~time:5 "mid";
-  Alcotest.(check int) "two entries pending" 2 (Event_queue.length q);
   (match Event_queue.pop q with
   | Some (5, "mid") -> ()
   | _ -> Alcotest.fail "expected the mid entry before the late one");
   Event_queue.clear q;
-  Alcotest.(check bool) "clear empties" true (Event_queue.is_empty q)
-
-(* {2 Mailbox} *)
-
-let test_mailbox_fifo () =
-  let m = Mailbox.create () in
-  Alcotest.(check bool) "starts empty" true (Mailbox.is_empty m);
-  List.iter (Mailbox.push m) [ 1; 2; 3 ];
-  Alcotest.(check int) "three queued" 3 (Mailbox.length m);
-  Alcotest.(check (option int)) "pop oldest" (Some 1) (Mailbox.pop m);
-  Mailbox.push m 4;
-  Alcotest.(check (list int)) "drain oldest-first" [ 2; 3; 4 ] (Mailbox.drain m);
-  Alcotest.(check (list int)) "drained empty" [] (Mailbox.drain m)
+  Alcotest.(check bool) "clear empties" true (Event_queue.pop q = None)
 
 (* {2 Scheduler} *)
 
@@ -90,9 +77,9 @@ let test_scheduler_halt () =
       incr fired;
       Scheduler.halt sch);
   Alcotest.(check int) "halt stops after the current event" 1 !fired;
-  Alcotest.(check bool) "halted" true (Scheduler.halted sch);
   Scheduler.schedule sch ~delay:0 ();
-  Alcotest.(check int) "schedule after halt is a no-op" 0 (Scheduler.pending sch);
+  Scheduler.run sch (fun () -> incr fired);
+  Alcotest.(check int) "schedule after halt is a no-op" 1 !fired;
   Alcotest.check_raises "negative delay rejected"
     (Invalid_argument "Scheduler.schedule: negative delay") (fun () ->
       Scheduler.schedule (Scheduler.create ()) ~delay:(-2) ())
@@ -178,7 +165,6 @@ let suite =
     ("event queue: FIFO tie-break", `Quick, test_queue_tie_break);
     ("event queue: negative time", `Quick, test_queue_negative_time);
     ("event queue: interleaved use", `Quick, test_queue_interleaved);
-    ("mailbox FIFO", `Quick, test_mailbox_fifo);
     ("scheduler clock", `Quick, test_scheduler_clock);
     ("scheduler halt", `Quick, test_scheduler_halt);
     ("duration model round-trip", `Quick, test_model_roundtrip);

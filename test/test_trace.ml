@@ -240,7 +240,7 @@ let test_json_strict_hex_escapes () =
 
 (* Pin the documented encoder contract: non-finite floats inside Num
    print as null (and so round-trip to Null), finite floats round-trip
-   exactly, and finite_num is the absent-field escape hatch. *)
+   exactly. *)
 let test_json_nan_contract () =
   List.iter
     (fun f ->
@@ -249,12 +249,8 @@ let test_json_nan_contract () =
         (Json.to_string (Json.Num f));
       Alcotest.(check bool)
         "round-trips to Null" true
-        (Json.parse (Json.to_string (Json.Num f)) = Ok Json.Null);
-      Alcotest.(check bool) "finite_num refuses" true (Json.finite_num f = None))
+        (Json.parse (Json.to_string (Json.Num f)) = Ok Json.Null))
     [ Float.nan; Float.infinity; Float.neg_infinity ];
-  Alcotest.(check bool)
-    "finite_num accepts" true
-    (Json.finite_num 2.5 = Some (Json.Num 2.5));
   Alcotest.(check bool)
     "finite round-trip" true
     (Json.parse (Json.to_string (Json.Num 0.30000000000000004))
