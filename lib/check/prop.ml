@@ -19,6 +19,9 @@ type facts = {
   fx_crashes : (string, (int * int option) list) Hashtbl.t;
       (* designer -> crash windows, newest first; [None] = still down *)
   fx_roster : (string, unit) Hashtbl.t;
+  fx_idle : (string, unit) Hashtbl.t;
+      (* designers who took a turn since the last [Op_submitted] *)
+  mutable fx_unsolved_end : bool;  (* [Run_finished] with [completed = false] *)
   mutable fx_makespan : int;
   mutable fx_last_seq : int;
 }
@@ -29,6 +32,8 @@ let fresh_facts () =
     fx_actors = Hashtbl.create 64;
     fx_crashes = Hashtbl.create 8;
     fx_roster = Hashtbl.create 8;
+    fx_idle = Hashtbl.create 8;
+    fx_unsolved_end = false;
     fx_makespan = 0;
     fx_last_seq = 0;
   }
@@ -47,6 +52,15 @@ let crashed_during f designer t1 t2 =
         match r with Some r -> c <= t2 && r >= t1 | None -> c <= t2)
       windows
 
+let ended_idle f =
+  f.fx_unsolved_end
+  && Hashtbl.fold
+       (fun d () ok ->
+         ok
+         && (Hashtbl.mem f.fx_idle d
+            || crashed_during f d f.fx_makespan f.fx_makespan))
+       f.fx_roster true
+
 let observe f (ev : Event.stamped) =
   f.fx_last_seq <- ev.seq;
   let time at = if at > f.fx_makespan then f.fx_makespan <- at in
@@ -60,7 +74,10 @@ let observe f (ev : Event.stamped) =
     seen designer
   | Event.Turn_started { designer; at } ->
     seen designer;
+    Hashtbl.replace f.fx_idle designer ();
     time at
+  | Event.Op_submitted _ -> Hashtbl.reset f.fx_idle
+  | Event.Run_finished { completed; _ } -> f.fx_unsolved_end <- not completed
   | Event.Designer_crashed { designer; at } ->
     seen designer;
     time at;

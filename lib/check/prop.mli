@@ -64,6 +64,13 @@ val crashed_during : facts -> string -> int -> int -> bool
     (crash to restart, or crash to end-of-trace) intersecting
     [[t1, t2]]? *)
 
+val ended_idle : facts -> bool
+(** Did the run end unsolved ([Run_finished] with [completed = false])
+    right after an idle round — every designer seen so far took a turn
+    since the last [Op_submitted], or is down at the end? A run that ran
+    out of its operation budget ends right after an [Op_completed] and
+    did not end idle. *)
+
 (** {1 Properties} *)
 
 type instance

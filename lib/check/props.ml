@@ -169,10 +169,50 @@ let no_deliver_after_drop =
     ~describe:(fun k ->
       Printf.sprintf "notification %s was dropped yet later delivered" k)
 
+(* P5: an idle halt waits for the mail. An unsolved run that ends right
+   after an idle round must not leave a pushed notification neither
+   delivered nor dropped: its recipient may act once it arrives. Unlike
+   P1, an obligation still in flight at the end is the failure, not an
+   excuse. *)
+
+type p5_ob = { h_recipient : string; h_op : int }
+
+let no_idle_halt_in_flight ~horizon =
+  Prop.leads_to ~name:"no-idle-halt-in-flight"
+    ~doc:"an idle, unsolved run does not end with a notification in flight"
+    ~trigger:(fun _ (ev : Event.stamped) ->
+      match ev.event with
+      | Event.Notification_pushed { recipient; op_index; _ } ->
+        [ { h_recipient = recipient; h_op = op_index } ]
+      | _ -> [])
+    ~key:(fun ob -> Printf.sprintf "%s#%d" ob.h_recipient ob.h_op)
+    ~describe:(fun ob ->
+      Printf.sprintf
+        "run ended idle and unsolved while op %d's notification to %s was \
+         neither delivered nor dropped"
+        ob.h_op ob.h_recipient)
+    ~discharge:(fun _ (ev : Event.stamped) ->
+      match ev.event with
+      | Event.Notification_delivered { recipient; op_index; _ }
+      | Event.Notification_dropped { recipient; op_index; _ } ->
+        Some (fun ob -> ob.h_recipient = recipient && ob.h_op = op_index)
+      | _ -> None)
+    ~at_end:(fun facts ob ->
+      (not (Prop.ended_idle facts))
+      (* the actor's own feedback is local, never a teammate delivery *)
+      || Prop.actor_of facts ob.h_op = Some ob.h_recipient
+      (* deliveries to a crashed designer are silently lost *)
+      ||
+      match Prop.completion_of facts ob.h_op with
+      | None -> false
+      | Some sent -> Prop.crashed_during facts ob.h_recipient sent (sent + horizon))
+    ()
+
 let suite ?(horizon = 64) ?(crashes = []) () =
   [
     notified_or_resolved ~horizon;
     no_starvation ();
     crash_rejoins ~crashes ();
     no_deliver_after_drop;
+    no_idle_halt_in_flight ~horizon;
   ]

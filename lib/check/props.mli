@@ -1,6 +1,6 @@
-(** The standard temporal-property suite for TeamSim traces — the four
-    collaboration guarantees the roadmap names, expressed over the
-    discrete-event engine's event stream:
+(** The standard temporal-property suite for TeamSim traces — five
+    collaboration guarantees, expressed over the discrete-event engine's
+    event stream:
 
     - every pushed violation is eventually delivered to its owner,
       resolved, or excusably lost (dropped by the fault injector, or the
@@ -10,7 +10,10 @@
     - a crashed designer always recovers: the restart fires when it is
       due, and the restarted designer rejoins the turn rotation;
     - the fault injector is honest: a notification it dropped is never
-      also delivered.
+      also delivered;
+    - an idle halt waits for the mail: a run that ends unsolved right
+      after a round in which nobody acted leaves no pushed notification
+      neither delivered nor dropped.
 
     Each property is engineered to hold on {e every} fault-free or
     faulty run of the engine — a failure indicates a real scheduling or
@@ -39,6 +42,11 @@ val crash_rejoins : ?crashes:Fault.crash list -> ?slack:int -> unit -> Prop.t
 
 val no_deliver_after_drop : Prop.t
 
+val no_idle_halt_in_flight : horizon:int -> Prop.t
+(** Applies only when {!Prop.ended_idle}; then every [Notification_pushed]
+    must have been delivered or dropped, unless its recipient executed the
+    operation or was crashed within [horizon] ticks of its completion. *)
+
 val suite : ?horizon:int -> ?crashes:Fault.crash list -> unit -> Prop.t list
-(** All four. [horizon] defaults to a conservative [64] ticks; pass the
+(** All five. [horizon] defaults to a conservative [64] ticks; pass the
     run's actual [latency + jitter] for a tight check. *)

@@ -153,7 +153,12 @@ let op_class op =
    - With latency > 0 a teammate's outcome arrives [latency] ticks after
      the operation completes; until then the recipient's believed
      constraint statuses — and hence its repair decisions — lag the DPM's
-     live state. The designer's own feedback is always instant.
+     live state. The designer's own feedback is always instant. A round
+     in which nobody acts ends the run only when no delivery is still in
+     transit; otherwise the team waits a tick for it, since an idle
+     designer may act once a teammate's outcome arrives. At latency 0
+     every delivery is handled before the next turn, so the wait never
+     triggers there.
 
    Fault semantics on top of the above:
 
@@ -194,6 +199,9 @@ let run ?(on_op = fun _ -> ()) ?(tracer = Tracer.null) cfg scenario =
   in
   let order = ref [] in
   let acted = ref false in
+  (* deliveries scheduled but not yet handled: an idle round does not end
+     the run while a teammate's outcome is still on its way *)
+  let in_transit = ref 0 in
   (* Requirement shifts: pre-scheduled below, applied through the DPM at
      their virtual time. A shift that lands while an operation is in
      flight is deferred to that operation's completion — the tool was
@@ -240,10 +248,12 @@ let run ?(on_op = fun _ -> ()) ?(tracer = Tracer.null) cfg scenario =
       match !order with
       | [] ->
         if !acted then Scheduler.schedule sch ~delay:0 Round_start
-        else if Hashtbl.length dead > 0 || !shifts_remaining > 0 then
-          (* everyone alive is idle but a teammate is down or a
-             requirement shift is still scheduled: wait a tick for the
-             restart/shift instead of declaring the project done *)
+        else if
+          Hashtbl.length dead > 0 || !shifts_remaining > 0 || !in_transit > 0
+        then
+          (* everyone alive is idle but a teammate is down, a requirement
+             shift is still scheduled or a delivery is in transit: wait a
+             tick for it instead of declaring the project done *)
           Scheduler.schedule sch ~delay:1 Round_start
         else Scheduler.halt sch
       | designer :: rest ->
@@ -290,6 +300,7 @@ let run ?(on_op = fun _ -> ()) ?(tracer = Tracer.null) cfg scenario =
         (fun peer ->
           let own = peer == designer in
           let deliver extra =
+            incr in_transit;
             Scheduler.schedule sch
               ~delay:
                 (Model.delivery_delay ~extra ~latency:cfg.Config.latency ~own
@@ -357,8 +368,9 @@ let run ?(on_op = fun _ -> ()) ?(tracer = Tracer.null) cfg scenario =
              { designer = Designer.name designer; at = Scheduler.now sch })
     | Deliver { recipient; _ } when is_dead recipient ->
       (* deliveries to a crashed designer are lost with it *)
-      ()
+      decr in_transit
     | Deliver { recipient; own; op; result; sent_at; op_index } ->
+      decr in_transit;
       Designer.deliver recipient ~own op result;
       if (not own) && Tracer.active tracer then (
         (* announce only deliveries the NM actually routed: the recipient

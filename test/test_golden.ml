@@ -118,11 +118,11 @@ let expected =
     ("sensor/adpm", "603efa470f573cd925db9885ef4951b7");
     ("sensor/adpm/faulty", "369a3a5fa5fc7b559d93ec98857a7c2c");
     ("receiver/conventional", "e6a587cc648af99bce9ff57821a073b4");
-    ("receiver/conventional/faulty", "fc321c64adcdc5ecacbaf5ac61252344");
+    ("receiver/conventional/faulty", "80a2f9605b4477c91be738713239b9fb");
     ("receiver/adpm", "404edeb78ec76190bb52b1dcdfd78c4c");
     ("receiver/adpm/faulty", "e204ac2573d55e435241e90cad10a3ab");
     ("lna/conventional", "20ea1fa86fe98cc427c69e1e9895fcac");
-    ("lna/conventional/faulty", "9ccda3d97e935f6a1f9ce4e54474f324");
+    ("lna/conventional/faulty", "88d9a29ddb3157bbe382e30e733b4613");
     ("lna/adpm", "03d7c882fb833e73afda53e6626bd9aa");
     ("lna/adpm/faulty", "5f43eed90a4e9f4ffd99db90eb74046e");
     ("simple/conventional", "2de84438394d7ad0801d90ed12685471");
