@@ -489,7 +489,8 @@ let check_cmd =
        ~doc:
          "Check the temporal-property suite over a recorded trace: every \
           pushed violation delivered or resolved, no designer starves, \
-          crashed designers rejoin, dropped notifications stay dropped. \
+          crashed designers rejoin, dropped notifications stay dropped, \
+          an idle unsolved run does not end with a notification in flight. \
           Exit 1 on a violated property, 2 on a truncated trace (a \
           missing prefix or a sequence gap) — truncation is refused, \
           never a vacuous pass.")
