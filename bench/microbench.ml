@@ -1,7 +1,8 @@
 (* Bechamel micro-benchmarks of the engines underneath the experiments:
    interval arithmetic, HC4 revision (boxed and compiled), full
    propagation fixpoints on the paper's two design cases, one DPM
-   transition without propagation, one simulated designer's decision,
+   transition without propagation and one with it, one simulated
+   designer's decision,
    one run's set-up, and complete simulations in both modes. *)
 
 open Bechamel
@@ -82,6 +83,31 @@ let dpm_apply_test =
   Test.make ~name:"DPM apply (receiver, conventional verification)"
     (Staged.stage (fun () -> Dpm.apply dpm op))
 
+(* One ADPM transition: a synthesis that sets one receiver parameter,
+   alternating between two values, so every run moves the network and
+   pays what an operation pays — the propagation (a restart from scratch:
+   the new value lies outside the stored point box), the final sweep
+   against the persisted result, applying it, the snapshots and the
+   notification diff. *)
+let dpm_transition_test =
+  let dpm = Receiver.scenario.sc_build ~mode:Dpm.Adpm in
+  ignore (Dpm.run_propagation dpm);
+  let prop = "diff-pair-w" in
+  let owner =
+    List.find
+      (fun p -> Problem.is_leaf p && List.mem prop p.Problem.pr_outputs)
+      (Dpm.problems dpm)
+  in
+  let op value =
+    Operator.synthesis ~designer:owner.Problem.pr_owner ~problem:owner.Problem.pr_id
+      [ (prop, Value.Num value) ]
+  in
+  let ops = [| op 4.; op 5. |] and k = ref 0 in
+  Test.make ~name:"DPM apply (receiver, ADPM, 1 parameter alternating)"
+    (Staged.stage (fun () ->
+         k := 1 - !k;
+         Dpm.apply dpm ops.(!k)))
+
 (* One designer decision (f_o) in a mid-run state: [ops] operations into
    a round-robin run of the scenario in which every designer observes
    every outcome, then the first designer that would act decides,
@@ -150,6 +176,7 @@ let tests =
         Receiver.scenario;
       repropagate_test "repropagate after 1 assign (receiver, incremental)";
       dpm_apply_test;
+      dpm_transition_test;
       choose_test "designer choose (receiver, conventional, op 40)" "receiver"
         (Config.default ~mode:Dpm.Conventional ~seed:7)
         ~ops:40;

@@ -267,6 +267,10 @@ let trace_arg =
           "Record the run as a JSONL event trace, replayable with \
            $(b,replay).")
 
+(* [teamsim run]'s exit code when the run ends without completing the
+   design, after everything it was asked to write is written *)
+let did_not_complete = 3
+
 let run_cmd =
   let action scenario_name mode seed latency duration_model faults
       shifts value_policy verbose csv json trace =
@@ -330,7 +334,8 @@ let run_cmd =
       | Some path ->
         write_file path (Export.summary_json outcome.Engine.o_summary);
         Printf.printf "wrote summary JSON to %s\n" path
-      | None -> ())
+      | None -> ());
+      if not outcome.Engine.o_summary.Metrics.s_completed then exit did_not_complete
   in
   let term =
     Term.(
@@ -338,7 +343,19 @@ let run_cmd =
       $ latency_arg $ duration_arg $ fault_plan_term $ shift_plan_arg
       $ value_policy_arg $ verbose_arg $ csv_arg $ json_arg $ trace_arg)
   in
-  Cmd.v (Cmd.info "run" ~doc:"Simulate one design process run.") term
+  let exits =
+    Cmd.Exit.info 1
+      ~doc:
+        "on an unknown scenario, an invalid setting or a trace file that \
+         cannot be opened."
+    :: Cmd.Exit.info did_not_complete
+         ~doc:
+           "when the run ends without completing the design: the summary \
+            line says DID NOT COMPLETE. The summary, trace, CSV and JSON are \
+            written all the same."
+    :: Cmd.Exit.defaults
+  in
+  Cmd.v (Cmd.info "run" ~doc:"Simulate one design process run." ~exits) term
 
 let trace_file_arg =
   Arg.(

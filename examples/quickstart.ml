@@ -36,9 +36,10 @@ let () =
   let outcome = Propagate.run net in
   Propagate.apply net outcome;
   List.iter
-    (fun (prop, d) ->
-      Printf.printf "  feasible %-20s = %s\n" prop (Domain.to_string d))
-    outcome.Propagate.feasible;
+    (fun prop ->
+      Printf.printf "  feasible %-20s = %s\n" prop
+        (Domain.to_string outcome.Propagate.feasible.(Network.prop_id net prop)))
+    (Network.prop_names net);
   Printf.printf "  (%d constraint evaluations)\n" outcome.Propagate.evaluations;
 
   print_endline "\n=== 3. Heuristic-support data (Section 2.3) ===";

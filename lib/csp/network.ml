@@ -13,6 +13,8 @@ type pstate = {
   ps_hi : float array;
   ps_mask : bool array;
   ps_empties : (int, unit) Hashtbl.t;
+  ps_feasible : Domain.t array;
+  ps_status : Constr.status array;
 }
 
 type ints = (int32, Bigarray.int32_elt, Bigarray.c_layout) Bigarray.Array1.t
@@ -136,10 +138,6 @@ let initial_domain t name = (find_prop t name).p_initial
 let feasible t name = t.feasible.((find_prop t name).p_id)
 let feasible_id t pid = t.feasible.(pid)
 let assigned_id t pid = t.assigned.(pid)
-
-let set_feasible t name d =
-  t.feasible.((find_prop t name).p_id) <- d;
-  bump t
 
 let check_value p value =
   let name = p.p_name in
@@ -325,22 +323,11 @@ type snapshot = {
   sn_pstate : pstate;
 }
 
-(* The feasible subspaces a propagation applies: a numeric property's
-   initial range refined by its box in the store it persists; symbolic
-   ones keep their initial range. *)
-let stored_feasible t ps pid =
-  let p = t.sh.by_id.(pid) in
-  if Domain.is_numeric p.p_initial && ps.ps_mask.(pid) then
-    Domain.refine p.p_initial (Interval.make ps.ps_lo.(pid) ps.ps_hi.(pid))
-  else p.p_initial
-
-(* A snapshot need not keep the subspaces: they are re-derived from the
-   box store, which it keeps anyway. *)
+(* A snapshot need not keep the subspaces: the stored result holds the
+   very domains the network's subspaces point to once applied. *)
 let snapshot t =
   match t.n_pstate with
-  | Some ps
-    when Array.for_all Fun.id
-           (Array.mapi (fun pid d -> stored_feasible t ps pid = d) t.feasible) ->
+  | Some ps when Array.for_all2 ( == ) t.feasible ps.ps_feasible ->
     {
       sn_statuses = Array.copy t.statuses;
       sn_rev = t.n_rev;
@@ -372,7 +359,7 @@ let instantiate ?at t =
     {
       sh = t.sh;
       assigned = Array.copy t.assigned;
-      feasible = Array.init (Array.length t.feasible) (stored_feasible t sn.sn_pstate);
+      feasible = Array.copy sn.sn_pstate.ps_feasible;
       statuses = Array.copy sn.sn_statuses;
       n_rev = sn.sn_rev;
       dirty;
@@ -382,6 +369,24 @@ let instantiate ?at t =
 let status t id =
   if id >= 0 && id < Array.length t.statuses then t.statuses.(id)
   else Constr.Consistent
+
+(* Writes only what differs: an unchanged subspace keeps its pointer. *)
+let set_result t ~feasible ~statuses =
+  if
+    Array.length feasible <> Array.length t.feasible
+    || Array.length statuses <> Array.length t.statuses
+  then invalid_arg "Network.set_result: result of another structure";
+  let cur = t.feasible in
+  for pid = 0 to Array.length cur - 1 do
+    let d = feasible.(pid) in
+    if cur.(pid) != d then cur.(pid) <- d
+  done;
+  let cur = t.statuses in
+  for cid = 0 to Array.length cur - 1 do
+    let s = statuses.(cid) in
+    if cur.(cid) <> s then cur.(cid) <- s
+  done;
+  bump t
 
 let set_status t id s =
   if id < 0 || id >= Array.length t.statuses then

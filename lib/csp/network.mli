@@ -32,13 +32,20 @@ type pstate = {
       (** [true] where the property has a box (numeric, not symbolic) *)
   ps_empties : (int, unit) Hashtbl.t;
       (** constraints proven unsatisfiable during that fixpoint *)
+  ps_feasible : Domain.t array;
+      (** by prop id, the feasible subspaces that fixpoint's final sweep
+          classified (a symbolic property's is its initial range) *)
+  ps_status : Constr.status array;
+      (** by constraint id, the statuses that sweep classified: not
+          {!status}, which verifications overwrite *)
 }
 (** Persistent propagation state: the contracted box store kept across
     design operations so the incremental engine can restart from the
-    previous fixpoint instead of the initial ranges. Struct-of-arrays
-    float layout so HC4 kernels revise it without allocating. Never
-    written in place once stored (a propagation stores a new one), so
-    {!instantiate} shares it. *)
+    previous fixpoint instead of the initial ranges, and the result of
+    the sweep that classified it, so the next sweep re-classifies only
+    what moved. Struct-of-arrays float layout so HC4 kernels revise it
+    without allocating. Never written in place once stored (a
+    propagation stores a new one), so {!instantiate} shares it. *)
 
 type t
 
@@ -59,10 +66,11 @@ type snapshot
 
 val snapshot : t -> snapshot
 (** That state as the last propagation left it, for {!instantiate} to
-    start from. The feasible subspaces are not copied but re-derived from
-    the box store, as the propagation derived them.
+    start from. The feasible subspaces are not copied: they are the
+    persisted store's [ps_feasible].
     @raise Invalid_argument when the network holds no such result: no
-    persisted box store, or subspaces set since. *)
+    persisted box store, or subspaces applied since that are not the
+    store's (the result of a non-persisting {!Propagate.run}). *)
 
 val instantiate : ?at:snapshot -> t -> t
 (** A network with the frozen network's structure (shared, not copied)
@@ -123,7 +131,6 @@ val prop_id : t -> string -> int
 val initial_domain : t -> string -> Domain.t
 val feasible : t -> string -> Domain.t
 val feasible_id : t -> int -> Domain.t
-val set_feasible : t -> string -> Domain.t -> unit
 val assign : t -> string -> Value.t -> unit
 (** Bind a property. Numeric assignments must be numeric-domain properties
     and symbolic assignments symbolic ones; the value need not lie inside
@@ -217,6 +224,14 @@ val status : t -> int -> Constr.status
 
 val set_status : t -> int -> Constr.status -> unit
 (** @raise Invalid_argument for an unknown constraint id. *)
+
+val set_result :
+  t -> feasible:Domain.t array -> statuses:Constr.status array -> unit
+(** Store a propagation's result, [feasible] by prop id and [statuses] by
+    constraint id, in one revision. Only entries that differ are written
+    ([!=] for subspaces, [<>] for statuses), so a subspace the result
+    shares with the network keeps its pointer. Neither array is kept.
+    @raise Invalid_argument when a length is not the network's. *)
 
 (** {1 Heuristic-support data (Section 2.3)} *)
 

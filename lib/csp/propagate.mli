@@ -23,9 +23,10 @@ open Adpm_interval
 (** @see <../trace/tracer.mli> the emit-path contract. *)
 
 type outcome = {
-  feasible : (string * Domain.t) list;
-      (** Feasible subspace per numeric property. *)
-  statuses : (int * Constr.status) list;  (** Per constraint id. *)
+  feasible : Domain.t array;
+      (** Feasible subspace by prop id (a symbolic property's is its
+          initial range). *)
+  statuses : Constr.status array;  (** Status by constraint id. *)
   evaluations : int;  (** Constraint evaluations performed. *)
   revisions : int;
       (** HC4 revisions performed (the evaluation total minus the final
@@ -52,7 +53,8 @@ val run :
     of revision order — the property the incremental engine's bit-identical
     equivalence with from-scratch runs rests on).
     [consistency] defaults to [`Hull]; [`Shave n] additionally shaves each
-    unbound variable's bounds in [1/n]-width slices (n >= 2).
+    unbound variable's bounds in [1/n]-width slices (n >= 2). The
+    outcome's arrays are the caller's own.
 
     When an active [tracer] is supplied, one [Propagation_started] /
     [Propagation_finished] event pair is emitted per call; the finish event
@@ -60,7 +62,8 @@ val run :
     probes are charged to the evaluation total but not waved). *)
 
 val apply : Network.t -> outcome -> unit
-(** Store feasible subspaces and statuses into the network. *)
+(** Store feasible subspaces and statuses into the network
+    ({!Network.set_result}: only entries that differ are written). *)
 
 val run_incremental_and_apply :
   ?eps:float ->
@@ -86,8 +89,17 @@ val run_incremental_and_apply :
     (unassignment, assignment outside the stored box), on structural
     changes (which invalidate the stored state), and on the first call, it
     likewise falls back to a full from-scratch run. Either way the
-    contracted store is persisted back into the network and the dirty set
-    cleared.
+    contracted store and the outcome's arrays are persisted back into the
+    network ({!Network.pstate}) and the dirty set cleared. The outcome's
+    arrays are shared with that store and with every instance made from
+    it: they are not to be written.
+
+    The final status sweep is classified against the previous persisted
+    result: a property whose contracted box is bit for bit the stored one
+    keeps the stored subspace (the same pointer, so {!apply} leaves it
+    alone), and a constraint is evaluated again only when one of its
+    arguments' boxes moved or its empty mark flipped. The outcome is the
+    full sweep's, bit for bit.
 
     The [evaluations] total charges one unit per HC4 revision performed
     plus the full status sweep, so a seeded restart is charged fewer

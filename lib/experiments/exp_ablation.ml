@@ -85,14 +85,15 @@ let consistency_ablation () =
     let outcome = Propagate.run ~consistency net in
     let windows =
       List.filter_map
-        (fun (name, d) ->
-          if Network.is_bound net name then None
+        (fun name ->
+          let initial = Network.initial_domain net name in
+          if Network.is_bound net name || not (Adpm_interval.Domain.is_numeric initial)
+          then None
           else
             Some
-              (Adpm_interval.Domain.relative_measure
-                 ~initial:(Network.initial_domain net name)
-                 d))
-        outcome.Propagate.feasible
+              (Adpm_interval.Domain.relative_measure ~initial
+                 outcome.Propagate.feasible.(Network.prop_id net name)))
+        (Network.prop_names net)
     in
     let mean =
       List.fold_left ( +. ) 0. windows /. float_of_int (List.length windows)

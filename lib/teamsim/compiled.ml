@@ -44,8 +44,9 @@ let propagate_setup c ~max_revisions =
     s_state = Dpm.propagated dpm;
     s_evaluations = outcome.Propagate.evaluations;
     s_violated =
-      List.length
-        (List.filter (fun (_, s) -> s = Constr.Violated) outcome.Propagate.statuses);
+      Array.fold_left
+        (fun n s -> if s = Constr.Violated then n + 1 else n)
+        0 outcome.Propagate.statuses;
     s_events = List.map (fun st -> st.Event.event) (Sink.Collect.contents buf);
   }
 

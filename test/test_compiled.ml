@@ -127,7 +127,7 @@ let elaborated name ~mode ~max_revisions =
         ( "setup violations",
           string_of_int
             (List.length
-               (List.filter (fun (_, s) -> s = Constr.Violated) o.Propagate.statuses)) );
+               (List.filter (( = ) Constr.Violated) (Array.to_list o.Propagate.statuses))) );
       ]
   in
   Dpm.set_tracer dpm Tracer.null;

@@ -11,6 +11,10 @@ let c = Expr.const
 let status = Alcotest.testable Constr.pp_status ( = )
 let dom = Alcotest.testable Domain.pp Domain.equal
 
+(* a propagation outcome's subspace of the named property *)
+let feasible_in net outcome name =
+  outcome.Propagate.feasible.(Network.prop_id net name)
+
 (* {2 Constr} *)
 
 let mk rel lhs rhs = Constr.make ~id:0 ~name:"c" lhs rel rhs
@@ -248,7 +252,7 @@ let test_propagate_narrows () =
   let net, c1, _ = small_net () in
   Network.assign net "y" (Value.Num 8.);
   let outcome = Propagate.run net in
-  let x_feasible = List.assoc "x" outcome.Propagate.feasible in
+  let x_feasible = feasible_in net outcome "x" in
   (* x + 8 <= 12 -> x <= 4; x >= 2 *)
   (match Domain.hull x_feasible with
   | Some iv ->
@@ -256,7 +260,7 @@ let test_propagate_narrows () =
       (Interval.lo iv >= 1.99 && Interval.hi iv <= 4.01)
   | None -> Alcotest.fail "x should have a hull");
   Alcotest.(check bool) "statuses computed" true
-    (List.mem_assoc c1.Constr.id outcome.Propagate.statuses);
+    (c1.Constr.id < Array.length outcome.Propagate.statuses);
   Alcotest.(check bool) "evaluations counted" true (outcome.Propagate.evaluations > 0);
   Alcotest.(check bool) "fixpoint" true outcome.Propagate.fixpoint
 
@@ -285,10 +289,11 @@ let test_propagate_idempotent () =
   let o1 = Propagate.run net in
   Propagate.apply net o1;
   let o2 = Propagate.run net in
-  List.iter
-    (fun (name, d1) ->
-      let d2 = List.assoc name o2.Propagate.feasible in
-      Alcotest.(check dom) ("fixpoint stable for " ^ name) d1 d2)
+  Array.iteri
+    (fun pid d1 ->
+      Alcotest.(check dom)
+        ("fixpoint stable for " ^ (Network.prop_by_id net pid).Network.p_name)
+        d1 o2.Propagate.feasible.(pid))
     o1.Propagate.feasible
 
 let test_propagate_budget () =
@@ -328,7 +333,7 @@ let test_half_infinite_chain () =
   ignore (Network.add_constraint net ~name:"anchor" (v "x0") Constr.Ge (c 0.));
   let outcome = Propagate.run net in
   let lo name =
-    match Domain.hull (List.assoc name outcome.Propagate.feasible) with
+    match Domain.hull (feasible_in net outcome name) with
     | Some iv -> Interval.lo iv
     | None -> Alcotest.fail (name ^ " wiped out")
   in
@@ -344,19 +349,17 @@ let test_half_infinite_chain () =
 
 let check_outcomes_equal label (full : Propagate.outcome)
     (incr : Propagate.outcome) =
-  List.iter
-    (fun (name, d) ->
+  Array.iteri
+    (fun pid d ->
       Alcotest.(check dom)
-        (label ^ ": feasible " ^ name)
-        d
-        (List.assoc name incr.Propagate.feasible))
+        (Printf.sprintf "%s: feasible of property %d" label pid)
+        d incr.Propagate.feasible.(pid))
     full.Propagate.feasible;
-  List.iter
-    (fun (cid, s) ->
+  Array.iteri
+    (fun cid s ->
       Alcotest.(check status)
         (Printf.sprintf "%s: status of constraint %d" label cid)
-        s
-        (List.assoc cid incr.Propagate.statuses))
+        s incr.Propagate.statuses.(cid))
     full.Propagate.statuses
 
 (* Run an incremental propagation under a memory tracer and return the
@@ -431,7 +434,7 @@ let propagate_preserves_solutions =
       let net, _, _ = small_net () in
       let outcome = Propagate.run net in
       let ok name value =
-        match Domain.hull (List.assoc name outcome.Propagate.feasible) with
+        match Domain.hull (feasible_in net outcome name) with
         | Some iv -> Interval.mem value (Iv_tol.inflate 1e-6 iv)
         | None -> false
       in
@@ -448,9 +451,7 @@ let propagation_monotone =
       let net2, _, _ = small_net () in
       Network.assign net2 "x" (Value.Num x_value);
       let after = Propagate.run net2 in
-      let hull_of outcome name =
-        Domain.hull (List.assoc name outcome.Propagate.feasible)
-      in
+      let hull_of outcome name = Domain.hull (feasible_in net1 outcome name) in
       match (hull_of before "y", hull_of after "y") with
       | Some b, Some a -> Iv_tol.subset a (Iv_tol.inflate 1e-9 b)
       | Some _, None -> true (* wiped out: trivially a subset *)

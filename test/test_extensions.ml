@@ -322,11 +322,14 @@ let shaving_fixture () =
 let mean_window net outcome =
   let widths =
     List.filter_map
-      (fun (name, d) ->
-        if Network.is_bound net name then None
+      (fun name ->
+        let initial = Network.initial_domain net name in
+        if Network.is_bound net name || not (Domain.is_numeric initial) then None
         else
-          Some (Domain.relative_measure ~initial:(Network.initial_domain net name) d))
-      outcome.Propagate.feasible
+          Some
+            (Domain.relative_measure ~initial
+               outcome.Propagate.feasible.(Network.prop_id net name)))
+      (Network.prop_names net)
   in
   List.fold_left ( +. ) 0. widths /. float_of_int (List.length widths)
 
@@ -358,7 +361,7 @@ let test_shaving_sound () =
   let outcome = Propagate.run ~consistency:(`Shave 8) net in
   List.iter
     (fun (prop, v) ->
-      let d = List.assoc prop outcome.Propagate.feasible in
+      let d = outcome.Propagate.feasible.(Network.prop_id net prop) in
       match Domain.hull d with
       | Some iv ->
         Alcotest.(check bool)

@@ -119,10 +119,7 @@ let disagreements sc seed =
       Network.unassign oracle target;
       List.iter (Network.unassign oracle) unpin;
       let outcome = Propagate.run ~max_revisions oracle in
-      let d' =
-        try List.assoc target outcome.Propagate.feasible
-        with Not_found -> Network.initial_domain oracle target
-      in
+      let d' = outcome.Propagate.feasible.(Network.prop_id oracle target) in
       List.concat
         [
           (if same_domain d d' then []
