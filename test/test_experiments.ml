@@ -97,6 +97,32 @@ let test_fig7_shape () =
     (r.Exp_fig7.adpm_last_violation_op <= r.Exp_fig7.conv_last_violation_op);
   Alcotest.(check bool) "shorter run on average" true
     (r.Exp_fig7.adpm_mean_ops < r.Exp_fig7.conv_mean_ops);
+  List.iter
+    (fun (name, pin, x) -> check_bits name pin x)
+    [
+      ("conv_total_viol", "0x1.5266666666666p+5", r.Exp_fig7.conv_total_viol);
+      ("adpm_total_viol", "0x1.6333333333333p+2", r.Exp_fig7.adpm_total_viol);
+      ("conv_total_evals", "0x1.07p+8", r.Exp_fig7.conv_total_evals);
+      ("adpm_total_evals", "0x1.b7e199999999ap+10", r.Exp_fig7.adpm_total_evals);
+      ("conv_mean_ops", "0x1.acccccccccccdp+4", r.Exp_fig7.conv_mean_ops);
+      ("adpm_mean_ops", "0x1.0333333333333p+3", r.Exp_fig7.adpm_mean_ops);
+    ];
+  Alcotest.(check (pair int int)) "last violation op (conv, adpm)" (112, 12)
+    (r.Exp_fig7.conv_last_violation_op, r.Exp_fig7.adpm_last_violation_op);
+  (* the per-operation series, every value through [%h] *)
+  let series_bits s =
+    String.concat ";"
+      (Array.to_list
+         (Array.mapi
+            (fun i op ->
+              Printf.sprintf "%d %h %h" op s.Exp_fig7.violations.(i)
+                s.Exp_fig7.evaluations.(i))
+            s.Exp_fig7.ops))
+  in
+  Alcotest.(check (pair string string)) "series digests (conv, adpm)"
+    ("36f211fbd0e532b1a87e1dafd587663d", "6d913fd70360a3a77654dedcce9dc1c5")
+    ( Digest.to_hex (Digest.string (series_bits r.Exp_fig7.conventional)),
+      Digest.to_hex (Digest.string (series_bits r.Exp_fig7.adpm)) );
   Alcotest.(check bool) "render works" true
     (String.length (Exp_fig7.render r) > 0)
 
@@ -190,6 +216,29 @@ let test_fig10_robustness () =
 let test_ablation () =
   let r = Exp_ablation.run ~seeds:3 () in
   Alcotest.(check int) "eight TeamSim rows" 8 (List.length r.Exp_ablation.teamsim);
+  let show_row (t : Exp_ablation.teamsim_row) =
+    Printf.sprintf "%s: %h %h %h %d/%d" t.label t.mean_ops t.sd_ops t.mean_evals
+      t.completion t.runs
+  in
+  Alcotest.(check (list string))
+    "TeamSim rows (label: mean ops, sd ops, mean evals, done/runs)"
+    [
+      "ADPM, all heuristics: 0x1.d555555555555p+3 0x1.279a74590331cp+0 \
+       0x1.1f2aaaaaaaaabp+10 3/3";
+      "no feasible-subspace ordering (2.3.1): 0x1.ep+3 0x1.bb67ae8584caap+0 \
+       0x1.072aaaaaaaaabp+10 3/3";
+      "most-constrained-first ordering (2.3.2): 0x1.caaaaaaaaaaabp+3 \
+       0x1.279a74590331dp-1 0x1.19p+10 3/3";
+      "no alpha conflict repair (2.3.3): 0x1.cp+3 0x0p+0 0x1.05p+10 3/3";
+      "no monotone direction hints: 0x1.8p+3 0x0p+0 0x1.27p+9 3/3";
+      "no constraint-margin repair windows: 0x1p+4 0x1p+0 \
+       0x1.072aaaaaaaaabp+10 3/3";
+      "no design-history tabu: 0x1.d555555555555p+3 0x1.279a74590331cp+0 \
+       0x1.1f2aaaaaaaaabp+10 3/3";
+      "conventional (lambda = F): 0x1.39aaaaaaaaaaap+8 0x1.f66236fcbbabfp+7 \
+       0x1.4a55555555556p+9 3/3";
+    ]
+    (List.map show_row r.Exp_ablation.teamsim);
   let show c =
     Printf.sprintf "%s: %h %d" c.Exp_ablation.c_label c.Exp_ablation.c_mean_window
       c.Exp_ablation.c_evaluations
@@ -248,6 +297,34 @@ let test_adapt_smoke () =
     r.Exp_adapt.points;
   check_bits "adapt_advantage" "0x1.01872f22e9802p+1"
     r.Exp_adapt.adapt_advantage;
+  let cell (c : Exp_adapt.cell) = Printf.sprintf "%h %h %h" c.ops c.evals c.done_rate in
+  Alcotest.(check (list string))
+    "points (family/schedule: conv | ADPM | headroom as ops evals done)"
+    [
+      "3x2 ring/budget-squeeze: 0x1.6p+3 0x1.4p+3 0x1p+0 | 0x1p+3 0x1.1ep+8 \
+       0x1p+0 | 0x1.8p+2 0x1.498p+8 0x1p+0";
+      "3x2 ring/floor-raise: 0x1.2p+5 0x1.98p+5 0x1p+0 | 0x1.cp+2 0x1.dap+7 \
+       0x1p+0 | 0x1.ep+2 0x1.918p+8 0x1p+0";
+      "3x2 ring/double-shift: 0x1.2cp+5 0x1.acp+5 0x1p+0 | 0x1.1p+3 0x1.4ap+8 \
+       0x1p+0 | 0x1.cp+2 0x1.8e8p+8 0x1p+0";
+      "4x2 star+coupling/budget-squeeze: 0x1.a8p+4 0x1.14p+5 0x1p+0 | 0x1.9p+3 \
+       0x1.138p+9 0x1p+0 | 0x1.1p+3 0x1.044p+9 0x1p+0";
+      "4x2 star+coupling/floor-raise: 0x1.74p+5 0x1.0cp+6 0x1p+0 | 0x1.3p+3 \
+       0x1.6f8p+8 0x1p+0 | 0x1.1p+3 0x1.044p+9 0x1p+0";
+      "4x2 star+coupling/double-shift: 0x1.6cp+5 0x1.fcp+5 0x1p+0 | 0x1.dp+3 \
+       0x1.5d8p+9 0x1p+0 | 0x1.1p+3 0x1.114p+9 0x1p+0";
+      "4x3 random/budget-squeeze: 0x1.18p+4 0x1.ap+3 0x1p+0 | 0x1.ap+4 \
+       0x1.3b2p+10 0x1p+0 | 0x1.ap+3 0x1.9p+9 0x1p+0";
+      "4x3 random/floor-raise: 0x1.3p+4 0x1.08p+4 0x1p+0 | 0x1.ap+3 0x1.b68p+8 \
+       0x1p+0 | 0x1.ap+3 0x1.848p+9 0x1p+0";
+      "4x3 random/double-shift: 0x1.4p+4 0x1.1p+4 0x1p+0 | 0x1.28p+5 \
+       0x1.e24p+10 0x1p+0 | 0x1.ap+3 0x1.9dp+9 0x1p+0";
+    ]
+    (List.map
+       (fun (p : Exp_adapt.point) ->
+         Printf.sprintf "%s/%s: %s | %s | %s" p.family p.schedule (cell p.conv)
+           (cell p.adpm) (cell p.headroom))
+       r.Exp_adapt.points);
   Alcotest.(check bool) "render works" true
     (String.length (Exp_adapt.render r) > 0)
 

@@ -475,6 +475,24 @@ let test_scaling_smoke () =
       Alcotest.(check bool) (p.Adpm_experiments.Exp_scaling.label ^ " completed")
         true p.Adpm_experiments.Exp_scaling.completed)
     points;
+  Alcotest.(check (list string))
+    "points (label: conv ops, ADPM ops, conv evals, ADPM evals, completed)"
+    [
+      "2 subsystems x 2 vars: 0x1.cp+4 0x1p+2 0x1.1p+5 0x1.44p+6 true";
+      "3 subsystems x 2 vars: 0x1.04p+5 0x1.ep+2 0x1.6cp+5 0x1.efp+7 true";
+      "4 subsystems x 3 vars: 0x1.74p+5 0x1.48p+4 0x1.dcp+5 0x1.156p+10 true";
+      "6 subsystems x 3 vars: 0x1.3p+6 0x1.ap+4 0x1.7ep+6 0x1.bb6p+10 true";
+      "8 subsystems x 4 vars: 0x1.66p+6 0x1.28p+5 0x1.8cp+6 0x1.2f3p+11 true";
+      "slack 30%: 0x1.18p+4 0x1.ap+3 0x1.ap+3 0x1.858p+8 true";
+      "slack 15%: 0x1.18p+4 0x1.dp+3 0x1.ap+3 0x1.07p+9 true";
+      "slack 8%: 0x1.5cp+5 0x1p+4 0x1.cp+5 0x1.f3p+9 true";
+      "slack 5%: 0x1.88p+5 0x1.48p+4 0x1.f8p+5 0x1.f2p+9 true";
+    ]
+    (List.map
+       (fun (p : Adpm_experiments.Exp_scaling.point) ->
+         Printf.sprintf "%s: %h %h %h %h %b" p.label p.conv_ops p.adpm_ops
+           p.conv_evals p.adpm_evals p.completed)
+       points);
   (* at two seeds per point individual ratios are noisy; the aggregate
      acceleration must still be clear *)
   let mean_ratio =
