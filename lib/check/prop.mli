@@ -14,10 +14,16 @@
     notification still in flight when the project finished, a recipient
     that was crashed for the whole delivery window).
 
-    Truncated traces are {b refused}, not vacuously passed: a trace file
-    that lost its head or lines in the middle has sequence numbers that
-    no longer start at zero or are no longer dense, and every property
-    then reports {!Truncated} instead of a verdict. *)
+    Streams that visibly lost events are {b refused}, not vacuously
+    passed: one that lost its head or lines in the middle has sequence
+    numbers that no longer start at zero or are no longer dense, and
+    every property then reports {!Truncated} instead of a verdict. A
+    stream that lost only its tail is still dense, so {!check} cannot see
+    the loss and judges the prefix (hand-built streams, as in the
+    property tests, need not end in [Run_finished]). Refusing a cut
+    trace file is the caller's rule: [teamsim check] reports every
+    property [Truncated] when the file is empty or its last event is not
+    [Run_finished]. *)
 
 open Adpm_trace
 
@@ -155,7 +161,8 @@ val truncation : Event.stamped list -> int option
 
 val check : t list -> Event.stamped list -> result list
 (** Evaluate every property over the trace in one pass, in order.
-    Refuses truncated traces: every verdict is then [Truncated]. *)
+    Refuses a stream {!truncation} flags: every verdict is then
+    [Truncated]. An empty stream or a cut tail is not flagged. *)
 
 val failed : result list -> result list
 (** The results that are not [Pass]. *)

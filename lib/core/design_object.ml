@@ -1,13 +1,11 @@
 type t = {
   o_name : string;
   o_properties : string list;
-  o_children : string list;
   mutable o_version : int * int * int;
 }
 
-let make ?(children = []) ~name ~properties () =
-  { o_name = name; o_properties = properties; o_children = children;
-    o_version = (1, 0, 0) }
+let make ~name ~properties =
+  { o_name = name; o_properties = properties; o_version = (1, 0, 0) }
 
 let copy t = { t with o_name = t.o_name }
 

@@ -1,21 +1,20 @@
 (** Design objects.
 
     A design object is a named set of properties representing a part of the
-    design (Section 2.1). Objects form a hierarchy mirroring the problem
-    decomposition — the "design object hierarchy" component of the design
-    process state — and carry a version number that the DPM bumps whenever
+    design (Section 2.1). Objects mirror the problem decomposition — the
+    "design object hierarchy" component of the design process state, held
+    as each problem's [pr_object] — and carry a version number that the
+    DPM bumps whenever
     one of the object's properties is (re)assigned, as in the object browser
     of Fig. 2 ("Version number: 1.0.1"). *)
 
 type t = private {
   o_name : string;
   o_properties : string list;
-  o_children : string list;
   mutable o_version : int * int * int;
 }
 
-val make :
-  ?children:string list -> name:string -> properties:string list -> unit -> t
+val make : name:string -> properties:string list -> t
 
 val copy : t -> t
 (** A fresh record at the same version. *)

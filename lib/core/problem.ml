@@ -15,7 +15,7 @@ type t = {
 }
 
 let make ~id ~name ~owner ?(inputs = []) ?(outputs = []) ?(constraints = [])
-    ?(depends_on = []) ?object_name () =
+    ?object_name () =
   {
     pr_id = id;
     pr_name = name;
@@ -25,7 +25,7 @@ let make ~id ~name ~owner ?(inputs = []) ?(outputs = []) ?(constraints = [])
     pr_constraints = constraints;
     pr_parent = None;
     pr_children = [];
-    pr_depends_on = depends_on;
+    pr_depends_on = [];
     pr_status = Open;
     pr_object = object_name;
   }

@@ -18,7 +18,8 @@ type t = private {
   pr_constraints : int list;  (** T_i: constraint ids *)
   mutable pr_parent : int option;
   mutable pr_children : int list;
-  mutable pr_depends_on : int list;  (** problem-ordering declarations *)
+  mutable pr_depends_on : int list;
+      (** problem-ordering declarations, added by {!add_dependency} *)
   mutable pr_status : status;
   pr_object : string option;  (** design object realising this problem *)
 }
@@ -30,7 +31,6 @@ val make :
   ?inputs:string list ->
   ?outputs:string list ->
   ?constraints:int list ->
-  ?depends_on:int list ->
   ?object_name:string ->
   unit ->
   t

@@ -24,14 +24,13 @@ let feasible_on st (p : Network.prop) =
   if st.mask.(pid) then Domain.refine initial (store_box st pid) else initial
 
 (* [narrowed] is always a sub-interval of [old_iv] (HC4 intersects with the
-   input box); requeue only when the shrink is significant. When both widths
-   are infinite their difference says nothing ([inf < inf] is false even
-   when a bound genuinely moved, e.g. [-inf,+inf] -> [0,+inf]), so compare
-   the bounds directly. *)
-let[@inline] significantly_narrower_f ~eps ~olo ~ohi ~nlo ~nhi =
+   input box); requeue only when its width shrank. When both widths are
+   infinite their difference says nothing ([inf < inf] is false even when
+   a bound genuinely moved, e.g. [-inf,+inf] -> [0,+inf]), so compare the
+   bounds directly. *)
+let[@inline] narrower_f ~olo ~ohi ~nlo ~nhi =
   let old_w = ohi -. olo and new_w = nhi -. nlo in
-  if Float.is_finite old_w then
-    new_w < old_w && old_w -. new_w > eps *. Float.max 1. old_w
+  if Float.is_finite old_w then new_w < old_w
   else if Float.is_finite new_w then true
   else nlo > olo || nhi < ohi
 
@@ -77,7 +76,7 @@ let[@inline] get (a : Network.ints) i = Int32.to_int (Bigarray.Array1.unsafe_get
    id-indexed array, membership flags are plain bool arrays, and a revision
    is one [Hc4.revise_kernel] call against the float store followed by an
    in-place gate over the kernel's accumulator slots. *)
-let fixpoint ?(eps = 0.) ~max_revisions ?empty_marks ?waves ?seed net st =
+let fixpoint ~max_revisions ?empty_marks ?waves ?seed net st =
   let kernels = Network.kernels net in
   let sc = Network.scratch net in
   let adj = Network.adjacency net in
@@ -134,16 +133,15 @@ let fixpoint ?(eps = 0.) ~max_revisions ?empty_marks ?waves ?seed net st =
         let pid = Hc4.var kernels cid j in
         let olo = st.lo.(pid) and ohi = st.hi.(pid) in
         let nlo = acc_lo.(j) and nhi = acc_hi.(j) in
-        (* Sub-eps narrowings are discarded, not just left unqueued:
-           applying them would make the final box depend on the revision
-           trajectory, and the incremental engine restarts from the
-           stored fixpoint along a different trajectory than a
+        (* A projection that moves a bound without shrinking the width
+           (possible only by rounding) is discarded, not just left
+           unqueued: applying it would make the final box depend on the
+           revision trajectory, and the incremental engine restarts from
+           the stored fixpoint along a different trajectory than a
            from-scratch run. Discarding keeps the stored boxes an exact
            fixpoint of this gated contraction, so both engines converge
            to bit-identical results. *)
-        if
-          (not (olo = nlo && ohi = nhi))
-          && significantly_narrower_f ~eps ~olo ~ohi ~nlo ~nhi
+        if (not (olo = nlo && ohi = nhi)) && narrower_f ~olo ~ohi ~nlo ~nhi
         then begin
           st.lo.(pid) <- nlo;
           st.hi.(pid) <- nhi;
@@ -170,13 +168,13 @@ let fixpoint ?(eps = 0.) ~max_revisions ?empty_marks ?waves ?seed net st =
    variable's box infeasible by running the fixpoint on a copy; on success
    the bound moves inward. Each probe's revisions are charged to the
    caller's counter. *)
-let shave_bounds ~eps ~max_revisions ~slices net st evaluations =
+let shave_bounds ~max_revisions ~slices net st evaluations =
   let probe pid slice =
     let cp = copy_store st in
     cp.lo.(pid) <- Interval.lo slice;
     cp.hi.(pid) <- Interval.hi slice;
     let evals, infeasible, _ =
-      fixpoint ~eps ~max_revisions:(max_revisions / 4) net cp
+      fixpoint ~max_revisions:(max_revisions / 4) net cp
     in
     evaluations := !evaluations + evals;
     infeasible
@@ -186,7 +184,7 @@ let shave_bounds ~eps ~max_revisions ~slices net st evaluations =
     let attempt side =
       let iv = store_box st pid in
       let w = Interval.width iv in
-      if Float.is_finite w && w > eps then begin
+      if Float.is_finite w && w > 0. then begin
         let step = w /. float_of_int slices in
         let lo = Interval.lo iv and hi = Interval.hi iv in
         let slice, rest =
@@ -225,7 +223,7 @@ let shave_bounds ~eps ~max_revisions ~slices net st evaluations =
       in
       if progress then begin
         (* re-contract with plain propagation after successful shaves *)
-        let evals, _, _ = fixpoint ~eps ~max_revisions net st in
+        let evals, _, _ = fixpoint ~max_revisions net st in
         evaluations := !evaluations + evals;
         sweeps (remaining - 1)
       end
@@ -303,7 +301,7 @@ let classify ?prev net st empty_marks revisions =
 (* [base_revisions] charges work done before this run to its counters: a
    full restart that replaces an aborted incremental attempt inherits the
    attempt's revisions, so reported costs reflect all HC4 work performed. *)
-let run_core ~eps ~max_revisions ~consistency ~tracer ~engine ~st ~empty_marks
+let run_core ~max_revisions ~consistency ~tracer ~engine ~st ~empty_marks
     ~seed ?(base_revisions = 0) ?prev net =
   if Tracer.active tracer then
     Tracer.emit tracer
@@ -315,14 +313,14 @@ let run_core ~eps ~max_revisions ~consistency ~tracer ~engine ~st ~empty_marks
   in
   let waves = ref [] in
   let evals, _, budget_hit =
-    fixpoint ~eps ~max_revisions ~empty_marks ~waves ?seed net st
+    fixpoint ~max_revisions ~empty_marks ~waves ?seed net st
   in
   let revisions = ref (base_revisions + evals) in
   (match consistency with
   | `Hull -> ()
   | `Shave slices ->
     if slices < 2 then invalid_arg "Propagate.run: shaving needs >= 2 slices";
-    shave_bounds ~eps ~max_revisions ~slices net st revisions);
+    shave_bounds ~max_revisions ~slices net st revisions);
   let statuses, feasible, evaluations = classify ?prev net st empty_marks !revisions in
   if Tracer.active tracer then
     Tracer.emit tracer
@@ -338,9 +336,9 @@ let run_core ~eps ~max_revisions ~consistency ~tracer ~engine ~st ~empty_marks
          });
   { feasible; statuses; evaluations; revisions = !revisions; fixpoint = not budget_hit }
 
-let run ?(eps = 0.) ?(max_revisions = 10_000) ?(consistency = `Hull)
+let run ?(max_revisions = 10_000) ?(consistency = `Hull)
     ?(tracer = Tracer.null) net =
-  run_core ~eps ~max_revisions ~consistency ~tracer ~engine:"full"
+  run_core ~max_revisions ~consistency ~tracer ~engine:"full"
     ~st:(initial_store net)
     ~empty_marks:(Hashtbl.create 8)
     ~seed:None net
@@ -364,7 +362,7 @@ let dirty_seed net dirty =
   in
   List.rev acc
 
-let run_incremental ?(eps = 0.) ?(max_revisions = 10_000)
+let run_incremental ?(max_revisions = 10_000)
     ?(tracer = Tracer.null) net =
   (* a store of another shape (which structural edits prevent by
      invalidating it) is not restarted from or classified against *)
@@ -390,7 +388,7 @@ let run_incremental ?(eps = 0.) ?(max_revisions = 10_000)
     let st = initial_store net in
     let empty_marks : (int, unit) Hashtbl.t = Hashtbl.create 8 in
     persist st empty_marks
-      (run_core ~eps ~max_revisions ~consistency:`Hull ~tracer ~engine:"full"
+      (run_core ~max_revisions ~consistency:`Hull ~tracer ~engine:"full"
          ~st ~empty_marks ~seed:None ~base_revisions ?prev net)
   in
   match prev with
@@ -451,7 +449,7 @@ let run_incremental ?(eps = 0.) ?(max_revisions = 10_000)
         dirty;
       let empty_marks : (int, unit) Hashtbl.t = Hashtbl.create 8 in
       let outcome =
-        run_core ~eps ~max_revisions ~consistency:`Hull ~tracer
+        run_core ~max_revisions ~consistency:`Hull ~tracer
           ~engine:"incremental" ~st ~empty_marks
           ~seed:(Some (dirty_seed net dirty))
           ?prev net
@@ -467,8 +465,8 @@ let run_incremental ?(eps = 0.) ?(max_revisions = 10_000)
 let apply net outcome =
   Network.set_result net ~feasible:outcome.feasible ~statuses:outcome.statuses
 
-let run_incremental_and_apply ?eps ?max_revisions ?tracer net =
-  let outcome = run_incremental ?eps ?max_revisions ?tracer net in
+let run_incremental_and_apply ?max_revisions ?tracer net =
+  let outcome = run_incremental ?max_revisions ?tracer net in
   apply net outcome;
   outcome
 
@@ -476,8 +474,7 @@ let run_incremental_and_apply ?eps ?max_revisions ?tracer net =
    unassigned, without making the copy: the same store, fixpoint and
    evaluation charge (revisions plus one status sweep), reading only the
    target's box. [net] itself is not written. *)
-let relaxed_feasible_group ?(eps = 0.) ?(max_revisions = 10_000) net ~target
-    ~unpin =
+let relaxed_feasible_group ?(max_revisions = 10_000) net ~target ~unpin =
   let st = initial_store net in
   let release p =
     Option.iter (set_box st p.Network.p_id) (Domain.hull p.Network.p_initial)
@@ -485,5 +482,5 @@ let relaxed_feasible_group ?(eps = 0.) ?(max_revisions = 10_000) net ~target
   let tp = Network.find_prop net target in
   release tp;
   List.iter (fun name -> release (Network.find_prop net name)) unpin;
-  let evals, _, _ = fixpoint ~eps ~max_revisions net st in
+  let evals, _, _ = fixpoint ~max_revisions net st in
   (feasible_on st tp, evals + Network.constraint_count net)

@@ -37,7 +37,6 @@ type outcome = {
 }
 
 val run :
-  ?eps:float ->
   ?max_revisions:int ->
   ?consistency:[ `Hull | `Shave of int ] ->
   ?tracer:Adpm_trace.Tracer.t ->
@@ -45,13 +44,15 @@ val run :
   outcome
 (** Pure with respect to the network: reads assignments and initial domains,
     writes nothing. [max_revisions] (default 10_000) bounds non-terminating
-    slow convergence; [eps] is the relative narrowing threshold below which
-    a projection is discarded — neither applied nor requeued (default 0:
-    HC4's built-in magnitude-relative projection slack already quantises
-    narrowings and guarantees termination, and a zero threshold keeps the
-    gated revision operator monotone, which makes the fixpoint independent
-    of revision order — the property the incremental engine's bit-identical
-    equivalence with from-scratch runs rests on).
+    slow convergence. A projection is applied (and its constraints
+    requeued) exactly when it narrows the box: a finite width must shrink,
+    an infinite one must become finite or move a bound. There is no
+    narrowing threshold: HC4's built-in magnitude-relative projection
+    slack already quantises narrowings and guarantees termination, and
+    accepting every narrowing keeps the gated revision operator monotone,
+    which makes the fixpoint independent of revision order — the property
+    the incremental engine's bit-identical equivalence with from-scratch
+    runs rests on.
     [consistency] defaults to [`Hull]; [`Shave n] additionally shaves each
     unbound variable's bounds in [1/n]-width slices (n >= 2). The
     outcome's arrays are the caller's own.
@@ -66,7 +67,6 @@ val apply : Network.t -> outcome -> unit
     ({!Network.set_result}: only entries that differ are written). *)
 
 val run_incremental_and_apply :
-  ?eps:float ->
   ?max_revisions:int ->
   ?tracer:Adpm_trace.Tracer.t ->
   Network.t ->
@@ -108,7 +108,6 @@ val run_incremental_and_apply :
     ({!Network.invalidate_prop_state}). *)
 
 val relaxed_feasible_group :
-  ?eps:float ->
   ?max_revisions:int ->
   Network.t ->
   target:string ->

@@ -158,7 +158,7 @@ let build decl ~mode =
     decl.Ast.sd_requirements;
   let objects =
     List.map
-      (fun (name, properties) -> Design_object.make ~name ~properties ())
+      (fun (name, properties) -> Design_object.make ~name ~properties)
       decl.Ast.sd_objects
   in
   let cids names = List.map (fun n -> Hashtbl.find constraint_ids n) names in

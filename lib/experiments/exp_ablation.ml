@@ -25,25 +25,14 @@ type result = {
 }
 
 let teamsim_row ~jobs label cfg seeds =
-  let summaries =
-    Engine.run_many ~jobs cfg Receiver.scenario
-      ~seeds:(List.init seeds (fun i -> i + 1))
-  in
-  let ops = Stats_acc.create () and evals = Stats_acc.create () in
-  let completed = ref 0 in
-  List.iter
-    (fun s ->
-      if s.Metrics.s_completed then incr completed;
-      Stats_acc.add_int ops s.Metrics.s_operations;
-      Stats_acc.add_int evals s.Metrics.s_evaluations)
-    summaries;
+  let a = Report.sweep ~jobs cfg Receiver.scenario ~seeds in
   {
     label;
-    mean_ops = Stats_acc.mean ops;
-    sd_ops = Stats_acc.stddev ops;
-    mean_evals = Stats_acc.mean evals;
-    completion = !completed;
-    runs = seeds;
+    mean_ops = Stats_acc.mean a.Report.a_ops;
+    sd_ops = Stats_acc.stddev a.Report.a_ops;
+    mean_evals = Stats_acc.mean a.Report.a_evals;
+    completion = a.Report.a_completed;
+    runs = a.Report.a_runs;
   }
 
 let teamsim_ablation ~jobs seeds =

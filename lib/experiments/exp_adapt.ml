@@ -78,21 +78,11 @@ let measure_cell ~seeds ~jobs ~shifts ~policy mode scenario =
       value_policy = policy;
     }
   in
-  let summaries =
-    Engine.run_many ~jobs cfg scenario ~seeds:(List.init seeds (fun i -> i + 1))
-  in
-  let ops = Stats_acc.create () and evals = Stats_acc.create () in
-  let completed = ref 0 in
-  List.iter
-    (fun s ->
-      if s.Metrics.s_completed then incr completed;
-      Stats_acc.add_int ops s.Metrics.s_operations;
-      Stats_acc.add_int evals s.Metrics.s_evaluations)
-    summaries;
+  let a = Report.sweep ~jobs cfg scenario ~seeds in
   {
-    ops = Stats_acc.mean ops;
-    evals = Stats_acc.mean evals;
-    done_rate = float_of_int !completed /. float_of_int seeds;
+    ops = Stats_acc.mean a.Report.a_ops;
+    evals = Stats_acc.mean a.Report.a_evals;
+    done_rate = Report.completion a;
   }
 
 let measure ~seeds ~jobs ~family ~schedule ~shifts scenario =

@@ -4,7 +4,7 @@
     operation outcome reaches every teammate. The fault layer makes that
     an experimental variable. For each notification drop rate in the
     sweep, run both modes over the same seed set and compare completion
-    rates and operation counts; optionally add one designer-crash
+    rates and operation counts; then run one designer-crash
     schedule (the scenario's first designer loses its believed-status
     table mid-run and rebuilds it from later deliveries).
 
@@ -31,7 +31,7 @@ type result = {
   scenario : string;
   seeds : int;
   points : point list;
-  crash : crash_point option;
+  crash : crash_point;
 }
 
 type verdicts = {
@@ -41,24 +41,14 @@ type verdicts = {
   adpm_degrades_slower : bool;
       (** ADPM's completion loss from the cleanest to the lossiest cell is
           no larger than the conventional process's *)
-  crash_completion : (float * float) option;
+  crash_completion : float * float;
       (** (conventional, ADPM) completion under the crash schedule *)
 }
 
-val run :
-  ?seeds:int ->
-  ?jobs:int ->
-  ?drops:float list ->
-  ?with_crash:bool ->
-  ?scenario:Scenario.t ->
-  unit ->
-  result
-(** Default 30 seeds per cell over {!default_drops} on the sensor
-    scenario, plus the crash schedule unless [with_crash] is false. Drop
-    rates are deduplicated and sorted ascending. [jobs] forwards to
-    {!Adpm_teamsim.Engine.run_many}.
-
-    @raise Invalid_argument on an empty drop list. *)
+val run : ?seeds:int -> ?jobs:int -> unit -> result
+(** Default 30 seeds per cell on the sensor scenario, at drop rates 0,
+    0.1, 0.25 and 0.5, plus the crash schedule. [jobs] forwards to
+    {!Adpm_teamsim.Engine.run_many}. *)
 
 val verdicts : result -> verdicts
 val render : result -> string

@@ -14,15 +14,11 @@ type point = {
 type result = { points : point list; conv_spread : float; adpm_spread : float }
 
 let measure ~jobs mode req_gain seeds =
-  let scenario = Receiver.with_req_gain req_gain in
-  let cfg = Config.default ~mode ~seed:0 in
-  let summaries =
-    Engine.run_many ~jobs cfg scenario
-      ~seeds:(List.init seeds (fun i -> i + 1))
+  let a =
+    Report.sweep ~jobs (Config.default ~mode ~seed:0)
+      (Receiver.with_req_gain req_gain) ~seeds
   in
-  let acc = Stats_acc.create () in
-  List.iter (fun s -> Stats_acc.add_int acc s.Metrics.s_operations) summaries;
-  (Stats_acc.mean acc, Stats_acc.stddev acc)
+  (Stats_acc.mean a.Report.a_ops, Stats_acc.stddev a.Report.a_ops)
 
 let run ?(seeds = 10) ?(sweep = Receiver.gain_sweep) ?(jobs = 1) () =
   let points =

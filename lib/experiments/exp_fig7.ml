@@ -19,10 +19,8 @@ type result = {
 }
 
 let profile_series ~jobs mode seeds =
-  let cfg = Config.default ~mode ~seed:0 in
   let summaries =
-    Engine.run_many ~jobs cfg Simple.scenario
-      ~seeds:(List.init seeds (fun i -> i + 1))
+    Report.runs ~jobs (Config.default ~mode ~seed:0) Simple.scenario ~seeds
   in
   let mean = Report.mean_profile summaries in
   let mean_ops =

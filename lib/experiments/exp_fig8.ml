@@ -20,8 +20,8 @@ type result = {
   completed : bool;
 }
 
-let run ?(mode = Dpm.Adpm) ?(seed = 1) () =
-  let cfg = Config.default ~mode ~seed in
+let run ?(seed = 1) () =
+  let cfg = Config.default ~mode:Dpm.Adpm ~seed in
   let outcome = Engine.run cfg Receiver.scenario in
   let net = Dpm.network outcome.Engine.o_dpm in
   let evals = ref 0 and spins = ref 0 in

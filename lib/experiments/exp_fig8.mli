@@ -21,7 +21,7 @@ type result = {
   completed : bool;
 }
 
-val run : ?mode:Adpm_core.Dpm.mode -> ?seed:int -> unit -> result
-(** Default: ADPM mode, seed 1. *)
+val run : ?seed:int -> unit -> result
+(** One ADPM run; default seed 1. *)
 
 val render : result -> string

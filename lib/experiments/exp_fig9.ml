@@ -27,10 +27,7 @@ type verdicts = {
 }
 
 let cell ~jobs scenario mode seeds =
-  let cfg = Config.default ~mode ~seed:0 in
-  Report.aggregate
-    (Engine.run_many ~jobs cfg scenario
-       ~seeds:(List.init seeds (fun i -> i + 1)))
+  Report.sweep ~jobs (Config.default ~mode ~seed:0) scenario ~seeds
 
 let run ?(seeds = 60) ?(jobs = 1) () =
   {
@@ -40,9 +37,8 @@ let run ?(seeds = 60) ?(jobs = 1) () =
     receiver_adpm = cell ~jobs Receiver.scenario Dpm.Adpm seeds;
   }
 
-let safe_div a b = if b = 0. then infinity else a /. b
-
 let verdicts r =
+  let safe_div = Report.safe_div in
   let mean_ops c = Stats_acc.mean c.Report.a_ops in
   let sd_ops c = Stats_acc.stddev c.Report.a_ops in
   let mean_evals c = Stats_acc.mean c.Report.a_evals in

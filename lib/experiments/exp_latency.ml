@@ -18,35 +18,29 @@ type verdicts = {
   advantage_grows : bool;
 }
 
-let default_latencies = [ 0; 1; 2; 4; 8 ]
+let latencies = [ 0; 1; 2; 4; 8 ]
 
-let cell ~jobs scenario mode latency seeds =
+let cell ~jobs mode latency seeds =
   let cfg = { (Config.default ~mode ~seed:0) with Config.latency } in
-  Report.aggregate
-    (Engine.run_many ~jobs cfg scenario ~seeds:(List.init seeds (fun i -> i + 1)))
+  Report.sweep ~jobs cfg Sensor.scenario ~seeds
 
-let run ?(seeds = 30) ?(jobs = 1) ?(latencies = default_latencies)
-    ?(scenario = Sensor.scenario) () =
-  if latencies = [] then invalid_arg "Exp_latency.run: empty latency list";
-  let latencies = List.sort_uniq compare latencies in
+let run ?(seeds = 30) ?(jobs = 1) () =
   {
-    scenario = scenario.Scenario.sc_name;
+    scenario = Sensor.scenario.Scenario.sc_name;
     seeds;
     points =
       List.map
         (fun latency ->
           {
             p_latency = latency;
-            p_conv = cell ~jobs scenario Dpm.Conventional latency seeds;
-            p_adpm = cell ~jobs scenario Dpm.Adpm latency seeds;
+            p_conv = cell ~jobs Dpm.Conventional latency seeds;
+            p_adpm = cell ~jobs Dpm.Adpm latency seeds;
           })
         latencies;
   }
 
-let safe_div a b = if b = 0. then infinity else a /. b
-
 let ops_ratio p =
-  safe_div (Stats_acc.mean p.p_conv.Report.a_ops)
+  Report.safe_div (Stats_acc.mean p.p_conv.Report.a_ops)
     (Stats_acc.mean p.p_adpm.Report.a_ops)
 
 let verdicts r =
@@ -58,9 +52,6 @@ let verdicts r =
     ratio_at_max = snd last;
     advantage_grows = snd last >= snd first;
   }
-
-let completion a =
-  safe_div (float_of_int a.Report.a_completed) (float_of_int a.Report.a_runs)
 
 let render r =
   let v = verdicts r in
@@ -89,8 +80,8 @@ let render r =
           Printf.sprintf "%.1f" (Stats_acc.mean p.p_conv.Report.a_ops);
           Printf.sprintf "%.1f" (Stats_acc.mean p.p_adpm.Report.a_ops);
           Printf.sprintf "%.2f" (ops_ratio p);
-          Printf.sprintf "%.0f%%" (100. *. completion p.p_conv);
-          Printf.sprintf "%.0f%%" (100. *. completion p.p_adpm);
+          Printf.sprintf "%.0f%%" (100. *. Report.completion p.p_conv);
+          Printf.sprintf "%.0f%%" (100. *. Report.completion p.p_adpm);
         ])
     r.points;
   Buffer.add_string buf (Table.render table);

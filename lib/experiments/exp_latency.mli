@@ -31,18 +31,9 @@ type verdicts = {
   advantage_grows : bool;  (** ratio at the largest latency >= at zero *)
 }
 
-val run :
-  ?seeds:int ->
-  ?jobs:int ->
-  ?latencies:int list ->
-  ?scenario:Scenario.t ->
-  unit ->
-  result
-(** Default 30 seeds per cell over {!default_latencies} on the sensor
-    scenario. Latencies are deduplicated and sorted ascending. [jobs]
-    forwards to {!Adpm_teamsim.Engine.run_many}.
-
-    @raise Invalid_argument on an empty latency list. *)
+val run : ?seeds:int -> ?jobs:int -> unit -> result
+(** Default 30 seeds per cell on the sensor scenario, at latencies 0, 1,
+    2, 4 and 8 ticks. [jobs] forwards to {!Adpm_teamsim.Engine.run_many}. *)
 
 val verdicts : result -> verdicts
 val render : result -> string

@@ -21,19 +21,10 @@ type result = { by_size : point list; by_tightness : point list }
 let measure params ~label ~seeds ~jobs =
   let scenario = Generated.scenario params in
   let run mode =
-    let cfg = Config.default ~mode ~seed:0 in
-    let summaries =
-      Engine.run_many ~jobs cfg scenario ~seeds:(List.init seeds (fun i -> i + 1))
-    in
-    let ops = Stats_acc.create () and evals = Stats_acc.create () in
-    let all_done = ref true in
-    List.iter
-      (fun s ->
-        if not s.Metrics.s_completed then all_done := false;
-        Stats_acc.add_int ops s.Metrics.s_operations;
-        Stats_acc.add_int evals s.Metrics.s_evaluations)
-      summaries;
-    (Stats_acc.mean ops, Stats_acc.mean evals, !all_done)
+    let a = Report.sweep ~jobs (Config.default ~mode ~seed:0) scenario ~seeds in
+    ( Stats_acc.mean a.Report.a_ops,
+      Stats_acc.mean a.Report.a_evals,
+      a.Report.a_completed = a.Report.a_runs )
   in
   let conv_ops, conv_evals, conv_done = run Dpm.Conventional in
   let adpm_ops, adpm_evals, adpm_done = run Dpm.Adpm in

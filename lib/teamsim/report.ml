@@ -54,6 +54,15 @@ let aggregate summaries =
       a_violations = violations;
     }
 
+let runs ~jobs cfg scenario ~seeds =
+  if seeds < 1 then invalid_arg "Report.runs: seeds < 1";
+  Engine.run_many ~jobs cfg scenario ~seeds:(List.init seeds (fun i -> i + 1))
+
+let sweep ~jobs cfg scenario ~seeds = aggregate (runs ~jobs cfg scenario ~seeds)
+
+let completion a = float_of_int a.a_completed /. float_of_int a.a_runs
+let safe_div a b = if b = 0. then infinity else a /. b
+
 (* One pass over every record, accumulating into arrays indexed by op
    number (index 0 is the ADPM setup record, excluded as before). Indices
    no run reached are skipped — the old per-index rescan was quadratic in

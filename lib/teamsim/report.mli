@@ -22,6 +22,23 @@ type aggregate = {
 val aggregate : Metrics.run_summary list -> aggregate
 (** @raise Invalid_argument on an empty list or on mixed scenarios/modes. *)
 
+val runs :
+  jobs:int -> Config.t -> Scenario.t -> seeds:int -> Metrics.run_summary list
+(** One run per seed [1..seeds], in seed order, on [jobs] domains
+    ({!Engine.run_many}): the seed set of every multi-seed experiment.
+
+    @raise Invalid_argument when [seeds < 1]. *)
+
+val sweep : jobs:int -> Config.t -> Scenario.t -> seeds:int -> aggregate
+(** [aggregate (runs ~jobs cfg sc ~seeds)]. *)
+
+val completion : aggregate -> float
+(** The share of runs that completed. *)
+
+val safe_div : float -> float -> float
+(** [a /. b], or [infinity] when [b = 0.]: the ratios experiments report
+    between aggregate means. *)
+
 val mean_profile : Metrics.run_summary list -> (int * float * float) list
 (** Per operation index: (index, mean new violations, mean evaluations)
     averaged across runs that reached that index — the data of Fig. 7.

@@ -19,8 +19,12 @@ let bounds series =
     let ymax = if ymax <= ymin then ymin +. 1. else ymax in
     (xmin, xmax, ymin, ymax)
 
-let line_chart ?(width = 72) ?(height = 20) ?(x_label = "") ?(y_label = "")
-    ~title series =
+(* plotting area of a line chart, and the longest bar of a bar chart *)
+let width = 72
+let height = 20
+let bar_width = 50
+
+let line_chart ?(x_label = "") ?(y_label = "") ~title series =
   let xmin, xmax, ymin, ymax = bounds series in
   let grid = Array.make_matrix height width ' ' in
   let plot_x x =
@@ -75,7 +79,7 @@ let line_chart ?(width = 72) ?(height = 20) ?(x_label = "") ?(y_label = "")
     series;
   Buffer.contents buf
 
-let bar_chart ?(width = 50) ~title entries =
+let bar_chart ~title entries =
   let max_v =
     List.fold_left (fun acc (_, v) -> max acc (abs_float v)) 0. entries
   in
@@ -88,13 +92,13 @@ let bar_chart ?(width = 50) ~title entries =
   Buffer.add_char buf '\n';
   List.iter
     (fun (label, v) ->
-      let n = int_of_float (abs_float v /. max_v *. float_of_int width) in
+      let n = int_of_float (abs_float v /. max_v *. float_of_int bar_width) in
       Buffer.add_string buf
         (Printf.sprintf "  %-*s | %s %.3g\n" label_w label (String.make n '#') v))
     entries;
   Buffer.contents buf
 
-let histogram ?(width = 50) ?(bins = 10) ~title samples =
+let histogram ?(bins = 10) ~title samples =
   match samples with
   | [] -> title ^ "\n  (empty sample)\n"
   | _ ->
@@ -119,4 +123,4 @@ let histogram ?(width = 50) ?(bins = 10) ~title samples =
              (Printf.sprintf "[%.3g, %.3g)" bin_lo bin_hi, float_of_int c))
            counts)
     in
-    bar_chart ~width ~title entries
+    bar_chart ~title entries

@@ -10,8 +10,6 @@ type series = { label : string; points : (float * float) list }
 (** A named series of (x, y) points. *)
 
 val line_chart :
-  ?width:int ->
-  ?height:int ->
   ?x_label:string ->
   ?y_label:string ->
   title:string ->
@@ -19,13 +17,12 @@ val line_chart :
   string
 (** Render one or more series on shared axes. Each series is drawn with its
     own glyph ([*], [o], [+], [x], ...); a legend maps glyphs to labels.
-    Defaults: 72 columns by 20 rows of plotting area. *)
+    The plotting area is 72 columns by 20 rows. *)
 
-val bar_chart :
-  ?width:int -> title:string -> (string * float) list -> string
-(** Horizontal bars, one per labelled value, scaled to the maximum. *)
+val bar_chart : title:string -> (string * float) list -> string
+(** Horizontal bars, one per labelled value, scaled to the maximum (50
+    columns). *)
 
-val histogram :
-  ?width:int -> ?bins:int -> title:string -> float list -> string
+val histogram : ?bins:int -> title:string -> float list -> string
 (** Distribution of a sample as a vertical-bar histogram rendered
     horizontally (one row per bin). *)

@@ -20,7 +20,7 @@ let contains haystack needle =
 (* {2 Design_object} *)
 
 let test_object_versioning () =
-  let o = Design_object.make ~name:"o" ~properties:[ "a"; "b" ] () in
+  let o = Design_object.make ~name:"o" ~properties:[ "a"; "b" ] in
   Alcotest.(check string) "initial" "1.0.0" (Design_object.version_string o);
   Design_object.bump_patch o;
   Alcotest.(check string) "patch" "1.0.1" (Design_object.version_string o);
@@ -65,8 +65,8 @@ let fixture mode =
   Network.assign net "budget" (Value.Num 10.);
   let objects =
     [
-      Design_object.make ~name:"A" ~properties:[ "xa" ] ();
-      Design_object.make ~name:"B" ~properties:[ "xb" ] ();
+      Design_object.make ~name:"A" ~properties:[ "xa" ];
+      Design_object.make ~name:"B" ~properties:[ "xb" ];
     ]
   in
   let top =
