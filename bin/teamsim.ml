@@ -219,10 +219,19 @@ let validated cfg =
     exit 1
 
 let seeds_arg =
+  let positive =
+    let parse s =
+      match int_of_string_opt s with
+      | Some n when n >= 1 -> Ok n
+      | _ -> Error (`Msg (Printf.sprintf "expected a positive integer, got %s" s))
+    in
+    Arg.conv (parse, Format.pp_print_int)
+  in
   Arg.(
     value
-    & opt int 60
-    & info [ "n"; "seeds" ] ~docv:"N" ~doc:"Number of seeds per cell.")
+    & opt positive 60
+    & info [ "n"; "seeds" ] ~docv:"N"
+        ~doc:"Number of seeds per cell (seeds 1 to $(docv)).")
 
 let jobs_arg =
   Arg.(
@@ -423,13 +432,12 @@ let sweep_cmd =
       exit 1
     | Ok scenario ->
       let jobs = effective_jobs jobs in
-      let seed_list = List.init seeds (fun i -> i + 1) in
-      let cfg mode =
-        validated
-          { (Config.default ~mode ~seed:0) with Config.latency; faults }
-      in
       let run_mode mode =
-        Engine.run_many ~jobs (cfg mode) scenario ~seeds:seed_list
+        let cfg =
+          validated
+            { (Config.default ~mode ~seed:0) with Config.latency; faults }
+        in
+        Report.runs ~jobs cfg scenario ~seeds
       in
       let conv_runs = run_mode Dpm.Conventional in
       let adpm_runs = run_mode Dpm.Adpm in
@@ -487,7 +495,23 @@ let check_cmd =
     let horizon =
       match horizon with Some h -> h | None -> observed_horizon events
     in
-    let results = Prop.check (Props.suite ~horizon ~crashes ()) events in
+    let suite = Props.suite ~horizon ~crashes () in
+    let results =
+      match List.rev events with
+      | { Event.event = Event.Run_finished _; _ } :: _ -> Prop.check suite events
+      | _ ->
+        (* Empty, or cut before the run's end: a lost tail leaves the
+           sequence dense, so Prop.check alone would pass it vacuously. *)
+        let dropped = Option.value (Prop.truncation events) ~default:1 in
+        List.map
+          (fun p ->
+            {
+              Prop.c_prop = p.Prop.p_name;
+              c_doc = p.Prop.p_doc;
+              c_verdict = Prop.Truncated { dropped };
+            })
+          suite
+    in
     print_string (Prop.render results);
     let worst =
       List.fold_left
@@ -508,9 +532,9 @@ let check_cmd =
           pushed violation delivered or resolved, no designer starves, \
           crashed designers rejoin, dropped notifications stay dropped, \
           an idle unsolved run does not end with a notification in flight. \
-          Exit 1 on a violated property, 2 on a truncated trace (a \
-          missing prefix or a sequence gap) — truncation is refused, \
-          never a vacuous pass.")
+          Exit 1 on a violated property, 2 on a truncated trace (empty, \
+          a missing prefix, a sequence gap, or a last event that is not \
+          the run's end) — truncation is refused, never a vacuous pass.")
     term
 
 let fuzz_cmd =
