@@ -218,15 +218,19 @@ let validated cfg =
     Printf.eprintf "invalid configuration: %s\n" msg;
     exit 1
 
-let seeds_arg =
-  let positive =
-    let parse s =
-      match int_of_string_opt s with
-      | Some n when n >= 1 -> Ok n
-      | _ -> Error (`Msg (Printf.sprintf "expected a positive integer, got %s" s))
-    in
-    Arg.conv (parse, Format.pp_print_int)
+(* Integer options with a lower bound: a value below it is a usage error
+   (cmdliner exits 124), not a run with a meaningless setting. *)
+let int_at_least lo ~what =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= lo -> Ok n
+    | _ -> Error (`Msg (Printf.sprintf "expected a %s integer, got %s" what s))
   in
+  Arg.conv (parse, Format.pp_print_int)
+
+let positive = int_at_least 1 ~what:"positive"
+
+let seeds_arg =
   Arg.(
     value
     & opt positive 60
@@ -482,7 +486,7 @@ let check_cmd =
   let horizon_arg =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some (int_at_least 0 ~what:"non-negative")) None
       & info [ "horizon" ] ~docv:"TICKS"
           ~doc:
             "Worst-case delivery transit (latency + jitter) used to decide \
@@ -541,7 +545,7 @@ let fuzz_cmd =
   let count_arg =
     Arg.(
       value
-      & opt int 100
+      & opt positive 100
       & info [ "n"; "count" ] ~docv:"N"
           ~doc:"Random schedules to run before declaring the suite clean.")
   in

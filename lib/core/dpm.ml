@@ -53,7 +53,6 @@ type layout = {
 
 type t = {
   d_mode : mode;
-  d_max_revisions : int;
   net : Network.t;
   probs : (int, Problem.t) Hashtbl.t;
   mutable prob_order : int list; (* reversed *)
@@ -98,11 +97,10 @@ let register_problem_internal t parent_id p =
     let parent = Hashtbl.find t.probs pid in
     Problem.link_child ~parent ~child:p
 
-let create ~mode ?(max_revisions = 10_000) net ~objects ~top =
+let create ~mode net ~objects ~top =
   let t =
     {
       d_mode = mode;
-      d_max_revisions = max_revisions;
       net;
       probs = Hashtbl.create 16;
       prob_order = [];
@@ -405,18 +403,14 @@ let owned_problems t designer =
 
 let problems_owned_by t designer = Array.to_list (owned_problems t designer)
 
-let max_revisions t = t.d_max_revisions
 let op_count t = t.ops
 let eval_count t = t.evals
 let spin_count t = t.spins
 let revision_work t = t.d_revision_work
 
 let run_propagation ?max_revisions t =
-  let max_revisions =
-    match max_revisions with Some n -> n | None -> t.d_max_revisions
-  in
   let outcome =
-    Propagate.run_incremental_and_apply ~max_revisions ~tracer:t.d_tracer t.net
+    Propagate.run_incremental_and_apply ?max_revisions ~tracer:t.d_tracer t.net
   in
   t.d_revision_work <- t.d_revision_work + outcome.Propagate.revisions;
   outcome
@@ -507,8 +501,7 @@ let relaxed_feasible_group t ~target ~unpin =
     | Some d -> d
     | None ->
       let d, evals =
-        Propagate.relaxed_feasible_group ~max_revisions:t.d_max_revisions t.net
-          ~target ~unpin
+        Propagate.relaxed_feasible_group t.net ~target ~unpin
       in
       t.evals <- t.evals + evals;
       Hashtbl.replace t.d_relaxed key d;

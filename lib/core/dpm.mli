@@ -60,7 +60,6 @@ type result = {
 
 val create :
   mode:mode ->
-  ?max_revisions:int ->
   Network.t ->
   objects:Design_object.t list ->
   top:Problem.t ->
@@ -110,9 +109,6 @@ val recompile : t -> unit
 
 val mode : t -> mode
 
-val max_revisions : t -> int
-(** The propagation budget given at {!create}. *)
-
 val network : t -> Network.t
 val top_problem : t -> Problem.t
 val problems : t -> Problem.t list
@@ -150,8 +146,8 @@ val run_propagation : ?max_revisions:int -> t -> Adpm_csp.Propagate.outcome
     box store persisted in the network, seeded with the constraints of
     dirty properties, falling back to a from-scratch run when that is
     not sound) — the entry point the simulation engine uses for the pre-turn
-    setup propagation. [max_revisions] defaults to the value given at
-    {!create}. *)
+    setup propagation. [max_revisions] defaults to
+    {!Adpm_csp.Propagate.default_max_revisions}. *)
 
 (** {1 Tracing} *)
 

@@ -336,7 +336,9 @@ let run_core ~max_revisions ~consistency ~tracer ~engine ~st ~empty_marks
          });
   { feasible; statuses; evaluations; revisions = !revisions; fixpoint = not budget_hit }
 
-let run ?(max_revisions = 10_000) ?(consistency = `Hull)
+let default_max_revisions = 10_000
+
+let run ?(max_revisions = default_max_revisions) ?(consistency = `Hull)
     ?(tracer = Tracer.null) net =
   run_core ~max_revisions ~consistency ~tracer ~engine:"full"
     ~st:(initial_store net)
@@ -362,7 +364,7 @@ let dirty_seed net dirty =
   in
   List.rev acc
 
-let run_incremental ?(max_revisions = 10_000)
+let run_incremental ?(max_revisions = default_max_revisions)
     ?(tracer = Tracer.null) net =
   (* a store of another shape (which structural edits prevent by
      invalidating it) is not restarted from or classified against *)
@@ -474,7 +476,8 @@ let run_incremental_and_apply ?max_revisions ?tracer net =
    unassigned, without making the copy: the same store, fixpoint and
    evaluation charge (revisions plus one status sweep), reading only the
    target's box. [net] itself is not written. *)
-let relaxed_feasible_group ?(max_revisions = 10_000) net ~target ~unpin =
+let relaxed_feasible_group ?(max_revisions = default_max_revisions) net ~target
+    ~unpin =
   let st = initial_store net in
   let release p =
     Option.iter (set_box st p.Network.p_id) (Domain.hull p.Network.p_initial)

@@ -36,6 +36,11 @@ type outcome = {
   fixpoint : bool;  (** False when stopped by the revision budget. *)
 }
 
+val default_max_revisions : int
+(** The revision budget a propagation gets when its caller names none:
+    10_000, far above what any built-in or generated network needs to
+    reach its fixpoint. *)
+
 val run :
   ?max_revisions:int ->
   ?consistency:[ `Hull | `Shave of int ] ->
@@ -43,10 +48,11 @@ val run :
   Network.t ->
   outcome
 (** Pure with respect to the network: reads assignments and initial domains,
-    writes nothing. [max_revisions] (default 10_000) bounds non-terminating
-    slow convergence. A projection is applied (and its constraints
-    requeued) exactly when it narrows the box: a finite width must shrink,
-    an infinite one must become finite or move a bound. There is no
+    writes nothing. [max_revisions] (default {!default_max_revisions})
+    bounds non-terminating slow convergence. A projection is applied
+    (and its constraints requeued) exactly when it narrows the box: a
+    finite width must shrink, an infinite one must become finite or move
+    a bound. There is no
     narrowing threshold: HC4's built-in magnitude-relative projection
     slack already quantises narrowings and guarantees termination, and
     accepting every narrowing keeps the gated revision operator monotone,

@@ -8,13 +8,11 @@ type config = {
   dc_scenarios : Scenario.t list;
   dc_resolve : string -> (Scenario.t, string) result;
   dc_max_sessions : int;
-  dc_max_frame : int;
   dc_checkpoint_dir : string;
   dc_journal_dir : string option;
   dc_max_conns : int;
   dc_max_write_buf : int;
   dc_max_ops : int;
-  dc_reply_cache : int;
   dc_sndbuf : int option;
 }
 
@@ -32,13 +30,11 @@ let default_config ~addr ~scenarios =
                (String.concat ", "
                   (List.map (fun s -> s.Scenario.sc_name) scenarios))));
     dc_max_sessions = 256;
-    dc_max_frame = Wire.default_max_frame;
     dc_checkpoint_dir = Filename.current_dir_name;
     dc_journal_dir = None;
     dc_max_conns = 64;
     dc_max_write_buf = 4 lsl 20;
     dc_max_ops = 0;
-    dc_reply_cache = 64;
     dc_sndbuf = None;
   }
 
@@ -92,10 +88,11 @@ let journal_marker = "teamsimd_journal"
    Keyed by (client token, request id): a reconnecting client that never
    saw its reply resends the identical frame, and the daemon answers from
    here instead of executing the command a second time. Bounded per
-   client ([dc_reply_cache] newest replies) and in client count, so a
-   token-spraying peer cannot balloon memory. *)
+   client ([replies_per_client] newest replies) and in client count, so
+   a token-spraying peer cannot balloon memory. *)
 
 let max_cache_clients = 256
+let replies_per_client = 64
 
 let cache_key id = Json.to_string id
 
@@ -124,7 +121,7 @@ let cache_store t ~client ~key resp =
     | e :: rest -> e :: keep (n - 1) rest
   in
   entries :=
-    (key, resp) :: keep (t.cfg.dc_reply_cache - 1) (List.remove_assoc key !entries)
+    (key, resp) :: keep (replies_per_client - 1) (List.remove_assoc key !entries)
 
 (* {2 Journal recovery} *)
 
@@ -715,7 +712,7 @@ let read_conn t conn =
         (held_reply t
            (Wire.error_frame ~code:Wire.Oversize
               (Printf.sprintf "frame exceeds %d bytes; closing connection"
-                 t.cfg.dc_max_frame)));
+                 Wire.default_max_frame)));
       conn.cn_closing <- true
     | `Frame line ->
       hold conn (serve_line t line);
@@ -764,7 +761,7 @@ let accept_new t =
       let conn =
         {
           cn_fd = fd;
-          cn_reader = Wire.Reader.create ~max_frame:t.cfg.dc_max_frame ();
+          cn_reader = Wire.Reader.create ();
           cn_out = Buffer.create 256;
           cn_closing = false;
           cn_dead = false;

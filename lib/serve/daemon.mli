@@ -19,7 +19,12 @@
     {b Driving it.} [run] blocks until a [shutdown] frame arrives.
     [step] runs one bounded iteration, so tests and benches can host a
     daemon and its clients in a single thread. [handle] exposes the
-    request dispatcher directly for protocol-level tests. *)
+    request dispatcher directly for protocol-level tests.
+
+    {b Fixed bounds.} A frame longer than {!Wire.default_max_frame}
+    bytes is answered with one [oversize] error frame and its
+    connection dropped; the reply cache keeps each client's 64 newest
+    replies. *)
 
 open Adpm_teamsim
 module Json = Adpm_trace.Json
@@ -38,7 +43,6 @@ type config = {
           [unknown_scenario] frame — resolution failures never tear down
           anything *)
   dc_max_sessions : int;
-  dc_max_frame : int;  (** per-frame byte bound (see {!Wire.Reader}) *)
   dc_checkpoint_dir : string;  (** default directory for [checkpoint] files *)
   dc_journal_dir : string option;
       (** when set, every accepted [open]/[exec]/[resume] is written to a
@@ -55,18 +59,15 @@ type config = {
   dc_max_ops : int;
       (** per-session [exec] budget (0 = unlimited); past it every exec
           is refused with [overloaded] *)
-  dc_reply_cache : int;
-      (** per-client bound on cached replies for idempotent resend *)
   dc_sndbuf : int option;
       (** SO_SNDBUF for accepted connections (test seam for the
           slow-client path) *)
 }
 
 val default_config : addr:addr -> scenarios:Scenario.t list -> config
-(** 256 sessions, {!Wire.default_max_frame}, checkpoints in ["."], no
-    journaling, 64 connections, 4 MiB write buffers,
-    unlimited ops, 64 cached replies per client, and a [dc_resolve] that
-    looks names up in [scenarios] only. The CLI overrides [dc_resolve]
+(** 256 sessions, checkpoints in ["."], no journaling, 64 connections,
+    4 MiB write buffers, unlimited ops, and a [dc_resolve] that looks
+    names up in [scenarios] only. The CLI overrides [dc_resolve]
     with the full registry (plain names plus [gen:<spec>] and
     [file:<path>] references). *)
 

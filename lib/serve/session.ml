@@ -164,25 +164,9 @@ type resume_error =
   | Rs_mismatch of string
 
 let read_lines path =
-  match
-    In_channel.with_open_text path (fun ic ->
-        let rec loop acc =
-          match In_channel.input_line ic with
-          | Some l -> loop (l :: acc)
-          | None -> List.rev acc
-        in
-        loop [])
-  with
+  match In_channel.with_open_text path In_channel.input_lines with
   | lines -> Ok lines
   | exception Sys_error msg -> Error msg
-
-let rec collect_events acc lineno = function
-  | [] -> Ok (List.rev acc)
-  | "" :: rest -> collect_events acc (lineno + 1) rest
-  | line :: rest -> (
-    match Codec.of_line line with
-    | Ok ev -> collect_events (ev :: acc) (lineno + 1) rest
-    | Error msg -> Error (Printf.sprintf "line %d: %s" lineno msg))
 
 type header = {
   h_scenario : string;
@@ -276,7 +260,7 @@ let resume ~resolve ~id ~path =
       | Error msg -> corrupt "%s" msg
     in
     let* events =
-      match collect_events [] 2 event_lines with
+      match Codec.of_lines ~first:2 event_lines with
       | Ok evs -> Ok evs
       | Error msg -> corrupt "bad trace event at %s" msg
     in

@@ -59,13 +59,10 @@ let setup c ~max_revisions =
         c.c_setups <- (max_revisions, s) :: c.c_setups;
         s)
 
-let start ?max_revisions c =
+let start ?(max_revisions = Propagate.default_max_revisions) c =
   match Dpm.mode c.c_base with
   | Dpm.Conventional -> (Dpm.instantiate c.c_base, None)
   | Dpm.Adpm ->
-    let max_revisions =
-      Option.value max_revisions ~default:(Dpm.max_revisions c.c_base)
-    in
     let s = setup c ~max_revisions in
     (Dpm.instantiate ~from:s.s_state c.c_base, Some s)
 

@@ -10,10 +10,12 @@
     from a {!Dpm.instantiate}d copy, which shares the structure and owns
     the state a run mutates.
 
-    The setup propagation is cached per [max_revisions] budget, with the
-    events it traced, so a run gets its post-setup state, its charged
-    evaluations and its [Propagation_started]/[Propagation_finished]
-    events exactly as if it had propagated itself. *)
+    The setup propagation is cached with the events it traced, so a run
+    gets its post-setup state, its charged evaluations and its
+    [Propagation_started]/[Propagation_finished] events exactly as if it
+    had propagated itself. Every run propagates under
+    {!Adpm_csp.Propagate.default_max_revisions}; a smaller budget, cached
+    beside it, exists only for tests that need a setup cut short. *)
 
 open Adpm_core
 
@@ -45,8 +47,8 @@ val start : ?max_revisions:int -> t -> Dpm.t * setup option
     elaborated state and there is no setup. In ADPM mode it is a copy of
     the state the setup propagation leaves (boxes, statuses, feasible
     subspaces, [revision_work]), propagated once per [max_revisions]
-    (default: the DPM's own {!Dpm.max_revisions}) under a lock and
-    cached. Safe to call from any domain; use the DPM from the calling
+    (default {!Adpm_csp.Propagate.default_max_revisions}) under a lock
+    and cached. Safe to call from any domain; use the DPM from the calling
     one. *)
 
 val setup_evaluations : setup -> int

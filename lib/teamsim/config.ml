@@ -20,12 +20,9 @@ type t = {
   mode : Dpm.mode;
   seed : int;
   max_ops : int;
-  max_revisions : int;
   latency : int;
   duration_model : Model.duration;
   faults : Fault.plan;
-  delta_divisor : float;
-  adaptive_delta : bool;
   forward_ordering : forward_ordering;
   use_alpha_repair : bool;
   use_monotone_hints : bool;
@@ -40,12 +37,9 @@ let default ~mode ~seed =
     mode;
     seed;
     max_ops = 2000;
-    max_revisions = 10_000;
     latency = 0;
     duration_model = Model.unit_duration;
     faults = Fault.none;
-    delta_divisor = 100.;
-    adaptive_delta = true;
     forward_ordering = Smallest_subspace;
     use_alpha_repair = true;
     use_monotone_hints = true;
@@ -58,30 +52,19 @@ let default ~mode ~seed =
 let with_seed t seed = { t with seed }
 
 let validate t =
-  if t.max_ops <= 0 then
-    Error (Printf.sprintf "max_ops must be positive (got %d)" t.max_ops)
-  else if t.max_revisions <= 0 then
-    Error
-      (Printf.sprintf "max_revisions must be positive (got %d)" t.max_revisions)
-  else
-    match Model.validate_latency t.latency with
-    | Error e -> Error (Printf.sprintf "%s (got %d)" e t.latency)
-    | Ok () -> (
-      match Model.validate_duration t.duration_model with
-      | Error e -> Error e
-      | Ok () -> (
-        match Fault.validate t.faults with
-        | Error e -> Error e
-        | Ok () -> (
-          (* the comparison also rejects nan *)
-          if not (t.delta_divisor > 0.) then
-            Error
-              (Printf.sprintf "delta_divisor must be positive (got %g)"
-                 t.delta_divisor)
-          else
-            match Shift.validate t.shifts with
-            | Error e -> Error e
-            | Ok () -> Ok ())))
+  let ( let* ) = Result.bind in
+  let* () =
+    if t.max_ops > 0 then Ok ()
+    else Error (Printf.sprintf "max_ops must be positive (got %d)" t.max_ops)
+  in
+  let* () =
+    Result.map_error
+      (fun e -> Printf.sprintf "%s (got %d)" e t.latency)
+      (Model.validate_latency t.latency)
+  in
+  let* () = Model.validate_duration t.duration_model in
+  let* () = Fault.validate t.faults in
+  Shift.validate t.shifts
 
 let validate_exn t =
   match validate t with

@@ -1,10 +1,13 @@
 (** Simulation configuration.
 
     Bundles the paper's lambda switch (ADPM vs conventional, Section 3.1.2),
-    the delta parameter of the value-selection function f_v (Section 3.1.1:
-    "delta values around 100 times smaller than the size of E_i worked
-    well"), and ablation switches for the individual heuristics, which the
-    paper's conclusion calls out as future evaluation work. *)
+    the team's timing and fault model, and ablation switches for the
+    individual heuristics, which the paper's conclusion calls out as future
+    evaluation work. The repair step of the value-selection function f_v is
+    not a setting: it is |E_i| / 100 (Section 3.1.1: "delta values around
+    100 times smaller than the size of E_i worked well"), adapted on
+    consecutive repairs of one property ({!Designer}). The propagation
+    budget is not one either ({!Adpm_csp.Propagate.default_max_revisions}). *)
 
 open Adpm_core
 
@@ -37,7 +40,6 @@ type t = {
   mode : Dpm.mode;  (** the paper's lambda *)
   seed : int;
   max_ops : int;  (** safety bound on executed operations *)
-  max_revisions : int;  (** propagation fixpoint budget per run *)
   latency : int;
       (** notification latency in virtual ticks: the Notification Manager
           delivers an operation's outcome to teammates this long after the
@@ -52,10 +54,6 @@ type t = {
           probabilities, delivery jitter, and scheduled designer
           crash/restart windows (default {!Adpm_fault.Fault.none}, which
           keeps runs bit-identical to the fault-free engine) *)
-  delta_divisor : float;
-      (** repair step = |E_i| / delta_divisor (paper: about 100) *)
-  adaptive_delta : bool;
-      (** double the step on consecutive same-direction repairs *)
   forward_ordering : forward_ordering;
       (** how f_a orders unbound parameters during forward design *)
   use_alpha_repair : bool;
@@ -77,17 +75,16 @@ type t = {
 
 val default : mode:Dpm.mode -> seed:int -> t
 (** All heuristics on ([forward_ordering = Smallest_subspace]),
-    [max_ops = 2000], [delta_divisor = 100.], [latency = 0],
-    unit durations. *)
+    [max_ops = 2000], [latency = 0], unit durations, no faults, no
+    shifts. *)
 
 val with_seed : t -> int -> t
 
 val validate : t -> (unit, string) result
-(** Reject configurations the engine cannot honour: non-positive
-    [max_ops] or [max_revisions], a negative [latency], a negative
-    duration, an invalid fault plan (out-of-range probabilities,
-    negative jitter, non-positive recovery), or a non-positive (or nan)
-    [delta_divisor]. *)
+(** Reject configurations the engine cannot honour: a non-positive
+    [max_ops], a negative [latency], a negative duration, an invalid
+    fault plan (out-of-range probabilities, negative jitter, non-positive
+    recovery) or an invalid shift plan. *)
 
 val validate_exn : t -> unit
 (** @raise Invalid_argument with {!validate}'s message. *)

@@ -545,7 +545,9 @@ let headroom_from_votes d dpm ctx pid dom =
 let dir_code = function `Up -> 1 | `Down -> 2
 
 (* Delta move for repairs (f_v's "choose from initial subspace" branch):
-   exponential search while the direction persists, bisection on flip. *)
+   a first step of |E_i| / 100 (Section 3.1.1: "delta values around 100
+   times smaller than the size of E_i worked well"), then exponential
+   search while the direction persists and bisection on a flip. *)
 let delta_move d dpm pid direction =
   let p = Network.prop_by_id (Dpm.network dpm) pid in
   let initial = p.Network.p_initial in
@@ -554,16 +556,14 @@ let delta_move d dpm pid direction =
   | Some hull ->
     repair_memory d;
     let width = if Interval.is_bounded hull then Interval.width hull else 1.0 in
-    let base_step = width /. d.cfg.Config.delta_divisor in
+    let base_step = width /. 100. in
+    let last_step = d.repair_step.(pid) in
     let step =
-      if d.cfg.Config.adaptive_delta then
-        let last_step = d.repair_step.(pid) in
-        match d.repair_dir.(pid) with
-        | 0 -> base_step
-        | dir when dir = dir_code direction ->
-          Float.min (last_step *. 2.) (width /. 2.)
-        | _ -> Float.max (last_step /. 2.) (base_step /. 16.)
-      else base_step
+      match d.repair_dir.(pid) with
+      | 0 -> base_step
+      | dir when dir = dir_code direction ->
+        Float.min (last_step *. 2.) (width /. 2.)
+      | _ -> Float.max (last_step /. 2.) (base_step /. 16.)
     in
     d.repair_dir.(pid) <- dir_code direction;
     d.repair_step.(pid) <- step;

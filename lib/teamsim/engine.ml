@@ -13,18 +13,19 @@ type outcome = {
   o_makespan : int;
 }
 
-(* {2 Run scaffolding}
+(* {2 Run start and finish}
 
    Everything outside the turn-taking discipline: the run's copy of the
    compiled scenario, [Run_started], Rng stream layout (one split per
-   designer, in designer order), the ADPM setup propagation's charged
-   setup record and events, and the closing summary. *)
+   designer, in [order]), the ADPM setup propagation's charged setup
+   record and events, the kickoff statuses, and the closing summary. *)
 
-let scaffold ~tracer cfg scenario ~record =
+let roster cfg scenario =
+  Compiled.designers (Scenario.compiled scenario ~mode:cfg.Config.mode)
+
+let start ~tracer cfg scenario ~order ~record =
   let compiled = Scenario.compiled scenario ~mode:cfg.Config.mode in
-  let dpm, setup =
-    Compiled.start ~max_revisions:cfg.Config.max_revisions compiled
-  in
+  let dpm, setup = Compiled.start compiled in
   Dpm.set_tracer dpm tracer;
   if Tracer.active tracer then
     Tracer.emit tracer
@@ -40,7 +41,7 @@ let scaffold ~tracer cfg scenario ~record =
   let designers =
     List.map
       (fun name -> Designer.create cfg ~rng:(Rng.split rng) ~influence name)
-      (Dpm.designers dpm)
+      order
   in
   let setup_evals =
     match setup with
@@ -69,7 +70,8 @@ let scaffold ~tracer cfg scenario ~record =
 
 let prepare cfg scenario =
   let dpm, _, designers, _ =
-    scaffold ~tracer:Tracer.null cfg scenario ~record:ignore
+    start ~tracer:Tracer.null cfg scenario ~order:(roster cfg scenario)
+      ~record:ignore
   in
   (dpm, designers)
 
@@ -184,7 +186,9 @@ let run ?(on_op = fun _ -> ()) ?(tracer = Tracer.null) cfg scenario =
     profile := r :: !profile;
     on_op r
   in
-  let dpm, rng, designers, setup_evals = scaffold ~tracer cfg scenario ~record in
+  let dpm, rng, designers, setup_evals =
+    start ~tracer cfg scenario ~order:(roster cfg scenario) ~record
+  in
   let injector =
     if Fault.is_none cfg.Config.faults then None
     else Some (Fault.create ~rng:(Rng.split rng) cfg.Config.faults)

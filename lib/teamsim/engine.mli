@@ -40,7 +40,7 @@ val run :
     are propagated "beginning when these constraints are generated"); its
     evaluations are charged to the run as a setup record. The run starts
     from the scenario's {!Compiled} template, so that propagation is
-    computed once per scenario and budget and copied (with its events)
+    computed once per scenario and copied (with its events)
     into every run.
 
     With an active [tracer] the engine emits the run lifecycle
@@ -53,6 +53,26 @@ val run :
 
     @raise Invalid_argument if the configuration fails
     {!Config.validate}. *)
+
+val start :
+  tracer:Adpm_trace.Tracer.t ->
+  Config.t ->
+  Scenario.t ->
+  order:string list ->
+  record:(Metrics.op_record -> unit) ->
+  Dpm.t * Adpm_util.Rng.t * Designer.t list * int
+(** A run's start, before its first turn, and an interactive session's
+    ({!Interactive.create}): the run's copy of the compiled scenario
+    (after the ADPM setup propagation) with [tracer] attached,
+    [Run_started], the root generator seeded from [Config.seed], one
+    designer per name of [order] in that order, each on its own
+    [Rng.split] of the root, the setup propagation's events and its
+    record passed to [record], and the kickoff statuses every designer
+    learns. Returns the DPM, the root generator (the run's turn-order
+    shuffles and fault stream draw from it next), the designers and the
+    setup's evaluations (0 in conventional mode). {!run} passes the
+    roster as [order]; a session passes its player first, then the
+    teammates in roster order. *)
 
 val prepare : Config.t -> Scenario.t -> Dpm.t * Designer.t list
 (** What {!run} does before the first designer turn, untraced: the run's

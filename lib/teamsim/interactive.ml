@@ -1,4 +1,3 @@
-open Adpm_util
 open Adpm_csp
 open Adpm_core
 open Adpm_trace
@@ -16,44 +15,22 @@ type t = {
          evaluations between applies), mirroring the engine *)
 }
 
+(* A session is a run in which one human plays [designer]: it starts as
+   {!Engine.run} does, splitting the player's generator first. *)
 let create ?(tracer = Tracer.null) ~mode ~seed scenario ~designer =
-  let compiled = Scenario.compiled scenario ~mode in
-  let team = Compiled.designers compiled in
+  let team = Compiled.designers (Scenario.compiled scenario ~mode) in
   if not (List.mem designer team) then
     invalid_arg
       (Printf.sprintf "Interactive.create: no designer %s (team: %s)" designer
          (String.concat ", " team));
-  let dpm, setup = Compiled.start compiled in
-  Dpm.set_tracer dpm tracer;
-  if Tracer.active tracer then
-    Tracer.emit tracer
-      (Event.Run_started
-         {
-           scenario = scenario.Scenario.sc_name;
-           mode = Dpm.mode_to_string mode;
-           seed;
-           engine = "incremental";
-         });
-  let rng = Rng.create seed in
-  let cfg = Config.default ~mode ~seed in
-  let influence = Compiled.influence compiled in
-  let mk name = Designer.create cfg ~rng:(Rng.split rng) ~influence name in
-  let player_model = mk designer in
-  let teammates =
-    List.filter_map
-      (fun name -> if String.equal name designer then None else Some (mk name))
-      team
+  let teammates = List.filter (fun n -> not (String.equal n designer)) team in
+  let dpm, _, designers, setup_evals =
+    Engine.start ~tracer (Config.default ~mode ~seed) scenario
+      ~order:(designer :: teammates) ~record:ignore
   in
-  let setup_evals =
-    match setup with
-    | None -> 0
-    | Some s ->
-      Compiled.trace_setup s tracer;
-      Compiled.setup_evaluations s
-  in
-  { dpm; player = designer; player_model; teammates;
-    models = scenario.Scenario.sc_models; setup_evals;
-    last_evals = Dpm.eval_count dpm }
+  { dpm; player = designer; player_model = List.hd designers;
+    teammates = List.tl designers; models = scenario.Scenario.sc_models;
+    setup_evals; last_evals = Dpm.eval_count dpm }
 
 let prompt t =
   Printf.sprintf "[%s | %s | op %d | %d violations]"

@@ -18,8 +18,10 @@ val create :
   Scenario.t ->
   designer:string ->
   t
-(** Start a session playing [designer]. In ADPM mode the initial
-    propagation runs immediately (as the engine would).
+(** Start a session playing [designer], as {!Engine.start} starts a run
+    at [seed] with the default configuration: the player's designer model
+    takes the first split of the generator, the teammates the next ones
+    in roster order. In ADPM mode the setup propagation has run.
 
     [?tracer] (default disabled) is attached to the DPM and additionally
     receives the engine-level framing events — [Run_started] up front and

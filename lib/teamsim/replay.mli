@@ -49,8 +49,6 @@ val run : resolve:(string -> Scenario.t) -> Event.stamped list -> report
     A header whose engine is ["full"] (a trace of the retired
     from-scratch engine) makes every propagation restart from scratch,
     which reproduces that engine's evaluation counts.
-    Assumes the engine's default revision budget; a run recorded with a
-    custom [max_revisions] may diverge.
     @raise Replay_error when the trace header is unusable or an event
     cannot be applied. *)
 

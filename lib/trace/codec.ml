@@ -419,19 +419,18 @@ let of_line line =
 
 (* {2 Files} *)
 
+let of_lines ~first lines =
+  let rec decode acc lineno = function
+    | [] -> Ok (List.rev acc)
+    | line :: rest when String.trim line = "" -> decode acc (lineno + 1) rest
+    | line :: rest -> (
+      match of_line line with
+      | Ok stamped -> decode (stamped :: acc) (lineno + 1) rest
+      | Error msg -> Error (Printf.sprintf "line %d: %s" lineno msg))
+  in
+  decode [] first lines
+
 let read_file path =
-  match In_channel.with_open_text path In_channel.input_all with
+  match In_channel.with_open_text path In_channel.input_lines with
   | exception Sys_error msg -> Error msg
-  | contents ->
-    let lines =
-      String.split_on_char '\n' contents
-      |> List.filter (fun l -> String.trim l <> "")
-    in
-    let rec decode acc lineno = function
-      | [] -> Ok (List.rev acc)
-      | line :: rest -> (
-        match of_line line with
-        | Ok stamped -> decode (stamped :: acc) (lineno + 1) rest
-        | Error msg -> Error (Printf.sprintf "line %d: %s" lineno msg))
-    in
-    decode [] 1 lines
+  | lines -> of_lines ~first:1 lines

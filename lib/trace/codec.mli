@@ -8,6 +8,10 @@ val to_line : Event.stamped -> string
 
 val of_line : string -> (Event.stamped, string) result
 
+val of_lines : first:int -> string list -> (Event.stamped list, string) result
+(** Decode trace lines, the first of which is line [first] of its file.
+    Blank lines are skipped but counted, so the first malformed line
+    aborts with its physical line number. *)
+
 val read_file : string -> (Event.stamped list, string) result
-(** Decode a whole JSONL trace file; blank lines are skipped, the first
-    malformed line aborts with its line number. *)
+(** {!of_lines} over a whole JSONL trace file. *)

@@ -141,7 +141,6 @@ let test_config_validate () =
   | Error msg -> Alcotest.fail ("default config must validate: " ^ msg));
   rejects "zero max_ops" { base with Config.max_ops = 0 };
   rejects "negative max_ops" { base with Config.max_ops = -3 };
-  rejects "zero max_revisions" { base with Config.max_revisions = 0 };
   rejects "negative latency" { base with Config.latency = -1 };
   rejects "negative duration"
     { base with Config.duration_model = Adpm_sim.Model.Uniform (-2) };
@@ -152,8 +151,6 @@ let test_config_validate () =
         Adpm_sim.Model.Per_kind
           { dm_synthesis = 1; dm_verification = -1; dm_decompose = 1 };
     };
-  rejects "zero delta divisor" { base with Config.delta_divisor = 0. };
-  rejects "nan delta divisor" { base with Config.delta_divisor = Float.nan };
   Alcotest.check_raises "validate_exn raises Invalid_argument"
     (Invalid_argument
        "Config.validate: max_ops must be positive (got 0)") (fun () ->

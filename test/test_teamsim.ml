@@ -237,7 +237,6 @@ let test_ablation_flags_run () =
       { base with Config.use_monotone_hints = false };
       { base with Config.use_history_tabu = false };
       { base with Config.use_relaxed_feasible = false };
-      { base with Config.adaptive_delta = false };
     ]
 
 let suite =

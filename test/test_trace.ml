@@ -343,6 +343,24 @@ let test_codec_file_roundtrip () =
         Alcotest.(check bool) "file round-trip" true (events = sample_events)
       | Error e -> Alcotest.failf "read_file: %s" e)
 
+(* Blank lines are skipped but still counted: an error names the line
+   an editor shows, not the line's index among the non-blank ones. *)
+let test_codec_file_physical_lines () =
+  let path = Filename.temp_file "adpm_trace" ".jsonl" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      let good = List.map Codec.to_line sample_events in
+      Out_channel.with_open_text path (fun oc ->
+          List.iter
+            (fun l -> output_string oc (l ^ "\n"))
+            [ List.nth good 0; ""; "  "; List.nth good 1; "{}" ]);
+      match Codec.read_file path with
+      | Ok _ -> Alcotest.fail "accepted a malformed line"
+      | Error msg ->
+        Alcotest.(check string)
+          "physical line number" "line 5: missing field type" msg)
+
 let test_codec_rejects_malformed () =
   List.iter
     (fun line ->
@@ -669,6 +687,8 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_json_parse_total;
     Alcotest.test_case "codec round-trip" `Quick test_codec_roundtrip;
     Alcotest.test_case "codec file round-trip" `Quick test_codec_file_roundtrip;
+    Alcotest.test_case "codec error names the physical line" `Quick
+      test_codec_file_physical_lines;
     Alcotest.test_case "codec rejects malformed" `Quick
       test_codec_rejects_malformed;
     Alcotest.test_case "codec rejects a pool_retry line" `Quick
