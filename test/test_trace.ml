@@ -687,8 +687,6 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_json_parse_total;
     Alcotest.test_case "codec round-trip" `Quick test_codec_roundtrip;
     Alcotest.test_case "codec file round-trip" `Quick test_codec_file_roundtrip;
-    Alcotest.test_case "codec error names the physical line" `Quick
-      test_codec_file_physical_lines;
     Alcotest.test_case "codec rejects malformed" `Quick
       test_codec_rejects_malformed;
     Alcotest.test_case "codec rejects a pool_retry line" `Quick
@@ -710,4 +708,6 @@ let suite =
       test_replay_rejects_inapplicable_op;
     Alcotest.test_case "replay of a full-engine trace" `Quick
       test_replay_full_engine_fixture;
+    Alcotest.test_case "codec error names the physical line" `Quick
+      test_codec_file_physical_lines;
   ]
